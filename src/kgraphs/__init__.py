@@ -22,12 +22,11 @@ from .perron import (MatrixFamily, PerronData, perron_data, power_iteration,
                      find_positive_F, verify_subinvariance,
                      spectral_radius_power_check)
 from .periodicity import (check_pair, theta, ThetaMap, PeriodicityGroup,
-                          periodicity_group, hnf_basis, is_aperiodic,
-                          decide_periodic)
+                          periodicity_group, hnf_basis, decide_periodic)
 from .measure import (CylinderMeasure, consistency_check, ConsistencyReport,
-                      periodicity_mass, periodicity_mass_profile,
-                      agreement_mass, AgreementReport, DecayWitness,
-                      find_decay_witness, decay_check, DecayReport)
+                      periodicity_mass_profile, agreement_mass,
+                      AgreementReport, DecayWitness, find_decay_witness,
+                      decay_check, DecayReport)
 from .kms import (SpanTerm, AlgebraElement, StateSpec, parse_state,
                   PhaseQuery, KMSStates, KMSCheckReport,
                   UnitaryIdentitiesReport, ToeplitzReport, PhaseReport)
@@ -47,9 +46,9 @@ __all__ = [
     "MatrixFamily", "PerronData", "perron_data", "power_iteration",
     "find_positive_F", "verify_subinvariance", "spectral_radius_power_check",
     "check_pair", "theta", "ThetaMap", "PeriodicityGroup",
-    "periodicity_group", "hnf_basis", "is_aperiodic", "decide_periodic",
+    "periodicity_group", "hnf_basis", "decide_periodic",
     "CylinderMeasure", "consistency_check", "ConsistencyReport",
-    "periodicity_mass", "periodicity_mass_profile", "agreement_mass",
+    "periodicity_mass_profile", "agreement_mass",
     "AgreementReport", "DecayWitness", "find_decay_witness", "decay_check",
     "DecayReport",
     "SpanTerm", "AlgebraElement", "StateSpec", "parse_state", "PhaseQuery",

@@ -32,6 +32,8 @@ def make_single_vertex(k, loops, squares=None):
         raise InputFormatError(f"need {k} loop counts, got {len(loops)}")
     if k > 26:
         raise InputFormatError("ranks above 26 exceed the naming scheme")
+    if any(n < 0 for n in loops):
+        raise InputFormatError(f"loop counts must be nonnegative: {loops}")
 
     def name(color, idx):
         if k == 1:
@@ -53,7 +55,7 @@ def make_single_vertex(k, loops, squares=None):
             for (s, t), (u, v) in sorted(table.items()):
                 for idx, count in ((s, loops[i - 1]), (v, loops[i - 1]),
                                    (t, loops[j - 1]), (u, loops[j - 1])):
-                    if not 1 <= idx <= count:
+                    if not (isinstance(idx, int) and 1 <= idx <= count):
                         raise InputFormatError(
                             f"square index {idx} out of range")
                 out_squares.append(Square(blue=name(i, s), red=name(j, t),

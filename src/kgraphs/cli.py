@@ -14,6 +14,9 @@ Numbers are emitted in dual format: exact rationals as fraction strings
 ("1/2", "1"), inexact values as JSON floats.  An optional ``--config``
 file supplies defaults for tolerances and bounds in ``key = value`` lines;
 explicit flags win.
+
+Each analysis command is a row of ``COMMANDS``: one runner does the steps
+they share, and the parser is generated from the table.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 from . import builders
 from . import degrees as dg
@@ -38,26 +44,29 @@ from .measure import (CONSISTENCY_TOL, CylinderMeasure, agreement_mass,
                       periodicity_mass_profile)
 from .periodicity import periodicity_group
 from .perron import MatrixFamily, perron_data
-from .scalars import QQi, format_fraction
+from .scalars import QQi, format_fraction, parse_number
 
 DEFAULT_BOUND = 2
 
-# config keys a command picks defaults from when its flag is absent
-CONFIG_KEYS = ("bound", "cap", "tol", "level", "a_max", "j_max")
+# options a command may declare, each read from its flag, else from the
+# --config file, else the command's default: name -> (flag type, help)
+OPTIONS = {
+    "bound": (int, "periodicity search bound"),
+    "cap": (int, "path-enumeration guard"),
+    "tol": (float, "comparison tolerance"),
+    "level": (int, "deepest approximation level"),
+    "a_max": (int, "decay-witness search bound"),
+    "j_max": (int, "number of decay levels checked"),
+}
+CONFIG_KEYS = tuple(OPTIONS)
 
 
 # ----------------------------------------------------------------------
 # serialization helpers
 
-def emit(doc):
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def jnum(value):
     """Fractions as "p/q" strings (integers as "n"), floats as floats."""
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return format_fraction(value)
     return float(value)
 
@@ -77,37 +86,20 @@ def jscalar(value):
     return {"re": z.real, "im": z.imag}
 
 
-def provenance(graph, command, options):
-    return {
-        "graph_sha256": graph.sha256(),
-        "command": command,
-        "options": {k: v for k, v in sorted(options.items())},
-    }
-
-
 # ----------------------------------------------------------------------
 # input helpers
 
-def load_graph(arg):
-    if arg == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputFormatError(f"cannot read graph file {arg!r}: {exc}")
-    return KGraph.from_json(text)
+def read_text(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {what} file {path!r}: {exc}")
 
 
 def read_config(path):
     opts = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read config file {path!r}: {exc}")
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(read_text(path, "config").splitlines(), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -122,189 +114,148 @@ def read_config(path):
     return opts
 
 
-def resolve(args, name, parse, default):
+def resolve(name, given, config, default):
     """Flag value if given, else config value, else the default."""
-    given = getattr(args, name, None)
     if given is not None:
         return given
-    config = getattr(args, "_config", {})
-    if name in config:
-        try:
-            return parse(config[name])
-        except ValueError as exc:
-            raise InputFormatError(
-                f"bad config value for {name}: {config[name]!r}") from exc
-    return default
-
-
-def parse_number(text):
-    """Exact Fraction when the literal is one, float otherwise."""
+    if name not in config:
+        return default
     try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
+        return OPTIONS[name][0](config[name])
+    except ValueError as exc:
+        raise InputFormatError(
+            f"bad config value for {name}: {config[name]!r}") from exc
 
 
-def parse_vector(text):
-    return tuple(parse_number(p) for p in text.split(","))
-
-
-# ----------------------------------------------------------------------
-# shared analysis setup
-
-def graph_context(graph, bound, cap, with_group=True):
-    """Perron data, measure, and (optionally) the periodicity group."""
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    group = periodicity_group(graph, bound=bound, cap=cap) if with_group \
-        else None
-    return pd, cm, group
+def parse_squares(text):
+    """The --squares table {"i,j": [[s,t,u,v], ...]} as builders takes it."""
+    table, squares = json.loads(text), {}
+    try:
+        for pair, quads in table.items():
+            i, j = (int(p) for p in pair.split(","))
+            squares[(i, j)] = {(s, t): (u, v) for s, t, u, v in quads}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad --squares table: {exc}") from exc
+    return squares
 
 
 # ----------------------------------------------------------------------
-# subcommand bodies (each returns the process exit code)
+# gen: the one command that reads no graph
 
 def cmd_gen(args):
-    name = args.name
-    if name == "single-vertex":
+    if args.name == "single-vertex":
         if args.loops is None:
             raise InputFormatError("single-vertex needs --loops n1,n2,...")
-        loops = [int(p) for p in args.loops.split(",")]
-        squares = None
-        if args.squares is not None:
-            squares = {}
-            table = json.loads(args.squares)
-            for pair, quads in table.items():
-                i, j = (int(p) for p in pair.split(","))
-                squares[(i, j)] = {(s, t): (u, v) for s, t, u, v in quads}
+        loops = dg.parse_degree(args.loops, args.loops.count(",") + 1)
+        squares = None if args.squares is None \
+            else parse_squares(args.squares)
         graph = builders.make_single_vertex(len(loops), loops, squares)
-    elif name in builders.FIXTURES:
-        graph = builders.FIXTURES[name]()
+    elif args.name in builders.FIXTURES:
+        graph = builders.FIXTURES[args.name]()
     else:
         known = ", ".join(sorted(builders.FIXTURES) + ["single-vertex"])
-        raise InputFormatError(f"unknown fixture {name!r} (know: {known})")
+        raise InputFormatError(
+            f"unknown fixture {args.name!r} (know: {known})")
     sys.stdout.write(graph.to_json())
     return 0
 
 
-def cmd_validate(args):
-    graph = load_graph(args.graph)
-    report = graph.validate()
-    doc = report.to_dict()
-    doc["provenance"] = provenance(graph, "validate", {})
-    emit(doc)
-    return 0 if report.valid else 1
+# ----------------------------------------------------------------------
+# the analysis commands: one report function per table row
+
+class Context:
+    """A command's graph and resolved options.  The analysis objects are
+    built on first use, so each report pays only for what it reads.  The
+    reports that read the states or the group do so before parsing their
+    literals, so a blown search bound shows before a bad literal."""
+
+    def __init__(self, graph, opts):
+        self.graph = graph
+        self.opts = opts
+
+    @cached_property
+    def perron(self):
+        return perron_data(MatrixFamily.from_graph(self.graph))
+
+    @cached_property
+    def measure(self):
+        return CylinderMeasure(self.graph, self.perron)
+
+    @cached_property
+    def group(self):
+        return periodicity_group(self.graph, bound=self.opts["bound"],
+                                 cap=self.opts["cap"])
+
+    @cached_property
+    def states(self):
+        return KMSStates(self.graph, self.perron, measure=self.measure,
+                         group=self.group, cap=self.opts["cap"])
+
+    def degree(self, text):
+        return dg.parse_degree(text, self.graph.k)
 
 
-def cmd_info(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    pd, _, group = graph_context(graph, bound, cap)
-    doc = {
+def report_validate(ctx, args):
+    report = ctx.graph.validate()
+    return report.to_dict(), report.valid
+
+
+def report_info(ctx, args):
+    pd, group = ctx.perron, ctx.group
+    return {
         "rho": [jrho(v) for v in pd.rho_values()],
         "x": {lab: jnum(v) for lab, v in zip(pd.labels, pd.x_values())},
         "per_basis": [list(b) for b in group.basis],
         "per_rank": group.rank,
         "exact": pd.exact,
         "F_bound": pd.F_bound,
-        "provenance": provenance(graph, "info",
-                                 {"bound": bound, "cap": cap}),
-    }
-    emit(doc)
-    return 0
+    }, True
 
 
-def cmd_periodicity(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    group = periodicity_group(graph, bound=bound, cap=cap)
-    doc = group.to_dict()
-    doc["aperiodic"] = group.rank == 0
+def report_periodicity(ctx, args):
+    doc = ctx.group.to_dict()
+    doc["aperiodic"] = ctx.group.rank == 0
     doc["bound"] = doc.pop("search_bound")
-    doc["provenance"] = provenance(graph, "periodicity",
-                                   {"bound": bound, "cap": cap})
-    emit(doc)
-    return 0
+    return doc, True
 
 
-def cmd_measure_mass(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    path = graph.parse_path(args.path)
-    doc = {
+def report_mass(ctx, args):
+    cm = ctx.measure
+    path = ctx.graph.parse_path(args.path)
+    return {
         "path": path.literal(),
         "degree": list(path.degree),
         "mass": jnum(cm.mass(path)),
         "exact": cm.exact,
-        "provenance": provenance(graph, "measure mass", {}),
-    }
-    emit(doc)
-    return 0
+    }, True
 
 
-def cmd_measure_consistency(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    tol = resolve(args, "tol", float, CONSISTENCY_TOL)
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    m = dg.parse_degree(args.m, graph.k)
-    n = dg.parse_degree(args.n, graph.k)
-    report = consistency_check(cm, m, n, tol=tol, cap=cap)
-    doc = {
-        "m": list(report.m),
-        "n": list(report.n),
-        "exact": report.exact,
-        "max_refinement_error": report.max_refinement_error,
-        "total_mass_error": report.total_mass_error,
-        "passed": report.passed,
-        "provenance": provenance(graph, "measure consistency",
-                                 {"cap": cap, "tol": tol}),
-    }
-    emit(doc)
-    return 0 if report.passed else 1
+def report_consistency(ctx, args):
+    report = consistency_check(ctx.measure, ctx.degree(args.m),
+                               ctx.degree(args.n),
+                               tol=ctx.opts["tol"], cap=ctx.opts["cap"])
+    return asdict(report), report.passed
 
 
-def cmd_measure_shift(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    level = resolve(args, "level", int, 5)
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    m = dg.parse_degree(args.m, graph.k)
-    n = dg.parse_degree(args.n, graph.k)
-    profile = periodicity_mass_profile(cm, m, n, level, cap=cap)
-    doc = {
+def report_shift(ctx, args):
+    cm = ctx.measure
+    m, n = ctx.degree(args.m), ctx.degree(args.n)
+    profile = periodicity_mass_profile(cm, m, n, ctx.opts["level"],
+                                       cap=ctx.opts["cap"])
+    return {
         "m": list(m),
         "n": list(n),
         "levels": [jnum(v) for v in profile],
         "final": jnum(profile[-1]),
-        "provenance": provenance(graph, "measure shift",
-                                 {"cap": cap, "level": level}),
-    }
-    emit(doc)
-    return 0
+    }, True
 
 
-def cmd_measure_agreement(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    level = resolve(args, "level", int, 3)
-    pd, cm, group = graph_context(graph, bound, cap)
-    mu = graph.parse_path(args.mu)
-    nu = graph.parse_path(args.nu)
-    report = agreement_mass(cm, mu, nu, level, group=group, cap=cap)
-    doc = {
+def report_agreement(ctx, args):
+    cm, group = ctx.measure, ctx.group
+    mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
+    report = agreement_mass(cm, mu, nu, ctx.opts["level"], group=group,
+                            cap=ctx.opts["cap"])
+    return {
         "mu": mu.literal(),
         "nu": nu.literal(),
         "periodic": report.periodic,
@@ -312,28 +263,16 @@ def cmd_measure_agreement(args):
         "closed_form": jnum(report.closed_form),
         "level": report.level,
         "level_bound": jnum(report.level_bound),
-        "provenance": provenance(graph, "measure agreement",
-                                 {"bound": bound, "cap": cap,
-                                  "level": level}),
-    }
-    emit(doc)
-    return 0
+    }, True
 
 
-def cmd_measure_decay(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    a_max = resolve(args, "a_max", int, 6)
-    j_max = resolve(args, "j_max", int, 3)
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    mu = graph.parse_path(args.mu)
-    nu = graph.parse_path(args.nu)
-    gvec = dg.sub(mu.degree, nu.degree)
-    witness = find_decay_witness(cm, gvec, a_max=a_max, cap=cap)
-    report = decay_check(cm, witness, mu, nu, j_max, cap=cap)
-    doc = {
+def report_decay(ctx, args):
+    cm, cap = ctx.measure, ctx.opts["cap"]
+    mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
+    witness = find_decay_witness(cm, dg.sub(mu.degree, nu.degree),
+                                 a_max=ctx.opts["a_max"], cap=cap)
+    report = decay_check(cm, witness, mu, nu, ctx.opts["j_max"], cap=cap)
+    return {
         "mu": mu.literal(),
         "nu": nu.literal(),
         "g": list(witness.g),
@@ -344,126 +283,127 @@ def cmd_measure_decay(args):
         "bounds": [jnum(v) for v in report.bounds],
         "exact": report.exact,
         "passed": report.passed,
-        "provenance": provenance(graph, "measure decay",
-                                 {"a_max": a_max, "cap": cap,
-                                  "j_max": j_max}),
-    }
-    emit(doc)
-    return 0 if report.passed else 1
+    }, report.passed
 
 
-def cmd_kms_eval(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    pd, cm, group = graph_context(graph, bound, cap)
-    states = KMSStates(graph, pd, measure=cm, group=group, cap=cap)
+def report_kms_eval(ctx, args):
+    states = ctx.states
     state = parse_state(args.state)
-    mu = graph.parse_path(args.mu)
-    nu = graph.parse_path(args.nu)
+    mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
     value = states.phi_eval(state, mu, nu, theta_blind=args.theta_blind)
-    doc = {
+    return {
         "state": state.describe(),
         "mu": mu.literal(),
         "nu": nu.literal(),
         "grade": list(dg.sub(mu.degree, nu.degree)),
         "value": jscalar(value),
-        "exact": cm.exact and state.is_exact,
-        "provenance": provenance(graph, "kms eval",
-                                 {"bound": bound, "cap": cap,
-                                  "theta_blind": args.theta_blind}),
-    }
-    emit(doc)
-    return 0
+        "exact": ctx.measure.exact and state.is_exact,
+    }, True
 
 
-def cmd_kms_check(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    tol = resolve(args, "tol", float, KMS_TOL)
-    pd, cm, group = graph_context(graph, bound, cap)
-    states = KMSStates(graph, pd, measure=cm, group=group, cap=cap)
-    state = parse_state(args.state)
-    max_degree = dg.parse_degree(args.max_degree, graph.k)
-    report = states.kms_check(state, max_degree, tol=tol,
-                              theta_blind=args.theta_blind)
-    doc = {
-        "state": report.state,
-        "max_degree": list(report.max_degree),
-        "exact": report.exact,
-        "theta_blind": report.theta_blind,
-        "total_quadruples": report.total_quadruples,
-        "support_size": report.support_size,
-        "explicit_checked": report.explicit_checked,
-        "failure_count": report.failure_count,
-        "failures": [dict(f) for f in report.failures],
-        "max_deviation": report.max_deviation,
-        "ck_screen_pairs": report.ck_screen_pairs,
-        "ck_screen_violations": report.ck_screen_violations,
-        "passed": report.passed,
-        "provenance": provenance(graph, "kms check",
-                                 {"bound": bound, "cap": cap, "tol": tol}),
-    }
-    emit(doc)
-    return 0 if report.passed else 1
+def report_kms_check(ctx, args):
+    report = ctx.states.kms_check(parse_state(args.state),
+                                  ctx.degree(args.max_degree),
+                                  tol=ctx.opts["tol"],
+                                  theta_blind=args.theta_blind)
+    return asdict(report), report.passed
 
 
-def cmd_phase(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    bound = resolve(args, "bound", int, DEFAULT_BOUND)
-    pd, cm, group = graph_context(graph, bound, cap)
-    states = KMSStates(graph, pd, measure=cm, group=group, cap=cap)
-    beta = parse_number(args.beta)
-    report = states.phase_diagram(beta)
-    doc = report.to_dict()
-    doc["provenance"] = provenance(graph, "phase",
-                                   {"beta": args.beta, "bound": bound,
-                                    "cap": cap})
-    emit(doc)
-    return 0
+def report_phase(ctx, args):
+    return ctx.states.phase_diagram(parse_number(args.beta)).to_dict(), True
 
 
-def cmd_toeplitz(args):
-    graph = load_graph(args.graph)
-    graph.require_valid()
-    cap = resolve(args, "cap", int, ENUM_CAP)
-    tol = resolve(args, "tol", float, TOEPLITZ_TOL)
-    pd = perron_data(MatrixFamily.from_graph(graph))
-    cm = CylinderMeasure(graph, pd)
-    states = KMSStates(graph, pd, measure=cm, group=None, cap=cap)
-    beta = parse_number(args.beta)
-    r = tuple(float(v) for v in parse_vector(args.r))
-    report = states.toeplitz_kms_exists(PhaseQuery(beta=beta, r=r), tol=tol)
-    doc = {
-        "beta": report.beta,
-        "r": list(report.r),
-        "gaps": list(report.gaps),
-        "exists": report.exists,
-        "factors_through_quotient": report.factors_through_quotient,
-        "provenance": provenance(graph, "toeplitz",
-                                 {"cap": cap, "tol": tol}),
-    }
-    emit(doc)
-    return 0
+def report_toeplitz(ctx, args):
+    # the existence test reads no periodicity group, so none is built
+    states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure,
+                       cap=ctx.opts["cap"])
+    query = PhaseQuery(beta=parse_number(args.beta),
+                       r=tuple(parse_number(p) for p in args.r.split(",")))
+    return asdict(states.toeplitz_kms_exists(query, tol=ctx.opts["tol"])), True
+
+
+class Command(NamedTuple):
+    help: str
+    report: Callable      # (Context, args) -> (doc, passed)
+    flags: str = ""       # the command's flags beyond its options
+    options: dict = {}    # option name -> default, in resolution order
+    shown: tuple = ()     # raw argument values recorded in provenance
+
+
+# keyed by the command name as provenance records it
+COMMANDS = {
+    "validate": Command("check the graph axioms", report_validate),
+    "info": Command("Perron data and periodicity basis", report_info, "",
+                    {"bound": DEFAULT_BOUND, "cap": ENUM_CAP}),
+    "periodicity": Command("periodicity group of the graph",
+                           report_periodicity, "",
+                           {"bound": DEFAULT_BOUND, "cap": ENUM_CAP}),
+    "measure mass": Command("measure of one cylinder set", report_mass,
+                            "--path"),
+    "measure consistency": Command(
+        "refinement identities between two levels", report_consistency,
+        "--m --n", {"cap": ENUM_CAP, "tol": CONSISTENCY_TOL}),
+    "measure shift": Command(
+        "mass of the shift-agreement set for (m, n)", report_shift,
+        "--m --n", {"cap": ENUM_CAP, "level": 5}),
+    "measure agreement": Command(
+        "measure of infinite paths equalizing two finite paths",
+        report_agreement, "--mu --nu",
+        {"cap": ENUM_CAP, "bound": DEFAULT_BOUND, "level": 3}),
+    "measure decay": Command(
+        "geometric decay of non-matching agreement masses", report_decay,
+        "--mu --nu", {"cap": ENUM_CAP, "a_max": 6, "j_max": 3}),
+    "kms eval": Command(
+        "state value on one span term", report_kms_eval,
+        "--state --mu --nu --theta-blind",
+        {"cap": ENUM_CAP, "bound": DEFAULT_BOUND}, ("theta_blind",)),
+    "kms check": Command(
+        "exhaustive equilibrium identity check", report_kms_check,
+        "--state --max-degree --theta-blind",
+        {"cap": ENUM_CAP, "bound": DEFAULT_BOUND, "tol": KMS_TOL}),
+    "phase": Command(
+        "extreme-point count by inverse temperature", report_phase,
+        "--beta", {"cap": ENUM_CAP, "bound": DEFAULT_BOUND}, ("beta",)),
+    "toeplitz": Command(
+        "equilibrium existence for scaled dynamics", report_toeplitz,
+        "--beta --r", {"cap": ENUM_CAP, "tol": TOEPLITZ_TOL}),
+}
+
+
+def run_command(name, args):
+    """Load, validate, resolve options, report, record provenance, emit."""
+    row = COMMANDS[name]
+    config = read_config(args.config) if args.config else {}
+    graph = KGraph.from_json(sys.stdin.read() if args.graph == "-"
+                             else read_text(args.graph, "graph"))
+    if name != "validate":
+        graph.require_valid()
+    opts = {key: resolve(key, getattr(args, key), config, default)
+            for key, default in row.options.items()}
+    doc, passed = row.report(Context(graph, opts), args)
+    shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
+    doc["provenance"] = {"graph_sha256": graph.sha256(), "command": name,
+                         "options": dict(sorted(shown.items()))}
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return 0 if passed else 1
 
 
 # ----------------------------------------------------------------------
 # parser
 
-def _add_graph_arg(sub):
-    sub.add_argument("graph", help="graph JSON file, or - for stdin")
+GROUP_HELP = {"measure": "cylinder-measure computations",
+              "kms": "equilibrium-state computations"}
 
-
-def _add_common(sub):
-    sub.add_argument("--config", default=None,
-                     help="key = value file with option defaults")
-    sub.add_argument("--cap", type=int, default=None,
-                     help="path-enumeration guard")
+# flag help; a row's flags are required values, bar the --theta-blind switch
+FLAGS = {
+    "--path": "path literal",
+    "--m": "coarse degree, e.g. 1,0",
+    "--n": "fine degree, m <= n",
+    "--state": '"haar" or z=<turns>, e.g. z=1/4,0',
+    "--max-degree": "per-color degree box, e.g. 2,2",
+    "--r": "per-color scale, e.g. 0.7,0",
+    "--theta-blind": "negative control: drop the bijection condition",
+}
 
 
 def build_parser():
@@ -474,129 +414,34 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", help="write a named example graph as JSON")
-    p.add_argument("name",
-                   help="b2 | fib | pullback-b2 | product-b2-c2 | "
-                        "single-vertex")
-    p.add_argument("--loops", default=None,
-                   help="single-vertex: loops per color, e.g. 2,2")
-    p.add_argument("--squares", default=None,
+    p.add_argument("name", help=" | ".join([*builders.FIXTURES,
+                                            "single-vertex"]))
+    p.add_argument("--loops", help="single-vertex: loops per color, e.g. 2,2")
+    p.add_argument("--squares",
                    help='single-vertex: JSON {"i,j": [[s,t,u,v], ...]} of '
                         "factorization squares (defaults to the flip)")
     p.set_defaults(func=cmd_gen)
 
-    p = subs.add_parser("validate", help="check the graph axioms")
-    _add_graph_arg(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("info", help="Perron data and periodicity basis")
-    _add_graph_arg(p)
-    _add_common(p)
-    p.add_argument("--bound", type=int, default=None,
-                   help="periodicity search bound")
-    p.set_defaults(func=cmd_info)
-
-    p = subs.add_parser("periodicity", help="periodicity group of the graph")
-    _add_graph_arg(p)
-    _add_common(p)
-    p.add_argument("--bound", type=int, default=None,
-                   help="search bound for candidate vectors")
-    p.set_defaults(func=cmd_periodicity)
-
-    p = subs.add_parser("measure", help="cylinder-measure computations")
-    msubs = p.add_subparsers(dest="measure_command", required=True)
-
-    q = msubs.add_parser("mass", help="measure of one cylinder set")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--path", required=True, help="path literal")
-    q.set_defaults(func=cmd_measure_mass)
-
-    q = msubs.add_parser("consistency",
-                         help="refinement identities between two levels")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--m", required=True, help="coarse degree, e.g. 1,0")
-    q.add_argument("--n", required=True, help="fine degree, m <= n")
-    q.add_argument("--tol", type=float, default=None)
-    q.set_defaults(func=cmd_measure_consistency)
-
-    q = msubs.add_parser("shift",
-                         help="mass of the shift-agreement set for (m, n)")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--m", required=True)
-    q.add_argument("--n", required=True)
-    q.add_argument("--level", type=int, default=None,
-                   help="deepest approximation level")
-    q.set_defaults(func=cmd_measure_shift)
-
-    q = msubs.add_parser("agreement",
-                         help="measure of infinite paths equalizing two "
-                              "finite paths")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--mu", required=True)
-    q.add_argument("--nu", required=True)
-    q.add_argument("--level", type=int, default=None)
-    q.add_argument("--bound", type=int, default=None)
-    q.set_defaults(func=cmd_measure_agreement)
-
-    q = msubs.add_parser("decay",
-                         help="geometric decay of non-matching agreement "
-                              "masses")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--mu", required=True)
-    q.add_argument("--nu", required=True)
-    q.add_argument("--a-max", dest="a_max", type=int, default=None)
-    q.add_argument("--j-max", dest="j_max", type=int, default=None)
-    q.set_defaults(func=cmd_measure_decay)
-
-    p = subs.add_parser("kms", help="equilibrium-state computations")
-    ksubs = p.add_subparsers(dest="kms_command", required=True)
-
-    q = ksubs.add_parser("eval", help="state value on one span term")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--state", required=True,
-                   help='"haar" or z=<turns>, e.g. z=1/4,0')
-    q.add_argument("--mu", required=True)
-    q.add_argument("--nu", required=True)
-    q.add_argument("--bound", type=int, default=None)
-    q.add_argument("--theta-blind", action="store_true",
-                   help="negative control: drop the bijection condition")
-    q.set_defaults(func=cmd_kms_eval)
-
-    q = ksubs.add_parser("check",
-                         help="exhaustive equilibrium identity check")
-    _add_graph_arg(q)
-    _add_common(q)
-    q.add_argument("--state", required=True)
-    q.add_argument("--max-degree", dest="max_degree", required=True,
-                   help="per-color degree box, e.g. 2,2")
-    q.add_argument("--tol", type=float, default=None)
-    q.add_argument("--bound", type=int, default=None)
-    q.add_argument("--theta-blind", action="store_true")
-    q.set_defaults(func=cmd_kms_check)
-
-    p = subs.add_parser("phase",
-                        help="extreme-point count by inverse temperature")
-    _add_graph_arg(p)
-    _add_common(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=cmd_phase)
-
-    p = subs.add_parser("toeplitz",
-                        help="equilibrium existence for scaled dynamics")
-    _add_graph_arg(p)
-    _add_common(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--r", required=True, help="per-color scale, e.g. 0.7,0")
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_toeplitz)
-
+    owners = {"": subs}
+    for name, row in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in owners:
+            owners[group] = subs.add_parser(
+                group, help=GROUP_HELP[group]).add_subparsers(
+                dest=f"{group}_command", required=True)
+        p = owners[group].add_parser(leaf, help=row.help)
+        p.add_argument("graph", help="graph JSON file, or - for stdin")
+        p.add_argument("--config",
+                       help="key = value file with option defaults")
+        for key in ["cap"] + [k for k in row.options if k != "cap"]:
+            kind, text = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        for flag in row.flags.split():
+            if flag == "--theta-blind":
+                p.add_argument(flag, action="store_true", help=FLAGS[flag])
+            else:
+                p.add_argument(flag, required=True, help=FLAGS.get(flag))
+        p.set_defaults(func=partial(run_command, name))
     return parser
 
 
@@ -611,15 +456,12 @@ BOUND_ERRORS = (EnumerationCapError, PeriodicityUndecidedError,
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are malformed input here
         return 3 if exc.code not in (0, None) else 0
     try:
-        args._config = read_config(args.config) \
-            if getattr(args, "config", None) else {}
         return args.func(args)
     except (InputFormatError, json.JSONDecodeError) as exc:
         print(f"kgraph: input error: {exc}", file=sys.stderr)

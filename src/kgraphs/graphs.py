@@ -23,6 +23,7 @@ from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
                      InputFormatError, NotStronglyConnectedError,
                      SegmentRangeError)
+from .perron import MatrixFamily
 
 ENUM_CAP = 10 ** 6  # default guard for path enumerations
 
@@ -455,7 +456,7 @@ class KGraph:
 
     def count_paths(self, n):
         """|Λ^n| from coordinate-matrix powers (cheap, exact)."""
-        mat = self.matrix_power(n)
+        mat = MatrixFamily.from_graph(self).power(n)
         return sum(sum(row) for row in mat)
 
     def paths_of_degree(self, n, range=None, source=None, cap=ENUM_CAP):
@@ -535,16 +536,6 @@ class KGraph:
             self._matrices = tuple(mats)
         return self._matrices
 
-    def matrix_power(self, n):
-        """A^n = prod A_i^{n_i} as an integer matrix (vertex order sorted)."""
-        mats = self.coordinate_matrices()
-        size = len(self.vertices)
-        acc = [[1 if a == b else 0 for b in range(size)] for a in range(size)]
-        for i, reps in enumerate(n):
-            for _ in range(reps):
-                acc = _mat_mul(acc, mats[i])
-        return acc
-
     # ------------------------------------------------------------------
     # serialization
 
@@ -601,9 +592,3 @@ class KGraph:
 
     def sha256(self):
         return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-
-def _mat_mul(a, b):
-    size = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(size))
-             for j in range(size)] for i in range(size)]

@@ -36,7 +36,7 @@ from .errors import InputFormatError, NotPeriodicError
 from .graphs import ENUM_CAP
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
-from .scalars import QQi, format_fraction
+from .scalars import QQi, format_fraction, parse_number
 
 FLOAT_PRUNE = 1e-14
 KMS_TOL = 1e-12
@@ -398,13 +398,10 @@ def parse_state(text):
             if not tok:
                 raise InputFormatError(f"empty rotation in {text!r}")
             try:
-                turns.append(Fraction(tok))
-            except ValueError:
-                try:
-                    turns.append(float(tok))
-                except ValueError:
-                    raise InputFormatError(
-                        f"bad rotation {tok!r} in state literal") from None
+                turns.append(parse_number(tok))
+            except InputFormatError:
+                raise InputFormatError(
+                    f"bad rotation {tok!r} in state literal") from None
         return StateSpec.character(turns)
     raise InputFormatError(f"unrecognized state literal {text!r}; expected "
                            f"'haar' or 'z=<turns>'")

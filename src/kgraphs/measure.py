@@ -123,22 +123,13 @@ def _shift_agreement_survivors(cm, m, n, level, initial, cap):
     return survivors
 
 
-def periodicity_mass(cm, m, n, level, cap=ENUM_CAP):
-    """Outer-bound mass at the given level for {sigma^m = sigma^n}.
+def periodicity_mass_profile(cm, m, n, max_level, cap=ENUM_CAP):
+    """Outer-bound masses of {sigma^m = sigma^n} at levels 0..max_level.
 
     Decreasing in the level; identically 1 exactly when m - n is periodic."""
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
-    initial = cm.graph.paths_of_degree(dg.join(m, n), cap=cap)
-    survivors = _shift_agreement_survivors(cm, m, n, level, initial, cap)
-    return sum((cm.mass(p) for p in survivors),
-               Fraction(0) if cm.exact else 0.0)
-
-
-def periodicity_mass_profile(cm, m, n, max_level, cap=ENUM_CAP):
-    """Masses for levels 0..max_level, sharing the survivor computation."""
-    m, n = tuple(m), tuple(n)
     survivors = cm.graph.paths_of_degree(dg.join(m, n), cap=cap)
     zero = Fraction(0) if cm.exact else 0.0
     out = [sum((cm.mass(p) for p in survivors), zero)]

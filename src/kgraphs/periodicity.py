@@ -20,6 +20,7 @@ from . import degrees as dg
 from .errors import (EnumerationCapError, NotPeriodicError,
                      PeriodicityUndecidedError)
 from .graphs import ENUM_CAP
+from .perron import MatrixFamily
 
 
 def check_pair(graph, m, n, cap=ENUM_CAP):
@@ -165,17 +166,23 @@ def periodicity_group(graph, bound=4, cap=ENUM_CAP):
 
     Candidates are prefiltered by the exact necessary condition
     A^{g+} = A^{g-} before running the segment decision procedure.
-    Completeness is claimed only within the box.
+    Completeness is claimed only within the box.  Raises
+    EnumerationCapError when the box holds more than cap vectors.
     """
     graph.require_strongly_connected()
     k = graph.k
+    if cap is not None and (2 * bound + 1) ** k > cap:
+        raise EnumerationCapError(
+            f"periodicity search box [-{bound}, {bound}]^{k} holds "
+            f"{(2 * bound + 1) ** k} vectors, exceeds cap {cap}")
+    family = MatrixFamily.from_graph(graph)
     cands = [v for v in dg.box((-bound,) * k, (bound,) * k)
              if any(v) and next(a for a in v if a != 0) > 0]
     cands.sort(key=lambda v: (sum(abs(a) for a in v), v))
     confirmed = []
     for gvec in cands:
         pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
-        if graph.matrix_power(pos) != graph.matrix_power(neg):
+        if family.power(pos) != family.power(neg):
             continue
         if check_pair(graph, pos, neg, cap=cap):
             confirmed.append(gvec)
@@ -188,22 +195,6 @@ def periodicity_group(graph, bound=4, cap=ENUM_CAP):
                 f"internal error: HNF basis element {b} fails the pair check")
     return PeriodicityGroup(k=k, basis=basis, search_bound=bound,
                             confirmed=tuple(confirmed))
-
-
-@dataclass(frozen=True)
-class AperiodicityVerdict:
-    periodic: bool
-    bound: int
-
-    def describe(self):
-        if self.periodic:
-            return "periodic"
-        return f"aperiodic-up-to-bound({self.bound})"
-
-
-def is_aperiodic(graph, bound=4, cap=ENUM_CAP):
-    group = periodicity_group(graph, bound=bound, cap=cap)
-    return AperiodicityVerdict(periodic=group.rank > 0, bound=bound)
 
 
 def decide_periodic(graph, group, gvec, cap=ENUM_CAP):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputFormatError
+
 
 @dataclass(frozen=True)
 class QQi:
@@ -93,6 +95,20 @@ def format_fraction(value):
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def parse_number(text):
+    """Exact Fraction when the literal is one, float otherwise."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        pass
+    except ZeroDivisionError:
+        raise InputFormatError(f"zero denominator in {text!r}") from None
+    try:
+        return float(text)
+    except ValueError:
+        raise InputFormatError(f"bad number {text!r}") from None
 
 
 def solve_exact(rows, rhs):

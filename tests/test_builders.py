@@ -64,6 +64,10 @@ def test_single_vertex_validation():
         builders.make_single_vertex(2, [2])
     with pytest.raises(InputFormatError):
         builders.make_single_vertex(2, [1, 1], {(1, 2): {(1, 2): (1, 1)}})
+    with pytest.raises(InputFormatError):
+        builders.make_single_vertex(2, [-1, 2])
+    with pytest.raises(InputFormatError):
+        builders.make_single_vertex(2, [1, 1], {(1, 2): {(1, "a"): (1, 1)}})
     g = builders.make_single_vertex(2, [2, 2])
     assert g.validate().valid
     assert g.count_paths((1, 1)) == 4

@@ -173,6 +173,35 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "single-vertex", "--loops", "x,2"),
+    ("gen", "single-vertex", "--loops=-1,2"),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares", "[]"),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares", '{"1": []}'),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares",
+     '{"1,2": [[1, 1, 1]]}'),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares",
+     '{"1,2": [[1, 1, 1, "a"]]}'),
+    ("phase", "GRAPH", "--beta", "abc"),
+    ("phase", "GRAPH", "--beta", "1/0"),
+    ("toeplitz", "GRAPH", "--beta", "1", "--r", "x,y"),
+    ("kms", "check", "GRAPH", "--state", "z=1/0,0", "--max-degree", "1,1"),
+], ids=" ".join)
+def test_malformed_literals_exit_3(capsys, pb2_file, argv):
+    code = main([pb2_file if a == "GRAPH" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("kgraph: input error")
+
+
+def test_periodicity_search_box_is_capped(capsys, b2_file):
+    # (2 * 10**9 + 1) candidate vectors: refused before any is built
+    code = main(["info", b2_file, "--bound", "1000000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("kgraph: bound exceeded")
+
+
 def test_config_file(capsys, tmp_path, pb2_file):
     cfg = tmp_path / "kgraph.cfg"
     cfg.write_text("# defaults\nbound = 1\n")

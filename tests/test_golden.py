@@ -18,10 +18,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURES = ("b2", "fib", "pullback-b2", "product-b2-c2")
 CONFIG = "# golden defaults\nbound = 1\ntol = 0.001\nlevel = 2\n"
 
-COMMANDS = ("validate", "info", "periodicity", "measure mass",
-            "measure consistency", "measure shift", "measure agreement",
-            "measure decay", "kms eval", "kms check", "phase", "toeplitz")
-
 # per fixture: mass path, agreement mu/nu, decay mu/nu, kms eval mu/nu
 PATHS = {
     "b2": ("e1.e2", ("e1", "e2"), ("e1", "v"), ("e1", "e1")),
@@ -33,7 +29,8 @@ PATHS = {
 
 
 def command_args(command, fixture):
-    """The options a command runs with on a fixture (the graph file apart)."""
+    """The options a command runs with on a fixture (the graph file apart);
+    a command missing here runs with none and has no golden file."""
     rank1 = fixture in ("b2", "fib")
     ones, zero, e1 = ("1", "0", "1") if rank1 else ("1,1", "0,0", "1,0")
     path, (amu, anu), (dmu, dnu), (emu, enu) = PATHS[fixture]
@@ -51,7 +48,7 @@ def command_args(command, fixture):
         "kms check": ["--state", "haar", "--max-degree", ones],
         "phase": ["--beta", "1"],
         "toeplitz": ["--beta", "1", "--r", "0.7" if rank1 else "0.7,0.7"],
-    }[command]
+    }.get(command, [])
 
 
 # argv placeholders for the fixture's graph file and the CONFIG file
@@ -77,7 +74,8 @@ def command_cases(command):
                          ["--config", CFG, "--bound", "2"])],
         "measure consistency": [("b2-over-cap", "b2",
                                  ["--m", "0", "--n", "12", "--cap", "100"])],
-        "measure shift": [("b2-default-level", "b2", ["--m", "1", "--n", "0"]),
+        "measure shift": [("b2-default-level", "b2",
+                           ["--m", "1", "--n", "0"]),
                           ("pullback-b2-config", "pullback-b2",
                            ["--m", "1,0", "--n", "0,0", "--config", CFG])],
         "kms check": [("b2-config", "b2",
@@ -94,7 +92,8 @@ def command_cases(command):
 
 def gen_cases():
     return [(f"gen/{f}", None, ["gen", f]) for f in FIXTURES] + [
-        ("gen/single-vertex", None, ["gen", "single-vertex", "--loops", "2,3"]),
+        ("gen/single-vertex", None,
+         ["gen", "single-vertex", "--loops", "2,3"]),
         ("gen/single-vertex-squares", None,
          ["gen", "single-vertex", "--loops", "2,2", "--squares",
           '{"1,2": [[1,1,1,1], [1,2,2,1], [2,1,1,2], [2,2,2,2]]}']),
@@ -103,7 +102,12 @@ def gen_cases():
 
 
 def all_cases():
-    return gen_cases() + [c for cmd in COMMANDS for c in command_cases(cmd)]
+    """gen's cases, then every row of the command table on every fixture."""
+    return gen_cases() + [c for cmd in cli.COMMANDS
+                          for c in command_cases(cmd)]
+
+
+CASES = all_cases()
 
 
 def write_inputs(directory):
@@ -133,8 +137,8 @@ def input_files(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("case,fixture,argv", all_cases(),
-                         ids=[c[0] for c in all_cases()])
+@pytest.mark.parametrize("case,fixture,argv", CASES,
+                         ids=[c[0] for c in CASES])
 def test_golden(case, fixture, argv, input_files):
     golden = GOLDEN / f"{case}.txt"
     assert golden.exists(), f"no golden file for {case}"
@@ -145,7 +149,7 @@ def test_golden(case, fixture, argv, input_files):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(pathlib.Path(tmp))
-        for case, fixture, argv in all_cases():
+        for case, fixture, argv in CASES:
             target = GOLDEN / f"{case}.txt"
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(run_case(fixture, argv, inputs),

@@ -7,8 +7,7 @@ import pytest
 from kgraphs import degrees as dg
 from kgraphs.errors import InputFormatError, WitnessSearchError
 from kgraphs.measure import (agreement_mass, consistency_check, decay_check,
-                             find_decay_witness, periodicity_mass,
-                             periodicity_mass_profile)
+                             find_decay_witness, periodicity_mass_profile)
 
 F = Fraction
 
@@ -76,10 +75,11 @@ def test_consistency_reports(measures):
 
 def test_periodicity_mass_values(measures):
     cm = measures["b2"]
-    assert periodicity_mass(cm, (1,), (0,), 0) == 1
-    assert periodicity_mass(cm, (1,), (0,), 1) == F(1, 2)
-    assert periodicity_mass(cm, (1,), (0,), 3) == F(1, 8)
-    assert periodicity_mass(cm, (1,), (2,), 1) == F(1, 2)
+    profile = periodicity_mass_profile(cm, (1,), (0,), 3)
+    assert profile[0] == 1
+    assert profile[1] == F(1, 2)
+    assert profile[3] == F(1, 8)
+    assert periodicity_mass_profile(cm, (1,), (2,), 1)[-1] == F(1, 2)
     assert periodicity_mass_profile(cm, (1,), (0,), 5) == \
         [1, F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
 
@@ -114,9 +114,9 @@ def test_periodicity_mass_matches_brute_force(measures):
              ("product-b2-c2", (0, 1), (0, 0)))
     for name, m, n in cases:
         cm = measures[name]
+        profile = periodicity_mass_profile(cm, m, n, 2)
         for level in range(3):
-            assert periodicity_mass(cm, m, n, level) == \
-                brute_mass(cm, m, n, level)
+            assert profile[level] == brute_mass(cm, m, n, level)
 
 
 def test_periodicity_mass_fib_decreases(measures):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kgraphs import degrees as dg
 from kgraphs.errors import NotPeriodicError, PeriodicityUndecidedError
 from kgraphs.periodicity import (check_pair, decide_periodic, hnf_basis,
-                                 periodicity_group, is_aperiodic, theta)
+                                 periodicity_group, theta)
 
 
 def test_group_bases(groups):
@@ -34,8 +34,8 @@ def test_check_pair_decisions(graphs):
 
 
 def test_aperiodicity_verdicts(graphs):
-    assert not is_aperiodic(graphs["b2"], bound=2).periodic
-    assert is_aperiodic(graphs["pullback-b2"], bound=2).periodic
+    assert periodicity_group(graphs["b2"], bound=2).rank == 0
+    assert periodicity_group(graphs["pullback-b2"], bound=2).rank > 0
 
 
 def test_theta_requires_periodic_pair(graphs):
