@@ -489,7 +489,7 @@ class KMSStates:
         self.cap = cap
         self._periodic_cache = {}
         self._theta_cache = {}
-        self._support_cache = {}
+        self._box_cache = {}
         self._sweep_cache = {}
         self._ck_bound_cache = {}
 
@@ -608,13 +608,13 @@ class KMSStates:
 
     # -- the equilibrium identity over a degree box ---------------------
 
-    def _paths_box(self, D):
-        out = []
-        for n in dg.box(dg.zero(self.graph.k), D):
-            out.extend(self.graph.paths_of_degree(n, cap=self.cap))
-        return out
+    def _box(self, D):
+        hit = self._box_cache.get(D)
+        if hit is None:
+            hit = self._box_cache[D] = _BoxIndex(self.graph, D, self.cap)
+        return hit
 
-    def _support_contributions(self, D, theta_blind):
+    def _support_contributions(self, D, theta_blind, scale):
         """Aggregate, for every quadruple key (mu, nu, eta, zeta), the total
         cylinder mass contributed per degree difference g:
 
@@ -628,115 +628,158 @@ class KMSStates:
         the codomain degree of the bijection) enumerates the support
         completely: any quadruple never touched has phi = 0 on both sides
         of the equilibrium identity.
+
+        All four paths of a key lie in the box [0, D], so the key is their
+        box indices packed into one int (_BoxIndex.key); keys are inserted
+        in walk order.  Masses are multiplied by `scale`, which makes them
+        ints when the Perron data is rational (see _scales).
         """
         g = self.graph
-        zero_mass = Fraction(0) if self.measure.exact else 0.0
+        box = self._box(D)
+        n = len(box.paths)
+        zeta_degrees = dg.box(dg.zero(g.k), D)
         contributions = {}
-        compose_cache = {}
-        split_cache = {}
+        extended = {}   # mu * n + alpha -> (d(p), scaled mass, p)
+        plans = {}      # degrees -> the periodic g over d(zeta)
+        resolved = {}   # (mu, alpha, d(q), d(zeta)) -> q = zeta.beta'
 
-        def composed(muu, alpha):
-            key = (muu, alpha)
-            hit = compose_cache.get(key)
+        def extension(mu, alpha):
+            # p = mu.alpha; blind mode needs only its degree and mass
+            hit = extended.get(mu * n + alpha)
             if hit is None:
-                hit = g.compose(muu, alpha)
-                compose_cache[key] = hit
+                dp = dg.add(box.degree[mu], box.degree[alpha])
+                mass = _scaled(self.measure.mass_at(dp, box.source[alpha]),
+                               scale)
+                p = None if theta_blind else g.compose(box.paths[mu],
+                                                       box.paths[alpha])
+                hit = extended[mu * n + alpha] = (dp, mass, p)
             return hit
 
-        def split(path, at):
-            key = (path, at)
-            hit = split_cache.get(key)
-            if hit is None:
-                hit = g.factorize(path, at)
-                split_cache[key] = hit
-            return hit
+        def honest(base, mu, beta, alpha):
+            # zeta runs over the heads of theta(p) that end in beta
+            dp, mass, p = extension(mu, alpha)
+            dbeta = box.degree[beta]
+            plan = plans.get((dp, dbeta))
+            if plan is None:
+                plan = plans[dp, dbeta] = []
+                for nzeta in zeta_degrees:
+                    nprime = dg.add(nzeta, dbeta)
+                    gvec = dg.sub(dp, nprime)
+                    if self.periodic(gvec):
+                        plan.append((gvec, nprime, nzeta))
+            for gvec, nprime, nzeta in plan:
+                hit = resolved.get((mu, alpha, nprime, nzeta))
+                if hit is None:
+                    q = self.theta_map(dp, nprime)(p) if any(gvec) else p
+                    hit = resolved[mu, alpha, nprime, nzeta] = box.indices(
+                        g.factorize(q, nzeta))
+                zeta, beta_q = hit
+                if beta_q != beta:
+                    continue
+                slot = contributions.setdefault(base + zeta, {})
+                slot[gvec] = slot.get(gvec, 0) + mass
 
-        by_source = {}
-        for p in self._paths_box(D):
-            by_source.setdefault(p.source, []).append(p)
+        def blind(base, mu, eta, beta, alpha):
+            # every zeta with s(zeta) = s(eta) and a periodic difference
+            dp, mass, _ = extension(mu, alpha)
+            dbeta = box.degree[beta]
+            source = box.source[eta]
+            plan = plans.get((dp, dbeta, source))
+            if plan is None:
+                plan = plans[dp, dbeta, source] = []
+                for nzeta in zeta_degrees:
+                    gvec = dg.sub(dp, dg.add(nzeta, dbeta))
+                    if self.periodic(gvec):
+                        plan.append((gvec, box.by_degree_source.get(
+                            (nzeta, source), ())))
+            for gvec, zetas in plan:
+                for zeta in zetas:
+                    slot = contributions.setdefault(base + zeta, {})
+                    slot[gvec] = slot.get(gvec, 0) + mass
 
-        for w in self._paths_box(D):
+        splits_of = {}  # d(w) -> (degrees below it, pairs that join to it)
+        for w in box.paths:
             u = w.degree
-            degree_splits = list(dg.box(dg.zero(g.k), u))
-            facs = {m: split(w, m) for m in degree_splits}
-            for m2 in degree_splits:
-                eta, beta = facs[m2]
-                for m1 in degree_splits:
-                    if dg.join(m1, m2) != u:
-                        continue
-                    nu, alpha = facs[m1]
-                    for mu in by_source.get(nu.source, ()):
-                        p = composed(mu, alpha)
-                        if theta_blind:
-                            self._blind_contribs(contributions, D, mu, nu,
-                                                 eta, beta, p, zero_mass)
-                        else:
-                            self._honest_contribs(contributions, D, mu, nu,
-                                                  eta, beta, p, split,
-                                                  zero_mass)
+            hit = splits_of.get(u)
+            if hit is None:
+                splits = dg.box(dg.zero(g.k), u)
+                pairs = [(j1, j2) for j2, m2 in enumerate(splits)
+                         for j1, m1 in enumerate(splits)
+                         if dg.join(m1, m2) == u]
+                hit = splits_of[u] = (splits, pairs)
+            splits, pairs = hit
+            facs = [box.indices(g.factorize(w, m)) for m in splits]
+            for j1, j2 in pairs:
+                eta, beta = facs[j2]
+                nu, alpha = facs[j1]
+                for mu in box.by_source[box.source[nu]]:
+                    base = box.key(mu, nu, eta, 0)
+                    if theta_blind:
+                        blind(base, mu, eta, beta, alpha)
+                    else:
+                        honest(base, mu, beta, alpha)
         return contributions
 
-    def _honest_contribs(self, contributions, D, mu, nu, eta, beta, p,
-                         split, zero_mass):
-        g = self.graph
-        dp = p.degree
-        dbeta = beta.degree
-        for nprime in dg.box(dbeta, dg.add(D, dbeta)):
-            gvec = dg.sub(dp, nprime)
-            if not self.periodic(gvec):
-                continue
-            if any(gvec):
-                q = self.theta_map(dp, nprime)(p)
-            else:
-                q = p
-            zeta, beta_q = split(q, dg.sub(nprime, dbeta))
-            if beta_q != beta:
-                continue
-            key = (mu, nu, eta, zeta)
-            slot = contributions.setdefault(key, {})
-            slot[gvec] = slot.get(gvec, zero_mass) + self.measure.mass(p)
-
-    def _blind_contribs(self, contributions, D, mu, nu, eta, beta, p,
-                        zero_mass):
-        g = self.graph
-        dp = p.degree
-        dbeta = beta.degree
-        for nzeta in dg.box(dg.zero(g.k), D):
-            gvec = dg.sub(dp, dg.add(nzeta, dbeta))
-            if not self.periodic(gvec):
-                continue
-            mass = self.measure.mass(p)
-            for zeta in g.paths_of_degree(nzeta, source=eta.source,
-                                          cap=self.cap):
-                key = (mu, nu, eta, zeta)
-                slot = contributions.setdefault(key, {})
-                slot[gvec] = slot.get(gvec, zero_mass) + mass
+    def _scales(self, D):
+        """Common multipliers (S, T) that turn the sweep's sums into ints
+        when the Perron data is rational.  With rho_i = p_i/q_i, every mass
+        the support adds up, rho^{-d} x_v with 0 <= d <= 2D, times
+        S = prod p_i^{2 D_i} * lcm(denominators of x) is an int, and so is
+        every rho^{-gamma} with -D <= gamma <= D times
+        T = prod (p_i q_i)^{D_i}.  Float Perron data keeps its floats:
+        (1, 1)."""
+        if not self.measure.exact:
+            return 1, 1
+        S = math.lcm(*(x.denominator for x in self.measure.x.values()))
+        T = 1
+        for r, d in zip(self.measure.rho, D):
+            S *= r.numerator ** (2 * d)
+            T *= (r.numerator * r.denominator) ** d
+        return S, T
 
     def _ck_bounds(self, D):
         """State-independent right-hand sides for the one-sided screen:
         for each source-matched pair, the mass of the extensions of mu that
         still share a common extension with nu after one step in every
-        color."""
+        color.  Returns (mu, nu, bound) triples.
+
+        mu.lam and nu.lam share an extension exactly when their extensions
+        to the joined degree meet, so those extension sets are built once
+        per (path, tail, degree) and intersected per pair."""
         hit = self._ck_bound_cache.get(D)
         if hit is not None:
             return hit
         g = self.graph
         ones = (1,) * g.k
-        bounds = {}
-        box = self._paths_box(D)
-        by_source = {}
-        for p in box:
-            by_source.setdefault(p.source, []).append(p)
-        for v, here in by_source.items():
+        box = self._box(D)
+        reach = {}      # (mu, tail, degree) -> edges of the extensions
+
+        def extensions(mu, t, ml, degree):
+            key = (mu, t, degree)
+            hit = reach.get(key)
+            if hit is None:
+                hit = reach[key] = {
+                    g.compose(ml, a).edges for a in g.paths_of_degree(
+                        dg.sub(degree, ml.degree), range=ml.source,
+                        cap=self.cap)}
+            return hit
+
+        bounds = []
+        for v, here in box.by_source.items():
             tails = g.paths_of_degree(ones, range=v, cap=self.cap)
+            extended = {i: [g.compose(box.paths[i], lam) for lam in tails]
+                        for i in here}
             for mu in here:
-                extended = [(g.compose(mu, lam), lam) for lam in tails]
                 for nu in here:
+                    joined = dg.add(dg.join(box.degree[mu], box.degree[nu]),
+                                    ones)
                     bound = Fraction(0) if self.measure.exact else 0.0
-                    for ml, lam in extended:
-                        if g.lambda_min(ml, g.compose(nu, lam)):
+                    for t, (ml, nl) in enumerate(zip(extended[mu],
+                                                     extended[nu])):
+                        if not extensions(mu, t, ml, joined).isdisjoint(
+                                extensions(nu, t, nl, joined)):
                             bound += self.measure.mass(ml)
-                    bounds[(mu, nu)] = bound
+                    bounds.append((box.paths[mu], box.paths[nu], bound))
         self._ck_bound_cache[D] = bounds
         return bounds
 
@@ -745,7 +788,7 @@ class KMSStates:
         the cached extension-mass bound for every source-matched pair."""
         pairs = 0
         violations = 0
-        for (mu, nu), bound in self._ck_bounds(D).items():
+        for mu, nu, bound in self._ck_bounds(D):
             pairs += 1
             val = self.phi_eval(state, mu, nu, theta_blind=theta_blind)
             if isinstance(val, QQi) and isinstance(bound, Fraction):
@@ -765,30 +808,49 @@ class KMSStates:
         Identical profiles impose identical obligations on every state, so
         they are deduplicated, keeping a count and sample keys; an empty
         profile means the key passes for every state.
+
+        Keys are the packed box indices of _support_contributions, and a
+        key's swap (eta, zeta, mu, nu) is _BoxIndex.swap.  rho^{-gamma} is
+        computed once per gamma.  With rational Perron data the profiles
+        are summed as ints, S * T times their value (see _scales); one
+        common multiplier leaves the deduplication unchanged.  The table
+        holds the profiles at their exact values and the contributions
+        times S, with mass_unit = 1/S.
         """
         cache_key = (D, theta_blind)
         hit = self._sweep_cache.get(cache_key)
         if hit is not None:
             return hit
-        contributions = self._support_cache.get(cache_key)
-        if contributions is None:
-            contributions = self._support_contributions(D, theta_blind)
-            self._support_cache[cache_key] = contributions
+        S, T = self._scales(D)
+        contributions = self._support_contributions(D, theta_blind, S)
+        box = self._box(D)
+        n = len(box.paths)
+        nn = n * n
         rho = self.measure.rho
-        zero_mass = Fraction(0) if self.measure.exact else 0.0
+        factors = {}         # gamma -> T * rho^{-gamma}
+        pair_factors = {}    # packed (mu, nu) -> factors[d(mu) - d(nu)]
         profiles = {}
         seen = set()
         for base in contributions:
-            for key in (base, (base[2], base[3], base[0], base[1])):
+            flipped = box.swap(base)
+            for key, swapped in ((base, flipped), (flipped, base)):
                 if key in seen:
                     continue
                 seen.add(key)
-                swapped = (key[2], key[3], key[0], key[1])
-                gamma = dg.sub(key[0].degree, key[1].degree)
-                factor = dg.rho_power(rho, dg.neg(gamma))
-                diff = dict(contributions.get(key, ()))
+                pair = key // nn
+                factor = pair_factors.get(pair)
+                if factor is None:
+                    mu, nu = divmod(pair, n)
+                    gamma = dg.sub(box.degree[mu], box.degree[nu])
+                    factor = factors.get(gamma)
+                    if factor is None:
+                        factor = factors[gamma] = _scaled(
+                            dg.rho_power(rho, dg.neg(gamma)), T)
+                    pair_factors[pair] = factor
+                diff = {gv: T * m
+                        for gv, m in contributions.get(key, {}).items()}
                 for gvec, mass in contributions.get(swapped, {}).items():
-                    diff[gvec] = diff.get(gvec, zero_mass) - factor * mass
+                    diff[gvec] = diff.get(gvec, 0) - factor * mass
                 canon = tuple(sorted((gv, m) for gv, m in diff.items()
                                      if m != 0))
                 if not canon:
@@ -799,11 +861,14 @@ class KMSStates:
                 bucket[0] += 1
                 if len(bucket[1]) < 20:
                     bucket[1].append(key)
+        unit = Fraction(1, S * T)
         table = {
-            "profiles": profiles,
+            "profiles": {tuple((gv, m * unit) for gv, m in canon): bucket
+                         for canon, bucket in profiles.items()},
             "checked": len(seen),
             "support": len(contributions),
-            "contributions": contributions,
+            "contributions": contributions,    # S times the masses
+            "mass_unit": Fraction(1, S),
         }
         self._sweep_cache[cache_key] = table
         return table
@@ -823,11 +888,8 @@ class KMSStates:
         g = self.graph
         D = _degree_box(max_degree, g.k)
         exact = self.measure.exact and state.is_exact
-        box_paths = self._paths_box(D)
-        per_vertex = {}
-        for p in box_paths:
-            per_vertex[p.source] = per_vertex.get(p.source, 0) + 1
-        matched_pairs = sum(c * c for c in per_vertex.values())
+        box = self._box(D)
+        matched_pairs = sum(len(ix) ** 2 for ix in box.by_source.values())
         total_quadruples = matched_pairs * matched_pairs
 
         table = self._sweep_table(D, theta_blind)
@@ -853,6 +915,11 @@ class KMSStates:
                 total = piece if total is None else _s_add(total, piece)
             return total
 
+        def masses(key):
+            unit = table["mass_unit"]
+            return [(gvec, m * unit)
+                    for gvec, m in contributions.get(key, {}).items()]
+
         failures = []
         failure_count = 0
         max_dev = 0.0
@@ -872,17 +939,17 @@ class KMSStates:
             for key in samples:
                 if len(failures) >= 20:
                     break
-                swapped = (key[2], key[3], key[0], key[1])
-                gamma = dg.sub(key[0].degree, key[1].degree)
+                mu, nu, eta, zeta = box.paths_of(key)
+                gamma = dg.sub(mu.degree, nu.degree)
                 factor = dg.rho_power(rho, dg.neg(gamma))
-                lhs = fold(contributions.get(key, {}).items())
-                rhs = fold(contributions.get(swapped, {}).items())
+                lhs = fold(masses(key))
+                rhs = fold(masses(box.swap(key)))
                 zero = QQi.of(0) if exact else 0j
                 lhs = zero if lhs is None else lhs
                 expect = zero if rhs is None else _s_mul(rhs, factor)
                 failures.append({
-                    "mu": key[0].literal(), "nu": key[1].literal(),
-                    "eta": key[2].literal(), "zeta": key[3].literal(),
+                    "mu": mu.literal(), "nu": nu.literal(),
+                    "eta": eta.literal(), "zeta": zeta.literal(),
                     "lhs": _scalar_str(lhs),
                     "rhs_scaled": _scalar_str(expect),
                 })
@@ -1009,6 +1076,50 @@ class KMSStates:
         return all(_s_close(char.psi(b), QQi.of(0), tol) for b in basis)
 
 
+class _BoxIndex:
+    """The paths of the degree box [0, D], numbered 0..n-1 in canonical
+    order: degrees in lexicographic order, and the paths of each degree in
+    paths_of_degree order.  The cold half of kms_check works on these
+    indices and turns them back into paths only for its report."""
+
+    def __init__(self, graph, D, cap):
+        self.paths = []
+        for m in dg.box(dg.zero(graph.k), D):
+            self.paths.extend(graph.paths_of_degree(m, cap=cap))
+        self.index = {p: i for i, p in enumerate(self.paths)}
+        self.degree = [p.degree for p in self.paths]
+        self.source = [p.source for p in self.paths]
+        self.by_source = {}            # vertex -> indices
+        self.by_degree_source = {}     # (degree, vertex) -> indices
+        for i, p in enumerate(self.paths):
+            self.by_source.setdefault(p.source, []).append(i)
+            self.by_degree_source.setdefault((p.degree, p.source),
+                                             []).append(i)
+
+    def indices(self, paths):
+        return tuple(self.index[p] for p in paths)
+
+    def key(self, mu, nu, eta, zeta):
+        """The quadruple of indices packed into one int, base n: the pair
+        (mu, nu) in the high digits and (eta, zeta) in the low ones."""
+        n = len(self.paths)
+        return ((mu * n + nu) * n + eta) * n + zeta
+
+    def swap(self, key):
+        """The key of (eta, zeta, mu, nu)."""
+        nn = len(self.paths) ** 2
+        high, low = divmod(key, nn)
+        return low * nn + high
+
+    def paths_of(self, key):
+        """The quadruple of paths behind a key."""
+        out = []
+        for _ in range(4):
+            key, i = divmod(key, len(self.paths))
+            out.append(self.paths[i])
+        return tuple(reversed(out))
+
+
 def _add_turns(ta, tb):
     if len(ta) != len(tb):
         raise InputFormatError("character dimension mismatch")
@@ -1028,6 +1139,17 @@ def _degree_box(max_degree, k):
     if len(D) != k or not dg.is_nonneg(D):
         raise InputFormatError(f"bad degree box {max_degree!r}")
     return D
+
+
+def _scaled(value, scale):
+    """value * scale, as an int when both are exact."""
+    value = value * scale
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise ArithmeticError(f"{scale} does not clear the denominator "
+                                  f"of {value}")
+        return value.numerator
+    return value
 
 
 def _scalar_str(c):

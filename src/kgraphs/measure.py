@@ -37,13 +37,24 @@ class CylinderMeasure:
         self.exact = pd.exact
         self.rho = pd.rho_values()
         self.x = dict(zip(pd.labels, pd.x_values()))
+        self._masses = {}   # (degree, source) -> mass
 
     def vertex_mass(self, v):
         return self.x[v]
 
     def mass(self, path):
         """M(Z(path)) = rho^{-d} * x at the source."""
-        return dg.rho_power(self.rho, dg.neg(path.degree)) * self.x[path.source]
+        return self.mass_at(path.degree, path.source)
+
+    def mass_at(self, degree, source):
+        """The mass of every cylinder Z(p) with d(p) = degree and
+        s(p) = source, computed once per pair."""
+        key = (degree, source)
+        hit = self._masses.get(key)
+        if hit is None:
+            hit = dg.rho_power(self.rho, dg.neg(degree)) * self.x[source]
+            self._masses[key] = hit
+        return hit
 
     def total_mass(self, n, cap=ENUM_CAP):
         return sum(self.mass(p) for p in self.graph.paths_of_degree(n, cap=cap))

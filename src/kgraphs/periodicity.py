@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degrees as dg
-from .errors import (EnumerationCapError, NotPeriodicError,
+from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      PeriodicityUndecidedError)
 from .graphs import ENUM_CAP
 from .perron import MatrixFamily
@@ -167,8 +167,12 @@ def periodicity_group(graph, bound=4, cap=ENUM_CAP):
     Candidates are prefiltered by the exact necessary condition
     A^{g+} = A^{g-} before running the segment decision procedure.
     Completeness is claimed only within the box.  Raises
-    EnumerationCapError when the box holds more than cap vectors.
+    InputFormatError for a negative bound and EnumerationCapError when the
+    box holds more than cap vectors.
     """
+    if bound < 0:
+        raise InputFormatError(f"periodicity search bound {bound} is "
+                               f"negative")
     graph.require_strongly_connected()
     k = graph.k
     if cap is not None and (2 * bound + 1) ** k > cap:

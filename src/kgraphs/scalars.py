@@ -7,6 +7,7 @@ row-reduction solver backs the exact reconstruction of Perron eigenvectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,7 +99,7 @@ def format_fraction(value):
 
 
 def parse_number(text):
-    """Exact Fraction when the literal is one, float otherwise."""
+    """Exact Fraction when the literal is one, a finite float otherwise."""
     try:
         return Fraction(text)
     except ValueError:
@@ -106,9 +107,12 @@ def parse_number(text):
     except ZeroDivisionError:
         raise InputFormatError(f"zero denominator in {text!r}") from None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InputFormatError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"number {text!r} is not finite")
+    return value
 
 
 def solve_exact(rows, rhs):

@@ -186,11 +186,26 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     ("phase", "GRAPH", "--beta", "1/0"),
     ("toeplitz", "GRAPH", "--beta", "1", "--r", "x,y"),
     ("kms", "check", "GRAPH", "--state", "z=1/0,0", "--max-degree", "1,1"),
+    ("phase", "GRAPH", "--beta", "nan"),
+    ("phase", "GRAPH", "--beta=-inf"),
+    ("toeplitz", "GRAPH", "--beta", "inf", "--r", "1,1"),
+    ("toeplitz", "GRAPH", "--beta", "1", "--r", "1,nan"),
+    ("kms", "check", "GRAPH", "--state", "z=inf,0", "--max-degree", "1,1"),
 ], ids=" ".join)
 def test_malformed_literals_exit_3(capsys, pb2_file, argv):
     code = main([pb2_file if a == "GRAPH" else a for a in argv])
     err = capsys.readouterr().err
     assert code == 3
+    assert err.startswith("kgraph: input error")
+
+
+@pytest.mark.parametrize("command", ["periodicity", "info"])
+def test_negative_search_bound_exits_3(capsys, pb2_file, command):
+    # an empty search box would report the periodic pullback aperiodic
+    code = main([command, pb2_file, "--bound", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
     assert err.startswith("kgraph: input error")
 
 

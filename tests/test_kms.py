@@ -7,7 +7,8 @@ import pytest
 
 from kgraphs import degrees as dg
 from kgraphs.errors import InputFormatError, NotPeriodicError
-from kgraphs.kms import (AlgebraElement, SpanTerm, StateSpec, parse_state)
+from kgraphs.kms import (AlgebraElement, KMSStates, SpanTerm, StateSpec,
+                         parse_state)
 from kgraphs.scalars import QQi
 
 F = Fraction
@@ -288,3 +289,39 @@ def test_simplex_descriptor(states):
     assert d["rank"] == 1 and not d["unique"]
     d0 = states["b2"].simplex_descriptor()
     assert d0["rank"] == 0 and d0["unique"]
+
+
+def test_cold_check_computes_each_rho_power_once(graphs, perron, groups,
+                                                 monkeypatch):
+    g = graphs["pullback-b2"]
+    st = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"])
+    calls = []
+    rho_power = dg.rho_power
+
+    def counted(rho, m):
+        calls.append(m)
+        return rho_power(rho, m)
+
+    monkeypatch.setattr(dg, "rho_power", counted)
+    D = (2, 1)
+    rep = st.kms_check(StateSpec.haar(), D, theta_blind=True)
+    assert rep.failure_count > 0
+    # one power per cylinder mass (degree in [0, 2D], one per source), one
+    # per degree difference gamma in [-D, D], one per reported failure
+    masses = len(dg.box(dg.zero(g.k), dg.scale(2, D))) * len(g.vertices)
+    gammas = len(dg.box(dg.neg(D), D))
+    assert len(calls) <= masses + gammas + len(rep.failures) < 200
+
+
+@pytest.mark.parametrize("name", ["pullback-b2", "product-b2-c2"])
+def test_cached_masses_match_the_formula(graphs, perron, measures, name):
+    g, pd, cm = graphs[name], perron[name], measures[name]
+    x = dict(zip(pd.labels, pd.x_values()))
+    for _ in range(2):      # the second pass reads the cache
+        for n in dg.box((0, 0), (2, 2)):
+            for p in g.paths_of_degree(n):
+                want = x[p.source]
+                for r, d in zip(pd.rho_values(), p.degree):
+                    want /= r ** d
+                assert cm.mass(p) == want
+                assert cm.mass_at(p.degree, p.source) == want
