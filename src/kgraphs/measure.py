@@ -248,7 +248,12 @@ class DecayReport:
 
 def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
     """Verify m_j <= K^j M(Z(mu)) where m_j is the mass still shared by mu
-    and nu after j rounds of witness-degree extensions."""
+    and nu after j rounds of witness-degree extensions.
+
+    A common extension of mu.lam.t and nu.lam.t is one of mu.lam and
+    nu.lam, so round j tests only the extensions of round j - 1's shared
+    tails; the others add nothing to m_j.  The shared tails are still
+    summed in canonical path order, so float masses come out the same."""
     g = cm.graph
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")
@@ -261,12 +266,21 @@ def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
     base = cm.mass(mu)
     kpow = Fraction(1) if cm.exact else 1.0
     zero = Fraction(0) if cm.exact else 0.0
+    alive = None    # edges of the extensions of the last round's shared tails
     for j in range(j_max + 1):
         ja = dg.scale(j, witness.a)
         mj = zero
+        shared = []
         for lam in g.paths_of_degree(ja, range=mu.source, cap=cap):
-            if g.lambda_min(g.compose(mu, lam), g.compose(nu, lam)):
-                mj += cm.mass(g.compose(mu, lam))
+            if alive is not None and lam.edges not in alive:
+                continue
+            mu_lam = g.compose(mu, lam)
+            if g.lambda_min(mu_lam, g.compose(nu, lam)):
+                mj += cm.mass(mu_lam)
+                shared.append(lam)
+        alive = {g.compose(lam, t).edges for lam in shared
+                 for t in g.paths_of_degree(witness.a, range=lam.source,
+                                            cap=cap)}
         masses.append(mj)
         bounds.append(kpow * base)
         kpow = kpow * witness.K

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from kgraphs import builders
 from kgraphs import degrees as dg
 from kgraphs.errors import InputFormatError, WitnessSearchError
-from kgraphs.measure import (agreement_mass, consistency_check, decay_check,
+from kgraphs.measure import (CylinderMeasure, agreement_mass,
+                             consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
+from kgraphs.perron import MatrixFamily, perron_data
 
 F = Fraction
 
@@ -172,6 +175,45 @@ def test_decay_check_b2(measures, b2g):
     assert rep.passed and rep.exact
     assert rep.masses == (F(1, 2), F(1, 8), F(1, 32), F(1, 128))
     assert rep.bounds == (F(1, 2), F(3, 8), F(9, 32), F(27, 128))
+
+
+def _shared_masses(cm, witness, mu, nu, j_max):
+    """m_j by definition: every tail of degree j*a, none skipped."""
+    g = cm.graph
+    out = []
+    for j in range(j_max + 1):
+        mj = F(0) if cm.exact else 0.0
+        for lam in g.paths_of_degree(dg.scale(j, witness.a), range=mu.source):
+            if g.lambda_min(g.compose(mu, lam), g.compose(nu, lam)):
+                mj += cm.mass(g.compose(mu, lam))
+        out.append(mj)
+    return tuple(out)
+
+
+# a single vertex with three loops per color whose separating tails have
+# degree (0, 2), so the shared mass thins out over several rounds
+SHUFFLED_SQUARES = {(1, 2): {
+    (1, 1): (1, 2), (1, 2): (2, 3), (1, 3): (3, 1), (2, 1): (1, 1),
+    (2, 2): (3, 3), (2, 3): (2, 2), (3, 1): (3, 2), (3, 2): (1, 3),
+    (3, 3): (2, 1)}}
+
+
+def test_decay_check_matches_every_tail(measures):
+    shuffled = builders.make_single_vertex(2, [3, 3], SHUFFLED_SQUARES)
+    cases = [(CylinderMeasure(shuffled, perron_data(
+                 MatrixFamily.from_graph(shuffled))), (1, 0), "a1"),
+             (measures["pullback-b2"], (1, 0), "a1"),
+             (measures["fib"], (1,), "euu")]
+    reports = []
+    for cm, gvec, literal in cases:
+        g = cm.graph
+        w = find_decay_witness(cm, gvec)
+        mu = g.parse_path(literal)
+        nu = g.vertex_path(mu.source)
+        reports.append(decay_check(cm, w, mu, nu, 3))
+        assert reports[-1].masses == _shared_masses(cm, w, mu, nu, 3)
+    assert reports[0].a == (0, 2)
+    assert reports[0].masses == (F(1, 3), F(4, 27), F(11, 243), F(29, 2187))
 
 
 def test_decay_check_requires_matching_difference(measures, b2g):
