@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import degrees as dg
 from .errors import InputFormatError, NotPeriodicError
@@ -323,7 +324,7 @@ class StateSpec:
         return all(isinstance(t, (int, Fraction))
                    and (4 * Fraction(t)).denominator == 1 for t in turns)
 
-    @property
+    @cached_property
     def is_exact(self):
         """True when every psi value is a Gaussian rational: the averaging
         state always, characters and mixtures when every rotation is a

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
                      NotIrreducibleError)
@@ -141,20 +139,22 @@ def power_iteration(matrix, start=None, tol=POWER_TOL,
                     max_iter=POWER_MAX_ITER):
     """1-norm-normalized power iteration on an entrywise-positive matrix.
     Deterministic: the default start is uniform."""
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
+    a = [[float(c) for c in row] for row in matrix]
+    n = len(a)
     if start is None:
-        x = np.full(n, 1.0 / n)
+        x = [1.0 / n] * n
     else:
-        x = np.asarray(start, dtype=float)
-        if x.min() < 0 or x.sum() <= 0:
+        x = [float(v) for v in start]
+        total = sum(x)
+        if len(x) != n or min(x) < 0 or total <= 0:
             raise InputFormatError("start vector must be nonnegative, nonzero")
-        x = x / x.sum()
+        x = [v / total for v in x]
     for _ in range(max_iter):
-        y = a @ x
-        y = y / y.sum()
-        if np.max(np.abs(y - x)) < tol:
-            return tuple(float(v) for v in y)
+        y = [sum(c * v for c, v in zip(row, x)) for row in a]
+        total = sum(y)
+        y = [v / total for v in y]
+        if max(abs(s - t) for s, t in zip(y, x)) < tol:
+            return tuple(y)
         x = y
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations")

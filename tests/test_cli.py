@@ -191,6 +191,14 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     ("toeplitz", "GRAPH", "--beta", "inf", "--r", "1,1"),
     ("toeplitz", "GRAPH", "--beta", "1", "--r", "1,nan"),
     ("kms", "check", "GRAPH", "--state", "z=inf,0", "--max-degree", "1,1"),
+    ("measure", "consistency", "GRAPH", "--m", "1,0", "--n", "1,1",
+     "--tol", "nan"),
+    ("measure", "consistency", "GRAPH", "--m", "1,0", "--n", "1,1",
+     "--tol=-1e-9"),
+    ("kms", "check", "GRAPH", "--state", "haar", "--max-degree", "1,1",
+     "--theta-blind", "--tol", "nan"),
+    ("kms", "check", "GRAPH", "--state", "haar", "--max-degree", "1,1",
+     "--tol", "inf"),
 ], ids=" ".join)
 def test_malformed_literals_exit_3(capsys, pb2_file, argv):
     code = main([pb2_file if a == "GRAPH" else a for a in argv])
@@ -230,3 +238,11 @@ def test_config_file(capsys, tmp_path, pb2_file):
     bad.write_text("mystery = 1\n")
     code, _ = run(capsys, "periodicity", pb2_file, "--config", str(bad))
     assert code == 3
+    for tol in ("nan", "-1"):
+        # every comparison with NaN is false, so a NaN tol passes all
+        bad.write_text(f"tol = {tol}\n")
+        code = main(["measure", "consistency", pb2_file, "--m", "1,0",
+                     "--n", "1,1", "--config", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("kgraph: input error")

@@ -123,6 +123,17 @@ def test_state_specs():
     assert abs(rough.psi((2,)) - complex(rough.psi((1,))) ** 2) < 1e-12
 
 
+def test_cached_exactness_keeps_field_equality():
+    # is_exact is cached on the instance; == and hash still see fields only
+    chi = StateSpec.character((F(1, 4), 0))
+    fresh = StateSpec.character((F(1, 4), 0))
+    assert chi.is_exact and "is_exact" in vars(chi)
+    assert "is_exact" not in vars(fresh)
+    assert chi == fresh and hash(chi) == hash(fresh)
+    assert len({chi, fresh}) == 1
+    assert chi != StateSpec.character((F(1, 2), 0))
+
+
 def test_state_mixture():
     mix = StateSpec.mixture([(F(1, 2), (F(1, 4), 0)),
                              (F(1, 2), (F(3, 4), 0))])

@@ -1,17 +1,21 @@
 """Joint Perron eigendata for the commuting adjacency family."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgraphs import degrees as dg
-from kgraphs.errors import InputFormatError
-from kgraphs.perron import (MatrixFamily, find_positive_F, perron_data,
-                            power_iteration, spectral_radius_power_check,
-                            verify_subinvariance)
+from kgraphs.errors import ConvergenceError, InputFormatError
+from kgraphs.perron import (POWER_TOL, MatrixFamily, find_positive_F,
+                            perron_data, power_iteration,
+                            spectral_radius_power_check, verify_subinvariance)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -80,6 +84,61 @@ def test_power_iteration_start_independent(graphs, perron):
             assert a == pytest.approx(b, abs=1e-9)
         rho = sum(mat[0][c] * x[c] for c in range(fam.size)) / x[0]
         assert rho == pytest.approx(want.rho[0], abs=1e-9)
+
+
+def numpy_power_iteration(matrix, tol=POWER_TOL):
+    """Reference: the same iteration on numpy arrays, with BLAS doing the
+    matrix-vector products and numpy the sums."""
+    a = np.asarray(matrix, dtype=float)
+    x = np.full(a.shape[0], 1.0 / a.shape[0])
+    for _ in range(10 ** 6):
+        y = a @ x
+        y = y / y.sum()
+        if np.max(np.abs(y - x)) < tol:
+            return tuple(float(v) for v in y)
+        x = y
+    raise AssertionError("numpy reference did not converge")
+
+
+def test_power_iteration_matches_numpy_on_fixtures(graphs, perron):
+    for name, g in graphs.items():
+        _, _, a_f = find_positive_F(MatrixFamily.from_graph(g),
+                                    bound=perron[name].F_bound)
+        want = numpy_power_iteration(a_f)
+        assert power_iteration(a_f) == want == perron[name].x, name
+
+
+def test_power_iteration_matches_numpy_on_random_matrices():
+    # both stop at the first step below POWER_TOL; rounding may let one
+    # stop a step before the other, which moves x by less than ten tols
+    rng = random.Random(20)
+    for n in range(1, 9):
+        for _ in range(6):
+            mat = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+            got = power_iteration(mat)
+            want = numpy_power_iteration(mat)
+            assert len(got) == n
+            assert max(abs(a - b) for a, b in zip(got, want)) <= \
+                10 * POWER_TOL, mat
+
+
+def test_power_iteration_bad_input():
+    mat = [[2, 1], [1, 1]]
+    for start in ([1.0, -0.5], [0, 0], [1.0, 1.0, 1.0]):
+        with pytest.raises(InputFormatError):
+            power_iteration(mat, start=start)
+    with pytest.raises(ConvergenceError):
+        power_iteration(mat, max_iter=2)
+
+
+def test_cli_imports_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import kgraphs.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_positive_block(graphs, perron):
