@@ -9,7 +9,7 @@ JSON schema) and 0-based wherever a tuple is indexed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .errors import InputFormatError
 
@@ -109,7 +109,4 @@ def format_degree(m):
 
 def rho_power(rho, m):
     """prod_i rho_i**m_i with exponents in Z.  Exact for Fraction rho."""
-    out = Fraction(1) if isinstance(rho[0], Fraction) else 1.0
-    for r, e in zip(rho, m):
-        out = out * r ** e
-    return out
+    return math.prod(r ** e for r, e in zip(rho, m))

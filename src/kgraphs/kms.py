@@ -33,64 +33,16 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import degrees as dg
-from .errors import InputFormatError, NotPeriodicError
+from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
 from .graphs import ENUM_CAP
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
-from .scalars import QQi, format_fraction, parse_number
+from .scalars import (QQi, coerce_scalar, format_fraction, is_zero,
+                      parse_number)
 
 FLOAT_PRUNE = 1e-14
 KMS_TOL = 1e-12
 TOEPLITZ_TOL = 1e-9
-
-
-# ----------------------------------------------------------------------
-# scalars: Gaussian rationals when possible, complex otherwise
-
-def _coerce_scalar(c):
-    if isinstance(c, QQi):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QQi.of(c)
-    if isinstance(c, (float, complex)):
-        return complex(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _s_add(a, b):
-    if isinstance(a, QQi) and isinstance(b, (QQi, int, Fraction)):
-        return a + b
-    if isinstance(b, QQi) and isinstance(a, (int, Fraction)):
-        return b + a
-    return complex(a) + complex(b)
-
-
-def _s_mul(a, b):
-    if isinstance(a, QQi) and isinstance(b, (QQi, int, Fraction)):
-        return a * b
-    if isinstance(b, QQi) and isinstance(a, (int, Fraction)):
-        return b * a
-    return complex(a) * complex(b)
-
-
-def _s_neg(a):
-    return -a if isinstance(a, QQi) else -complex(a)
-
-
-def _s_conj(a):
-    return a.conjugate() if isinstance(a, QQi) else complex(a).conjugate()
-
-
-def _s_is_zero(a, tol=FLOAT_PRUNE):
-    if isinstance(a, QQi):
-        return a.is_zero()
-    return abs(complex(a)) <= tol
-
-
-def _s_close(a, b, tol):
-    if isinstance(a, QQi) and isinstance(b, (QQi, int, Fraction)):
-        return a == QQi.of(b) if not isinstance(b, QQi) else a == b
-    return abs(complex(a) - complex(b)) <= tol
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +83,8 @@ class AlgebraElement:
         self.graph = graph
         pruned = {}
         for term, coeff in (terms or {}).items():
-            coeff = _coerce_scalar(coeff)
-            if not _s_is_zero(coeff):
+            coeff = coerce_scalar(coeff)
+            if not is_zero(coeff, FLOAT_PRUNE):
                 pruned[term] = coeff
         self.terms = pruned
 
@@ -179,20 +131,19 @@ class AlgebraElement:
         self._check_same_graph(other)
         out = dict(self.terms)
         for term, coeff in other.terms.items():
-            out[term] = _s_add(out[term], coeff) if term in out else coeff
+            out[term] = out[term] + coeff if term in out else coeff
         return AlgebraElement(self.graph, out)
 
     def __neg__(self):
         return AlgebraElement(self.graph,
-                              {t: _s_neg(c) for t, c in self.terms.items()})
+                              {t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         return AlgebraElement(self.graph,
-                              {t: _s_mul(coeff, c)
-                               for t, coeff in self.terms.items()})
+                              {t: coeff * c for t, coeff in self.terms.items()})
 
     def __mul__(self, other):
         """(s_mu s*_nu)(s_eta s*_zeta) collapses through Lambda^min(nu, eta):
@@ -203,17 +154,17 @@ class AlgebraElement:
         out = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                c = _s_mul(c1, c2)
+                c = c1 * c2
                 for alpha, beta in g.lambda_min(t1.nu, t2.mu):
                     term = SpanTerm(g.compose(t1.mu, alpha),
                                     g.compose(t2.nu, beta))
-                    out[term] = _s_add(out[term], c) if term in out else c
+                    out[term] = out[term] + c if term in out else c
         return AlgebraElement(self.graph, out)
 
     def adjoint(self):
         """The star operation: (s_mu s*_nu)* = s_nu s*_mu, conjugate-linear."""
         return AlgebraElement(self.graph,
-                              {SpanTerm(t.nu, t.mu): _s_conj(c)
+                              {SpanTerm(t.nu, t.mu): c.conjugate()
                                for t, c in self.terms.items()})
 
     # -- canonical form and equality ------------------------------------
@@ -252,10 +203,10 @@ class AlgebraElement:
                 step = dg.sub(m_star, term.mu.degree)
                 for lam in g.paths_of_degree(step, range=term.mu.source):
                     key = (g.compose(term.mu, lam), g.compose(term.nu, lam))
-                    refined[key] = _s_add(refined[key], coeff) \
+                    refined[key] = refined[key] + coeff \
                         if key in refined else coeff
             for value in refined.values():
-                if not _s_is_zero(value, tol):
+                if not is_zero(value, tol):
                     return False
         return True
 
@@ -305,14 +256,9 @@ class StateSpec:
         pairs = tuple((w, tuple(ts)) for w, ts in pairs)
         if not pairs:
             raise InputFormatError("a mixture needs at least one component")
-        total = sum((w for w, _ in pairs), Fraction(0)
-                    if all(isinstance(w, (int, Fraction)) for w, _ in pairs)
-                    else 0.0)
-        if isinstance(total, Fraction):
-            if total != 1 or any(w <= 0 for w, _ in pairs):
-                raise InputFormatError("mixture weights must be positive "
-                                       "and sum to 1")
-        elif abs(total - 1.0) > 1e-9 or any(w <= 0 for w, _ in pairs):
+        total = sum(w for w, _ in pairs)
+        slack = 0 if isinstance(total, (int, Fraction)) else 1e-9
+        if abs(total - 1) > slack or any(w <= 0 for w, _ in pairs):
             raise InputFormatError("mixture weights must be positive and "
                                    "sum to 1")
         return StateSpec(kind="mixture", components=pairs)
@@ -359,14 +305,13 @@ class StateSpec:
                     f"character has {len(self.turns)} rotations but the "
                     f"graph has {len(gvec)} colors")
             return self._char_psi(self.turns, gvec, self.is_exact)
-        exact = self.is_exact
-        total = QQi.of(0) if exact else 0.0
+        terms = []
         for w, ts in self.components:
             if len(ts) != len(gvec):
                 raise InputFormatError("mixture component dimension "
                                        "mismatch")
-            total = _s_add(total, _s_mul(self._char_psi(ts, gvec, exact), w))
-        return total
+            terms.append(self._char_psi(ts, gvec, self.is_exact) * w)
+        return sum(terms[1:], terms[0])
 
     def describe(self):
         if self.kind == "haar":
@@ -538,7 +483,7 @@ class KMSStates:
                     return self._zero(state)
             elif self.theta_map(mu.degree, nu.degree)(mu) != nu:
                 return self._zero(state)
-        return _s_mul(state.psi(gvec), self.measure.mass(mu))
+        return state.psi(gvec) * self.measure.mass(mu)
 
     def phi_apply(self, state, elem, theta_blind=False):
         """Linear extension of phi_eval to algebra elements."""
@@ -546,7 +491,7 @@ class KMSStates:
         for term, coeff in elem.terms.items():
             value = self.phi_eval(state, term.mu, term.nu,
                                   theta_blind=theta_blind)
-            total = _s_add(total, _s_mul(coeff, value))
+            total = total + coeff * value
         return total
 
     # -- central unitaries ----------------------------------------------
@@ -628,7 +573,8 @@ class KMSStates:
         d(w) into the degrees of nu and eta, so walking (w, split, mu, and
         the codomain degree of the bijection) enumerates the support
         completely: any quadruple never touched has phi = 0 on both sides
-        of the equilibrium identity.
+        of the equilibrium identity.  More than `cap` keys raise
+        EnumerationCapError, tested after each w.
 
         All four paths of a key lie in the box [0, D], so the key is their
         box indices packed into one int (_BoxIndex.key); keys are inserted
@@ -719,6 +665,9 @@ class KMSStates:
                         blind(base, mu, eta, beta, alpha)
                     else:
                         honest(base, mu, beta, alpha)
+            if len(contributions) > self.cap:
+                raise EnumerationCapError(
+                    f"KMS support exceeds cap {self.cap} keys")
         return contributions
 
     def _scales(self, D):
@@ -774,7 +723,7 @@ class KMSStates:
                 for nu in here:
                     joined = dg.add(dg.join(box.degree[mu], box.degree[nu]),
                                     ones)
-                    bound = Fraction(0) if self.measure.exact else 0.0
+                    bound = self.measure.zero
                     for t, (ml, nl) in enumerate(zip(extended[mu],
                                                      extended[nu])):
                         if not extensions(mu, t, ml, joined).isdisjoint(
@@ -910,10 +859,10 @@ class KMSStates:
             total = None
             for gvec, mass in slot:
                 pv = psi(gvec)
-                if _s_is_zero(pv, 0.0):
+                if is_zero(pv, 0.0):
                     continue
-                piece = _s_mul(pv, mass)
-                total = piece if total is None else _s_add(total, piece)
+                piece = pv * mass
+                total = piece if total is None else total + piece
             return total
 
         def masses(key):
@@ -928,13 +877,9 @@ class KMSStates:
             total = fold(canon)
             if total is None:
                 continue
-            if exact:
-                bad = not _s_is_zero(total, 0.0)
-            else:
-                dev = abs(complex(total))
-                max_dev = max(max_dev, dev)
-                bad = dev > tol
-            if not bad:
+            if not exact:
+                max_dev = max(max_dev, abs(total))
+            if is_zero(total, tol):
                 continue
             failure_count += count
             for key in samples:
@@ -945,14 +890,13 @@ class KMSStates:
                 factor = dg.rho_power(rho, dg.neg(gamma))
                 lhs = fold(masses(key))
                 rhs = fold(masses(box.swap(key)))
-                zero = QQi.of(0) if exact else 0j
+                zero = self._zero(state)
                 lhs = zero if lhs is None else lhs
-                expect = zero if rhs is None else _s_mul(rhs, factor)
+                expect = zero if rhs is None else rhs * factor
                 failures.append({
                     "mu": mu.literal(), "nu": nu.literal(),
                     "eta": eta.literal(), "zeta": zeta.literal(),
-                    "lhs": _scalar_str(lhs),
-                    "rhs_scaled": _scalar_str(expect),
+                    "lhs": repr(lhs), "rhs_scaled": repr(expect),
                 })
         ck_pairs, ck_violations = self._ck_bound_screen(state, D,
                                                         theta_blind, tol)
@@ -1069,12 +1013,12 @@ class KMSStates:
                 probes = [dg.scale(t, b) for b in basis
                           for t in range(-self.group.search_bound,
                                          self.group.search_bound + 1)]
-            return all(_s_close(sa.psi(gv), sb.psi(gv), tol)
+            return all(is_zero(sa.psi(gv) - sb.psi(gv), tol)
                        for gv in probes)
         if sa.kind == sb.kind == "haar":
             return True
         char = sa if sa.kind == "character" else sb
-        return all(_s_close(char.psi(b), QQi.of(0), tol) for b in basis)
+        return all(is_zero(char.psi(b), tol) for b in basis)
 
 
 class _BoxIndex:
@@ -1152,8 +1096,3 @@ def _scaled(value, scale):
         return value.numerator
     return value
 
-
-def _scalar_str(c):
-    if isinstance(c, QQi):
-        return repr(c)
-    return repr(complex(c))

@@ -37,6 +37,8 @@ class CylinderMeasure:
         self.exact = pd.exact
         self.rho = pd.rho_values()
         self.x = dict(zip(pd.labels, pd.x_values()))
+        self.zero, self.one = ((Fraction(0), Fraction(1)) if self.exact
+                               else (0.0, 1.0))
         self._masses = {}   # (degree, source) -> mass
 
     def vertex_mass(self, v):
@@ -78,26 +80,18 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL, cap=ENUM_CAP):
         raise InputFormatError(f"need 0 <= {m} <= {n}")
     g = cm.graph
     step = dg.sub(n, m)
-    max_err = 0.0
-    worst_exact = True
+    slack = 0 if cm.exact else tol
+    max_err = cm.zero
     for lam in g.paths_of_degree(m, cap=cap):
         refined = sum(cm.mass(g.compose(lam, t))
                       for t in g.paths_of_degree(step, range=lam.source,
                                                  cap=cap))
-        diff = refined - cm.mass(lam)
-        if cm.exact:
-            worst_exact = worst_exact and diff == 0
-        max_err = max(max_err, abs(float(diff)))
-    total = cm.total_mass(n, cap=cap)
-    total_err = abs(float(total - 1))
-    if cm.exact:
-        worst_exact = worst_exact and total == 1
-        passed = worst_exact
-    else:
-        passed = max_err <= tol and total_err <= tol
+        max_err = max(max_err, abs(refined - cm.mass(lam)))
+    total_err = abs(cm.total_mass(n, cap=cap) - 1)
     return ConsistencyReport(m=m, n=n, exact=cm.exact,
-                             max_refinement_error=max_err,
-                             total_mass_error=total_err, passed=passed)
+                             max_refinement_error=float(max_err),
+                             total_mass_error=float(total_err),
+                             passed=max_err <= slack and total_err <= slack)
 
 
 def _extend_level(cm, m, n, l, survivors, cap):
@@ -142,11 +136,10 @@ def periodicity_mass_profile(cm, m, n, max_level, cap=ENUM_CAP):
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
     survivors = cm.graph.paths_of_degree(dg.join(m, n), cap=cap)
-    zero = Fraction(0) if cm.exact else 0.0
-    out = [sum((cm.mass(p) for p in survivors), zero)]
+    out = [sum((cm.mass(p) for p in survivors), cm.zero)]
     for l in range(1, max_level + 1):
         survivors = _extend_level(cm, m, n, l, survivors, cap)
-        out.append(sum((cm.mass(p) for p in survivors), zero))
+        out.append(sum((cm.mass(p) for p in survivors), cm.zero))
     return out
 
 
@@ -172,9 +165,8 @@ def agreement_mass(cm, mu, nu, level, group=None, cap=ENUM_CAP):
         raise InputFormatError("mu and nu must share a source vertex")
     gvec = dg.sub(mu.degree, nu.degree)
     periodic = decide_periodic(g, group, gvec, cap=cap)
-    zero = Fraction(0) if cm.exact else 0.0
     matched = None
-    closed = zero
+    closed = cm.zero
     if periodic:
         th = theta(g, mu.degree, nu.degree, pre_checked=True, cap=cap)
         matched = th(mu) == nu
@@ -183,7 +175,7 @@ def agreement_mass(cm, mu, nu, level, group=None, cap=ENUM_CAP):
     initial = [g.compose(mu, a) for a, _ in g.lambda_min(mu, nu)]
     survivors = _shift_agreement_survivors(cm, mu.degree, nu.degree, level,
                                            initial, cap)
-    bound = sum((cm.mass(p) for p in survivors), zero)
+    bound = sum((cm.mass(p) for p in survivors), cm.zero)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
                            level=level, level_bound=bound)
@@ -226,8 +218,7 @@ def find_decay_witness(cm, gvec, a_max=6, cap=ENUM_CAP):
                 break
             tails[v] = pick
         else:
-            one = Fraction(1) if cm.exact else 1.0
-            K = max(one - cm.mass(tails[v]) / cm.vertex_mass(v)
+            K = max(cm.one - cm.mass(tails[v]) / cm.vertex_mass(v)
                     for v in g.vertices)
             return DecayWitness(g=gvec, a=a, tails=tails, K=K)
     raise WitnessSearchError(
@@ -264,12 +255,11 @@ def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
     masses = []
     bounds = []
     base = cm.mass(mu)
-    kpow = Fraction(1) if cm.exact else 1.0
-    zero = Fraction(0) if cm.exact else 0.0
+    kpow = cm.one
     alive = None    # edges of the extensions of the last round's shared tails
     for j in range(j_max + 1):
         ja = dg.scale(j, witness.a)
-        mj = zero
+        mj = cm.zero
         shared = []
         for lam in g.paths_of_degree(ja, range=mu.source, cap=cap):
             if alive is not None and lam.edges not in alive:

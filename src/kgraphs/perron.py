@@ -10,6 +10,7 @@ computations can stay exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from .scalars import solve_exact
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10 ** 6
 RAYLEIGH_REL_TOL = 1e-8
-RECONSTRUCT_MAX_DEN = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,18 @@ def _rayleigh(fam, x):
 
 
 def _reconstruct_exact(fam, rho, x):
-    """Try to certify rational Perron data.  Candidate rho_i come from
-    limit_denominator; x solves the stacked exact system (A_i - rho_i I) x= 0,
-    sum x = 1.  Returns (rho_exact, x_exact) or None; a successful return is
-    exactly verified, so false positives are impossible."""
+    """Try to certify rational Perron data.  With L the lcm of the entry
+    denominators, L*A_i has integer entries, so by the rational root
+    theorem a rational rho_i is an integer over L: the candidate is
+    round(L*rho_i)/L.  x solves the stacked exact system
+    (A_i - rho_i I) x = 0, sum x = 1.  Returns (rho_exact, x_exact) or None;
+    a successful return is exactly verified, so false positives are
+    impossible."""
+    L = math.lcm(*(Fraction(entry).denominator for m in fam.matrices
+                   for row in m for entry in row))
     try:
-        cand = [Fraction(r).limit_denominator(RECONSTRUCT_MAX_DEN)
-                for r in rho]
+        cand = [Fraction(round(L * r), L) for r in rho]
     except (OverflowError, ValueError):
-        return None
-    if any(abs(float(c) - r) > 1e-6 * max(1.0, abs(r))
-           for c, r in zip(cand, rho)):
         return None
     rows = []
     rhs = []

@@ -3,6 +3,10 @@
 The KMS-state formulas take values in Q[i] whenever the Perron data is rational
 and the character is a quarter turn; QQi keeps those computations exact.  The
 row-reduction solver backs the exact reconstruction of Perron eigenvectors.
+
+Exactness is decided by operand types here and nowhere else: QQi combined
+with an int or Fraction stays a QQi, and combined with a float or complex
+gives the complex result, so other modules use plain operators.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ class QQi:
 
     @staticmethod
     def of(value):
-        """Coerce an int/Fraction/QQi to QQi.  Floats are refused: mixing
-        modes is a caller bug, not something to mask silently."""
+        """Coerce an int/Fraction/QQi to QQi.  Floats are refused: coercion
+        is not arithmetic, and a float has no exact value to coerce to
+        (the operators below do mix with floats, into complex)."""
         if isinstance(value, QQi):
             return value
         if isinstance(value, (int, Fraction)):
@@ -39,9 +44,18 @@ class QQi:
         im = (0, 1, 0, -1)[t]
         return QQi(Fraction(re), Fraction(im))
 
+    # The operators take a QQi, int or Fraction to a QQi, and a float or
+    # complex to complex(self) <op> complex(other).  Reflected + and * and
+    # a - b = a + -b give the same bits, because complex + and * commute,
+    # x - y = x + -y in floats, and complex(QQi) has no negative zero.
     def __add__(self, other):
-        other = QQi.of(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if isinstance(other, QQi):
+            return QQi(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re + other, self.im)
+        if isinstance(other, (float, complex)):
+            return complex(self) + complex(other)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -49,15 +63,22 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-QQi.of(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return QQi.of(other) + (-self)
+        if isinstance(other, (float, complex)):
+            return complex(other) - complex(self)
+        return -self + other
 
     def __mul__(self, other):
-        other = QQi.of(other)
-        return QQi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        if isinstance(other, QQi):
+            return QQi(self.re * other.re - self.im * other.im,
+                       self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re * other, self.im * other)
+        if isinstance(other, (float, complex)):
+            return complex(self) * complex(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -88,6 +109,20 @@ class QQi:
         if self.im == 0:
             return f"{self.re}"
         return f"({self.re}+{self.im}i)"
+
+
+def coerce_scalar(c):
+    """A coefficient as a QQi when it is exact, as a complex otherwise."""
+    if isinstance(c, (float, complex)):
+        return complex(c)
+    return QQi.of(c)
+
+
+def is_zero(value, tol):
+    """Exactly zero for a QQi; |value| <= tol for anything else."""
+    if isinstance(value, QQi):
+        return value.is_zero()
+    return abs(value) <= tol
 
 
 def format_fraction(value):

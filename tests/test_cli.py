@@ -225,6 +225,17 @@ def test_periodicity_search_box_is_capped(capsys, b2_file):
     assert err.startswith("kgraph: bound exceeded")
 
 
+def test_kms_support_is_capped(capsys, b2_file):
+    # b2 at box (2,): the honest support has 93 keys, the theta-blind 299
+    argv = ["kms", "check", b2_file, "--state", "haar", "--max-degree", "2",
+            "--cap", "200"]
+    assert run(capsys, *argv)[0] == 0
+    code = main(argv + ["--theta-blind"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("kgraph: bound exceeded")
+
+
 def test_config_file(capsys, tmp_path, pb2_file):
     cfg = tmp_path / "kgraph.cfg"
     cfg.write_text("# defaults\nbound = 1\n")

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kgraphs import degrees as dg
-from kgraphs.errors import InputFormatError, NotPeriodicError
+from kgraphs.errors import (EnumerationCapError, InputFormatError,
+                            NotPeriodicError)
 from kgraphs.kms import (AlgebraElement, KMSStates, SpanTerm, StateSpec,
                          parse_state)
 from kgraphs.scalars import QQi
@@ -336,3 +337,16 @@ def test_cached_masses_match_the_formula(graphs, perron, measures, name):
                     want /= r ** d
                 assert cm.mass(p) == want
                 assert cm.mass_at(p.degree, p.source) == want
+
+
+def test_support_is_capped(graphs, perron, groups, states):
+    g = graphs["pullback-b2"]
+    capped = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"],
+                       cap=100_000)
+    # the theta-blind support at (2,2) has 228,093 keys
+    with pytest.raises(EnumerationCapError):
+        capped.kms_check(StateSpec.haar(), (2, 2), theta_blind=True)
+    # the honest one has 25,153 and is unaffected by the cap
+    rep = capped.kms_check(StateSpec.haar(), (2, 2))
+    assert rep.support_size == 25_153
+    assert rep == states["pullback-b2"].kms_check(StateSpec.haar(), (2, 2))

@@ -45,6 +45,16 @@ def test_exact_values(perron):
                                                Fraction(1, 2))
 
 
+@pytest.mark.parametrize("den", [2, 20011])
+def test_exact_values_with_fraction_entries(den):
+    # [[1/den, 1], [1, 1/den]] has rho = 1 + 1/den, an integer over den;
+    # 20011 is past any denominator bound a best-approximation search uses
+    d = Fraction(1, den)
+    pd = perron_data(MatrixFamily(("u", "v"), (((d, 1), (1, d)),)))
+    assert pd.rho_exact == (1 + d,)
+    assert pd.x_exact == (Fraction(1, 2), Fraction(1, 2))
+
+
 def test_fib_floats(perron):
     pd = perron["fib"]
     assert pd.rho_exact is None

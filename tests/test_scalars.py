@@ -4,12 +4,16 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from kgraphs.scalars import QQi, format_fraction, solve_exact
+from kgraphs.scalars import (QQi, coerce_scalar, format_fraction, is_zero,
+                             solve_exact)
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 qqis = st.builds(QQi, small_fracs, small_fracs)
+exact_reals = st.one_of(st.integers(-5, 5), small_fracs)
+inexact = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.complex_numbers(allow_nan=False, allow_infinity=False))
 
 
 def test_quarter_turns():
@@ -30,6 +34,12 @@ def test_arithmetic_and_mixing():
     assert a.abs2() == Fraction(1, 4) + Fraction(1, 9)
     z = complex(a)
     assert z == pytest.approx(complex(0.5, 1 / 3))
+    assert a * 0.5 == complex(0.25, 1 / 6)
+    assert coerce_scalar(2) == QQi.of(2) and coerce_scalar(0.5) == 0.5 + 0j
+    with pytest.raises(TypeError):
+        QQi.of(0.5)
+    with pytest.raises(TypeError):
+        coerce_scalar("1")
 
 
 def test_conjugate_against_cmath():
@@ -66,3 +76,29 @@ def test_ring_laws(a, b, c):
 def test_abs2_is_norm(a):
     assert a.abs2() == (a * a.conjugate()).re
     assert (a.abs2() == 0) == a.is_zero()
+
+
+@given(qqis, exact_reals)
+def test_exact_real_operands_stay_exact(a, r):
+    q = QQi.of(r)
+    for got, want in ((a + r, a + q), (r + a, q + a), (a - r, a - q),
+                      (r - a, q - a), (a * r, a * q), (r * a, q * a)):
+        assert type(got) is QQi and got == want
+
+
+@given(qqis, inexact)
+@example(QQi(Fraction(0), Fraction(-1)), -0.0)
+@example(QQi(Fraction(-1), Fraction(0)), complex(-0.0, -0.0))
+def test_inexact_operands_give_the_complex_result(a, z):
+    # bit for bit, signed zeros included (repr shows them)
+    za, zz = complex(a), complex(z)
+    for got, want in ((a + z, za + zz), (z + a, zz + za), (a - z, za - zz),
+                      (z - a, zz - za), (a * z, za * zz), (z * a, zz * za)):
+        assert type(got) is complex and repr(got) == repr(want)
+
+
+def test_is_zero_is_exact_on_qqi_and_tolerant_on_complex():
+    tiny = QQi(Fraction(1, 10 ** 30))
+    assert is_zero(QQi.of(0), 1e-12) and not is_zero(tiny, 1e-12)
+    assert is_zero(complex(tiny), 1e-12) and is_zero(0j, 0.0)
+    assert not is_zero(1e-11j, 1e-12) and not is_zero(complex(tiny), 0.0)
