@@ -21,6 +21,9 @@ nonzero product term arises from a common extension w = nu.alpha = eta.beta,
 a left factor mu, and a codomain degree for the shift-agreement bijection.
 Quadruples outside the collected support have both sides identically zero,
 so comparing the supported keys and their swaps verifies the whole box.
+The gauge action grades the algebra: s_mu s*_nu s_eta s*_zeta is homogeneous
+of degree d(mu) - d(nu) + d(eta) - d(zeta), as is its swap, so each key
+carries one cylinder mass and both sides of its identity one psi value.
 Exact fixtures stay in Gaussian-rational arithmetic end to end.
 """
 
@@ -562,12 +565,16 @@ class KMSStates:
 
     def _support_contributions(self, D, theta_blind, scale):
         """Aggregate, for every quadruple key (mu, nu, eta, zeta), the total
-        cylinder mass contributed per degree difference g:
+        cylinder mass of its product:
 
             phi(s_mu s*_nu s_eta s*_zeta)
                 = sum over minimal common extensions nu.alpha = eta.beta
                   of phi(s_{mu.alpha} s*_{zeta.beta})
-                = sum over contributions psi(g) * mass.
+                = psi(g) * mass.
+
+        One psi value covers the whole sum because the gauge action grades
+        the algebra: d(alpha) - d(beta) = d(eta) - d(nu), so every term has
+        the key's grade g = d(mu) - d(nu) + d(eta) - d(zeta).
 
         Every minimal pair arises from a path w (= nu.alpha) and a split of
         d(w) into the degrees of nu and eta, so walking (w, split, mu, and
@@ -578,8 +585,9 @@ class KMSStates:
 
         All four paths of a key lie in the box [0, D], so the key is their
         box indices packed into one int (_BoxIndex.key); keys are inserted
-        in walk order.  Masses are multiplied by `scale`, which makes them
-        ints when the Perron data is rational (see _scales).
+        in walk order and map to their mass.  Masses are multiplied by
+        `scale`, which makes them ints when the Perron data is rational (see
+        _scales).
         """
         g = self.graph
         box = self._box(D)
@@ -587,7 +595,7 @@ class KMSStates:
         zeta_degrees = dg.box(dg.zero(g.k), D)
         contributions = {}
         extended = {}   # mu * n + alpha -> (d(p), scaled mass, p)
-        plans = {}      # degrees -> the periodic g over d(zeta)
+        plans = {}      # degrees -> the periodic g over d(zeta), or the zetas
         resolved = {}   # (mu, alpha, d(q), d(zeta)) -> q = zeta.beta'
 
         def extension(mu, alpha):
@@ -623,8 +631,8 @@ class KMSStates:
                 zeta, beta_q = hit
                 if beta_q != beta:
                     continue
-                slot = contributions.setdefault(base + zeta, {})
-                slot[gvec] = slot.get(gvec, 0) + mass
+                key = base + zeta
+                contributions[key] = contributions.get(key, 0) + mass
 
         def blind(base, mu, eta, beta, alpha):
             # every zeta with s(zeta) = s(eta) and a periodic difference
@@ -633,16 +641,13 @@ class KMSStates:
             source = box.source[eta]
             plan = plans.get((dp, dbeta, source))
             if plan is None:
-                plan = plans[dp, dbeta, source] = []
-                for nzeta in zeta_degrees:
-                    gvec = dg.sub(dp, dg.add(nzeta, dbeta))
-                    if self.periodic(gvec):
-                        plan.append((gvec, box.by_degree_source.get(
-                            (nzeta, source), ())))
-            for gvec, zetas in plan:
-                for zeta in zetas:
-                    slot = contributions.setdefault(base + zeta, {})
-                    slot[gvec] = slot.get(gvec, 0) + mass
+                plan = plans[dp, dbeta, source] = [
+                    zeta for nzeta in zeta_degrees
+                    if self.periodic(dg.sub(dp, dg.add(nzeta, dbeta)))
+                    for zeta in box.by_degree_source.get((nzeta, source), ())]
+            for zeta in plan:
+                key = base + zeta
+                contributions[key] = contributions.get(key, 0) + mass
 
         splits_of = {}  # d(w) -> (degrees below it, pairs that join to it)
         for w in box.paths:
@@ -752,20 +757,22 @@ class KMSStates:
     def _sweep_table(self, D, theta_blind):
         """State-independent half of the equilibrium check.
 
-        For each supported quadruple key and its swap, the identity reads
-        sum_g psi(g) L_g = rho^{-gamma} sum_g psi(g) R_g, so the per-key
-        obligation is the difference profile {g: L_g - rho^{-gamma} R_g}.
-        Identical profiles impose identical obligations on every state, so
-        they are deduplicated, keeping a count and sample keys; an empty
-        profile means the key passes for every state.
+        A supported key and its swap share one grade g (see
+        _support_contributions), so the identity for the key reads
+        psi(g) L = rho^{-gamma} psi(g) R with L and R the masses of the key
+        and of its swap, gamma = d(mu) - d(nu), and the per-key obligation
+        is the difference profile (g, L - rho^{-gamma} R).  Identical
+        profiles impose identical obligations on every state, so they are
+        deduplicated, keeping a count and up to 20 sample keys with their
+        two masses; a zero difference means the key passes for every state.
 
         Keys are the packed box indices of _support_contributions, and a
-        key's swap (eta, zeta, mu, nu) is _BoxIndex.swap.  rho^{-gamma} is
-        computed once per gamma.  With rational Perron data the profiles
-        are summed as ints, S * T times their value (see _scales); one
-        common multiplier leaves the deduplication unchanged.  The table
-        holds the profiles at their exact values and the contributions
-        times S, with mass_unit = 1/S.
+        key's swap (eta, zeta, mu, nu) is _BoxIndex.swap.  The grade and
+        rho^{-gamma} are computed once per packed pair (mu, nu).  With
+        rational Perron data the differences are summed as ints, S * T
+        times their value (see _scales); one common multiplier leaves the
+        deduplication unchanged.  The table holds the profiles at their
+        exact values and the sample masses times S, with mass_unit = 1/S.
         """
         cache_key = (D, theta_blind)
         hit = self._sweep_cache.get(cache_key)
@@ -777,8 +784,19 @@ class KMSStates:
         n = len(box.paths)
         nn = n * n
         rho = self.measure.rho
-        factors = {}         # gamma -> T * rho^{-gamma}
-        pair_factors = {}    # packed (mu, nu) -> factors[d(mu) - d(nu)]
+        factors = {}    # gamma -> T * rho^{-gamma}
+        pairs = {}      # packed (mu, nu) -> (d(mu) - d(nu), its factor)
+
+        def graded(pair):
+            mu, nu = divmod(pair, n)
+            gamma = dg.sub(box.degree[mu], box.degree[nu])
+            factor = factors.get(gamma)
+            if factor is None:
+                factor = factors[gamma] = _scaled(
+                    dg.rho_power(rho, dg.neg(gamma)), T)
+            hit = pairs[pair] = (gamma, factor)
+            return hit
+
         profiles = {}
         seen = set()
         for base in contributions:
@@ -787,37 +805,27 @@ class KMSStates:
                 if key in seen:
                     continue
                 seen.add(key)
-                pair = key // nn
-                factor = pair_factors.get(pair)
-                if factor is None:
-                    mu, nu = divmod(pair, n)
-                    gamma = dg.sub(box.degree[mu], box.degree[nu])
-                    factor = factors.get(gamma)
-                    if factor is None:
-                        factor = factors[gamma] = _scaled(
-                            dg.rho_power(rho, dg.neg(gamma)), T)
-                    pair_factors[pair] = factor
-                diff = {gv: T * m
-                        for gv, m in contributions.get(key, {}).items()}
-                for gvec, mass in contributions.get(swapped, {}).items():
-                    diff[gvec] = diff.get(gvec, 0) - factor * mass
-                canon = tuple(sorted((gv, m) for gv, m in diff.items()
-                                     if m != 0))
-                if not canon:
+                left = contributions.get(key, 0)
+                right = contributions.get(swapped, 0)
+                high, low = divmod(key, nn)
+                gamma, factor = pairs.get(high) or graded(high)
+                diff = T * left - factor * right
+                if diff == 0:
                     continue
-                bucket = profiles.get(canon)
+                profile = (dg.add(gamma, (pairs.get(low) or graded(low))[0]),
+                           diff)
+                bucket = profiles.get(profile)
                 if bucket is None:
-                    bucket = profiles[canon] = [0, []]
+                    bucket = profiles[profile] = [0, []]
                 bucket[0] += 1
                 if len(bucket[1]) < 20:
-                    bucket[1].append(key)
+                    bucket[1].append((key, left, right))
         unit = Fraction(1, S * T)
         table = {
-            "profiles": {tuple((gv, m * unit) for gv, m in canon): bucket
-                         for canon, bucket in profiles.items()},
+            "profiles": {(gvec, diff * unit): bucket
+                         for (gvec, diff), bucket in profiles.items()},
             "checked": len(seen),
             "support": len(contributions),
-            "contributions": contributions,    # S times the masses
             "mass_unit": Fraction(1, S),
         }
         self._sweep_cache[cache_key] = table
@@ -830,10 +838,10 @@ class KMSStates:
 
         The support of the products is enumerated completely (see
         _support_contributions); supported keys and their swaps are reduced
-        to difference profiles (see _sweep_table) that the state's character
-        values are folded through, and every other quadruple has both sides
-        identically zero.  Exact graphs compare Gaussian rationals; float
-        mode compares within tol.
+        to difference profiles (see _sweep_table), each folded with the
+        state's one psi value at its grade, and every other quadruple has
+        both sides identically zero.  Exact graphs compare Gaussian
+        rationals; float mode compares within tol.
         """
         g = self.graph
         D = _degree_box(max_degree, g.k)
@@ -843,56 +851,28 @@ class KMSStates:
         total_quadruples = matched_pairs * matched_pairs
 
         table = self._sweep_table(D, theta_blind)
-        contributions = table["contributions"]
+        unit = table["mass_unit"]
         rho = self.measure.rho
-
-        psi_cache = {}
-
-        def psi(gvec):
-            hit = psi_cache.get(gvec)
-            if hit is None:
-                hit = state.psi(gvec)
-                psi_cache[gvec] = hit
-            return hit
-
-        def fold(slot):
-            total = None
-            for gvec, mass in slot:
-                pv = psi(gvec)
-                if is_zero(pv, 0.0):
-                    continue
-                piece = pv * mass
-                total = piece if total is None else total + piece
-            return total
-
-        def masses(key):
-            unit = table["mass_unit"]
-            return [(gvec, m * unit)
-                    for gvec, m in contributions.get(key, {}).items()]
-
+        zero = self._zero(state)
         failures = []
         failure_count = 0
         max_dev = 0.0
-        for canon, (count, samples) in table["profiles"].items():
-            total = fold(canon)
-            if total is None:
+        for (gvec, value), (count, samples) in table["profiles"].items():
+            pv = state.psi(gvec)
+            if is_zero(pv, 0.0):
                 continue
+            total = pv * value
             if not exact:
                 max_dev = max(max_dev, abs(total))
             if is_zero(total, tol):
                 continue
             failure_count += count
-            for key in samples:
-                if len(failures) >= 20:
-                    break
+            for key, left, right in samples[:20 - len(failures)]:
                 mu, nu, eta, zeta = box.paths_of(key)
-                gamma = dg.sub(mu.degree, nu.degree)
-                factor = dg.rho_power(rho, dg.neg(gamma))
-                lhs = fold(masses(key))
-                rhs = fold(masses(box.swap(key)))
-                zero = self._zero(state)
-                lhs = zero if lhs is None else lhs
-                expect = zero if rhs is None else rhs * factor
+                factor = dg.rho_power(rho, dg.neg(dg.sub(mu.degree,
+                                                         nu.degree)))
+                lhs = pv * (left * unit) if left else zero
+                expect = pv * (right * unit) * factor if right else zero
                 failures.append({
                     "mu": mu.literal(), "nu": nu.literal(),
                     "eta": eta.literal(), "zeta": zeta.literal(),

@@ -177,7 +177,7 @@ def _rayleigh(fam, x):
     return tuple(rho)
 
 
-def _reconstruct_exact(fam, rho, x):
+def _reconstruct_exact(fam, rho):
     """Try to certify rational Perron data.  With L the lcm of the entry
     denominators, L*A_i has integer entries, so by the rational root
     theorem a rational rho_i is an integer over L: the candidate is
@@ -224,7 +224,7 @@ def perron_data(fam, bound=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
     N, F, a_f = found
     x = power_iteration(a_f, tol=tol, max_iter=max_iter)
     rho = _rayleigh(fam, x)
-    exact = _reconstruct_exact(fam, rho, x)
+    exact = _reconstruct_exact(fam, rho)
     rho_exact, x_exact = exact if exact else (None, None)
     return PerronData(labels=fam.labels, rho=rho, x=x,
                       rho_exact=rho_exact, x_exact=x_exact,

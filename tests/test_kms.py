@@ -1,6 +1,7 @@
 """Span-term algebra and the equilibrium-state family."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -350,3 +351,21 @@ def test_support_is_capped(graphs, perron, groups, states):
     rep = capped.kms_check(StateSpec.haar(), (2, 2))
     assert rep.support_size == 25_153
     assert rep == states["pullback-b2"].kms_check(StateSpec.haar(), (2, 2))
+
+
+def test_cached_sweep_table_retains_little(graphs, perron, groups):
+    # each of the 14,033 supported keys maps to one mass while the table is
+    # built, but the cached table keeps only the profiles and their samples
+    g = graphs["pullback-b2"]
+    st = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"])
+    D = (2, 1)
+    st.kms_check(StateSpec.haar(), D)   # fills the box and periodicity caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = st.kms_check(StateSpec.haar(), D, theta_blind=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.support_size == 14_033 and rep.failure_count > 0
+    assert retained < 2 ** 20

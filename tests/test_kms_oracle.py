@@ -45,6 +45,20 @@ def products(graphs):
     return out
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_products_are_homogeneous(products, name):
+    # the gauge grading kms_check rests on: every term of
+    # s_mu s*_nu s_eta s*_zeta has grade d(mu) - d(nu) + d(eta) - d(zeta)
+    seen = set()
+    for ((mu, nu), (eta, zeta)), elem in products[name].items():
+        grade = dg.add(dg.sub(mu.degree, nu.degree),
+                       dg.sub(eta.degree, zeta.degree))
+        for term in elem.terms:
+            assert term.grade == grade
+            seen.add(grade)
+    assert len(seen) > 1
+
+
 def brute_values(st, state, prods, theta_blind):
     return {ab: st.phi_apply(state, elem, theta_blind=theta_blind)
             for ab, elem in prods.items()}
