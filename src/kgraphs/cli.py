@@ -381,9 +381,10 @@ def run_command(name, args):
         graph.require_valid()
     opts = {key: resolve(key, getattr(args, key), config, default)
             for key, default in row.options.items()}
-    if not 0 <= opts.get("tol", 0) < math.inf:
-        raise InputFormatError(
-            f"tol must be finite and nonnegative, not {opts['tol']}")
+    for key, value in opts.items():
+        if not 0 <= value < math.inf:
+            raise InputFormatError(
+                f"{key} must be finite and nonnegative, not {value}")
     doc, passed = row.report(Context(graph, opts), args)
     shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
     doc["provenance"] = {"graph_sha256": graph.sha256(), "command": name,

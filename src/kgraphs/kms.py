@@ -24,6 +24,10 @@ so comparing the supported keys and their swaps verifies the whole box.
 The gauge action grades the algebra: s_mu s*_nu s_eta s*_zeta is homogeneous
 of degree d(mu) - d(nu) + d(eta) - d(zeta), as is its swap, so each key
 carries one cylinder mass and both sides of its identity one psi value.
+Span terms do not see the Cuntz-Krieger relation p_v = sum s_lam s*_lam, so a
+one-sided screen |phi(s_mu s*_nu)| <= bound checks that phi is built from the
+Perron eigenvector.  Both checks reduce, once per box, to state-free profiles
+that each state folds with one psi value apiece.
 Exact fixtures stay in Gaussian-rational arithmetic end to end.
 """
 
@@ -438,9 +442,7 @@ class KMSStates:
         self.cap = cap
         self._periodic_cache = {}
         self._theta_cache = {}
-        self._box_cache = {}
         self._sweep_cache = {}
-        self._ck_bound_cache = {}
 
     # -- cached periodicity machinery -----------------------------------
 
@@ -466,6 +468,20 @@ class KMSStates:
 
     # -- state evaluation -----------------------------------------------
 
+    def _phi_mass(self, mu, nu, theta_blind=False):
+        """phi_eval's support test: mass(mu), or None where phi vanishes on
+        s_mu s*_nu (see phi_eval)."""
+        gvec = dg.sub(mu.degree, nu.degree)
+        if not self.periodic(gvec):
+            return None
+        if not theta_blind:
+            if not any(gvec):
+                if mu != nu:
+                    return None
+            elif self.theta_map(mu.degree, nu.degree)(mu) != nu:
+                return None
+        return self.measure.mass(mu)
+
     def phi_eval(self, state, mu, nu, theta_blind=False):
         """phi(s_mu s*_nu): psi(d(mu)-d(nu)) * rho^{-d(mu)} * x_{s(mu)} when
         the degree difference is periodic and the shift-agreement bijection
@@ -477,16 +493,9 @@ class KMSStates:
         if mu.source != nu.source:
             raise InputFormatError("phi is defined on span terms, which "
                                    "need a common source")
-        gvec = dg.sub(mu.degree, nu.degree)
-        if not self.periodic(gvec):
-            return self._zero(state)
-        if not theta_blind:
-            if not any(gvec):
-                if mu != nu:
-                    return self._zero(state)
-            elif self.theta_map(mu.degree, nu.degree)(mu) != nu:
-                return self._zero(state)
-        return state.psi(gvec) * self.measure.mass(mu)
+        mass = self._phi_mass(mu, nu, theta_blind)
+        return self._zero(state) if mass is None \
+            else state.psi(dg.sub(mu.degree, nu.degree)) * mass
 
     def phi_apply(self, state, elem, theta_blind=False):
         """Linear extension of phi_eval to algebra elements."""
@@ -557,13 +566,7 @@ class KMSStates:
 
     # -- the equilibrium identity over a degree box ---------------------
 
-    def _box(self, D):
-        hit = self._box_cache.get(D)
-        if hit is None:
-            hit = self._box_cache[D] = _BoxIndex(self.graph, D, self.cap)
-        return hit
-
-    def _support_contributions(self, D, theta_blind, scale):
+    def _support_contributions(self, box, theta_blind, scale):
         """Aggregate, for every quadruple key (mu, nu, eta, zeta), the total
         cylinder mass of its product:
 
@@ -590,9 +593,7 @@ class KMSStates:
         _scales).
         """
         g = self.graph
-        box = self._box(D)
         n = len(box.paths)
-        zeta_degrees = dg.box(dg.zero(g.k), D)
         contributions = {}
         extended = {}   # mu * n + alpha -> (d(p), scaled mass, p)
         plans = {}      # degrees -> the periodic g over d(zeta), or the zetas
@@ -617,7 +618,7 @@ class KMSStates:
             plan = plans.get((dp, dbeta))
             if plan is None:
                 plan = plans[dp, dbeta] = []
-                for nzeta in zeta_degrees:
+                for nzeta in box.degrees:
                     nprime = dg.add(nzeta, dbeta)
                     gvec = dg.sub(dp, nprime)
                     if self.periodic(gvec):
@@ -642,7 +643,7 @@ class KMSStates:
             plan = plans.get((dp, dbeta, source))
             if plan is None:
                 plan = plans[dp, dbeta, source] = [
-                    zeta for nzeta in zeta_degrees
+                    zeta for nzeta in box.degrees
                     if self.periodic(dg.sub(dp, dg.add(nzeta, dbeta)))
                     for zeta in box.by_degree_source.get((nzeta, source), ())]
             for zeta in plan:
@@ -692,21 +693,19 @@ class KMSStates:
             T *= (r.numerator * r.denominator) ** d
         return S, T
 
-    def _ck_bounds(self, D):
-        """State-independent right-hand sides for the one-sided screen:
-        for each source-matched pair, the mass of the extensions of mu that
-        still share a common extension with nu after one step in every
-        color.  Returns (mu, nu, bound) triples.
+    def _screen_profiles(self, box, theta_blind):
+        """State-independent half of the one-sided Cuntz-Krieger screen
+        |phi(s_mu s*_nu)| <= bound over the source-matched pairs of the box,
+        with bound the mass of the extensions mu.lam, lam of degree
+        (1,..,1), for which mu.lam and nu.lam still share an extension.  A
+        pair whose phi vanishes (see _phi_mass) passes for every state; any
+        other becomes its profile (d(mu) - d(nu), mass(mu), bound), counted.
 
         mu.lam and nu.lam share an extension exactly when their extensions
         to the joined degree meet, so those extension sets are built once
         per (path, tail, degree) and intersected per pair."""
-        hit = self._ck_bound_cache.get(D)
-        if hit is not None:
-            return hit
         g = self.graph
         ones = (1,) * g.k
-        box = self._box(D)
         reach = {}      # (mu, tail, degree) -> edges of the extensions
 
         def extensions(mu, t, ml, degree):
@@ -719,13 +718,17 @@ class KMSStates:
                         cap=self.cap)}
             return hit
 
-        bounds = []
+        profiles = {}
         for v, here in box.by_source.items():
             tails = g.paths_of_degree(ones, range=v, cap=self.cap)
             extended = {i: [g.compose(box.paths[i], lam) for lam in tails]
                         for i in here}
             for mu in here:
                 for nu in here:
+                    mass = self._phi_mass(box.paths[mu], box.paths[nu],
+                                          theta_blind)
+                    if mass is None:
+                        continue
                     joined = dg.add(dg.join(box.degree[mu], box.degree[nu]),
                                     ones)
                     bound = self.measure.zero
@@ -734,28 +737,13 @@ class KMSStates:
                         if not extensions(mu, t, ml, joined).isdisjoint(
                                 extensions(nu, t, nl, joined)):
                             bound += self.measure.mass(ml)
-                    bounds.append((box.paths[mu], box.paths[nu], bound))
-        self._ck_bound_cache[D] = bounds
-        return bounds
-
-    def _ck_bound_screen(self, state, D, theta_blind, tol):
-        """One-sided sanity screen: |phi(s_mu s*_nu)| must be dominated by
-        the cached extension-mass bound for every source-matched pair."""
-        pairs = 0
-        violations = 0
-        for mu, nu, bound in self._ck_bounds(D):
-            pairs += 1
-            val = self.phi_eval(state, mu, nu, theta_blind=theta_blind)
-            if isinstance(val, QQi) and isinstance(bound, Fraction):
-                ok = val.abs2() <= bound * bound
-            else:
-                ok = abs(complex(val)) <= float(bound) + tol
-            if not ok:
-                violations += 1
-        return pairs, violations
+                    profile = (dg.sub(box.degree[mu], box.degree[nu]), mass,
+                               bound)
+                    profiles[profile] = profiles.get(profile, 0) + 1
+        return profiles
 
     def _sweep_table(self, D, theta_blind):
-        """State-independent half of the equilibrium check.
+        """State-independent half of kms_check: box index and profiles.
 
         A supported key and its swap share one grade g (see
         _support_contributions), so the identity for the key reads
@@ -773,14 +761,16 @@ class KMSStates:
         times their value (see _scales); one common multiplier leaves the
         deduplication unchanged.  The table holds the profiles at their
         exact values and the sample masses times S, with mass_unit = 1/S.
+        The screen profiles (see _screen_profiles) sit beside them, so a
+        state folds both kinds and never visits a path pair.
         """
         cache_key = (D, theta_blind)
         hit = self._sweep_cache.get(cache_key)
         if hit is not None:
             return hit
         S, T = self._scales(D)
-        contributions = self._support_contributions(D, theta_blind, S)
-        box = self._box(D)
+        box = _BoxIndex(self.graph, D, self.cap)
+        contributions = self._support_contributions(box, theta_blind, S)
         n = len(box.paths)
         nn = n * n
         rho = self.measure.rho
@@ -822,8 +812,10 @@ class KMSStates:
                     bucket[1].append((key, left, right))
         unit = Fraction(1, S * T)
         table = {
+            "box": box,
             "profiles": {(gvec, diff * unit): bucket
                          for (gvec, diff), bucket in profiles.items()},
+            "screen": self._screen_profiles(box, theta_blind),
             "checked": len(seen),
             "support": len(contributions),
             "mass_unit": Fraction(1, S),
@@ -842,15 +834,17 @@ class KMSStates:
         state's one psi value at its grade, and every other quadruple has
         both sides identically zero.  Exact graphs compare Gaussian
         rationals; float mode compares within tol.
-        """
-        g = self.graph
-        D = _degree_box(max_degree, g.k)
-        exact = self.measure.exact and state.is_exact
-        box = self._box(D)
-        matched_pairs = sum(len(ix) ** 2 for ix in box.by_source.values())
-        total_quadruples = matched_pairs * matched_pairs
 
+        Span terms do not see the Cuntz-Krieger relation, so a vector other
+        than the Perron eigenvector x can pass the identity; the screen
+        profiles (see _screen_profiles) catch it.  They are folded the same
+        way, squared moduli compared exactly when both sides are exact.
+        """
+        D = _degree_box(max_degree, self.graph.k)
+        exact = self.measure.exact and state.is_exact
         table = self._sweep_table(D, theta_blind)
+        box = table["box"]
+        matched_pairs = sum(len(ix) ** 2 for ix in box.by_source.values())
         unit = table["mass_unit"]
         rho = self.measure.rho
         zero = self._zero(state)
@@ -878,16 +872,21 @@ class KMSStates:
                     "eta": eta.literal(), "zeta": zeta.literal(),
                     "lhs": repr(lhs), "rhs_scaled": repr(expect),
                 })
-        ck_pairs, ck_violations = self._ck_bound_screen(state, D,
-                                                        theta_blind, tol)
+        violations = 0
+        for (gvec, mass, bound), count in table["screen"].items():
+            value = state.psi(gvec) * mass
+            if not (value.abs2() <= bound * bound if exact
+                    else abs(complex(value)) <= float(bound) + tol):
+                violations += count
         return KMSCheckReport(
             state=state.describe(), max_degree=D, exact=exact,
-            theta_blind=theta_blind, total_quadruples=total_quadruples,
+            theta_blind=theta_blind,
+            total_quadruples=matched_pairs * matched_pairs,
             support_size=table["support"], explicit_checked=table["checked"],
             failure_count=failure_count, failures=tuple(failures),
-            max_deviation=max_dev, ck_screen_pairs=ck_pairs,
-            ck_screen_violations=ck_violations,
-            passed=failure_count == 0 and ck_violations == 0)
+            max_deviation=max_dev, ck_screen_pairs=matched_pairs,
+            ck_screen_violations=violations,
+            passed=failure_count == 0 and violations == 0)
 
     # -- simplex, phases, Toeplitz existence ----------------------------
 
@@ -1008,8 +1007,9 @@ class _BoxIndex:
     indices and turns them back into paths only for its report."""
 
     def __init__(self, graph, D, cap):
+        self.degrees = dg.box(dg.zero(graph.k), D)
         self.paths = []
-        for m in dg.box(dg.zero(graph.k), D):
+        for m in self.degrees:
             self.paths.extend(graph.paths_of_degree(m, cap=cap))
         self.index = {p: i for i, p in enumerate(self.paths)}
         self.degree = [p.degree for p in self.paths]
@@ -1058,9 +1058,8 @@ def _add_turns(ta, tb):
 
 
 def _degree_box(max_degree, k):
-    if isinstance(max_degree, int):
-        return (max_degree,) * k
-    D = tuple(int(v) for v in max_degree)
+    D = (max_degree,) * k if isinstance(max_degree, int) \
+        else tuple(int(v) for v in max_degree)
     if len(D) != k or not dg.is_nonneg(D):
         raise InputFormatError(f"bad degree box {max_degree!r}")
     return D

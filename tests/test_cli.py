@@ -199,6 +199,13 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
      "--theta-blind", "--tol", "nan"),
     ("kms", "check", "GRAPH", "--state", "haar", "--max-degree", "1,1",
      "--tol", "inf"),
+    # a negative count or bound would run an empty or meaningless check
+    ("measure", "decay", "GRAPH", "--mu", "a1", "--nu", "v", "--j-max", "-1"),
+    ("measure", "decay", "GRAPH", "--mu", "a1", "--nu", "v", "--a-max", "-1"),
+    ("measure", "shift", "GRAPH", "--m", "1,0", "--n", "0,1", "--level=-1"),
+    ("measure", "agreement", "GRAPH", "--mu", "a1", "--nu", "b1",
+     "--level", "-1"),
+    ("info", "GRAPH", "--cap", "-1"),
 ], ids=" ".join)
 def test_malformed_literals_exit_3(capsys, pb2_file, argv):
     code = main([pb2_file if a == "GRAPH" else a for a in argv])
@@ -249,11 +256,17 @@ def test_config_file(capsys, tmp_path, pb2_file):
     bad.write_text("mystery = 1\n")
     code, _ = run(capsys, "periodicity", pb2_file, "--config", str(bad))
     assert code == 3
-    for tol in ("nan", "-1"):
+    decay = ["measure", "decay", pb2_file, "--mu", "a1", "--nu", "v"]
+    reader = {"tol": ["measure", "consistency", pb2_file, "--m", "1,0",
+                      "--n", "1,1"],
+              "bound": ["info", pb2_file], "cap": ["info", pb2_file],
+              "level": ["measure", "shift", pb2_file, "--m", "1,0",
+                        "--n", "0,1"],
+              "a_max": decay, "j_max": decay}
+    for key, value in [("tol", "nan")] + [(key, "-1") for key in reader]:
         # every comparison with NaN is false, so a NaN tol passes all
-        bad.write_text(f"tol = {tol}\n")
-        code = main(["measure", "consistency", pb2_file, "--m", "1,0",
-                     "--n", "1,1", "--config", str(bad)])
+        bad.write_text(f"{key} = {value}\n")
+        code = main(reader[key] + ["--config", str(bad)])
         out, err = capsys.readouterr()
-        assert code == 3 and out == ""
+        assert code == 3 and out == "", key
         assert err.startswith("kgraph: input error")

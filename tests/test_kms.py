@@ -235,6 +235,15 @@ def test_unitary_identities_reports(states):
     assert rep.group_elements == ((0,),)
 
 
+def test_negative_degree_box_is_refused(states):
+    st = states["pullback-b2"]
+    for bad in (-1, (-1, 0), (1,)):
+        with pytest.raises(InputFormatError):
+            st.kms_check(StateSpec.haar(), bad)
+    with pytest.raises(InputFormatError):
+        st.unitary_identities(-1)
+
+
 def test_kms_check_fib_float(states):
     st = states["fib"]
     rep = st.kms_check(StateSpec.haar(), (2,))
@@ -359,7 +368,7 @@ def test_cached_sweep_table_retains_little(graphs, perron, groups):
     g = graphs["pullback-b2"]
     st = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"])
     D = (2, 1)
-    st.kms_check(StateSpec.haar(), D)   # fills the box and periodicity caches
+    st.kms_check(StateSpec.haar(), D)   # fills the periodicity caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
