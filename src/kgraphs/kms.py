@@ -44,8 +44,8 @@ from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
 from .graphs import ENUM_CAP
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
-from .scalars import (QQi, coerce_scalar, format_fraction, is_zero,
-                      parse_number)
+from .scalars import (QQi, check_tol, coerce_scalar, format_fraction,
+                      is_zero, parse_number)
 
 FLOAT_PRUNE = 1e-14
 KMS_TOL = 1e-12
@@ -754,9 +754,14 @@ class KMSStates:
         deduplicated, keeping a count and up to 20 sample keys with their
         two masses; a zero difference means the key passes for every state.
 
-        Keys are the packed box indices of _support_contributions, and a
-        key's swap (eta, zeta, mu, nu) is _BoxIndex.swap.  The grade and
-        rho^{-gamma} are computed once per packed pair (mu, nu).  With
+        Keys are the packed box indices of _support_contributions, so key
+        = high * n^2 + low has the swap low * n^2 + high.  Each pair is
+        visited once: one read of both masses and of both packed pairs'
+        cached (code, rho^{-gamma}, gamma) gives L - rho^{-gamma} R and
+        R - rho^{-gamma'} L.  A code is gamma as an int in radix
+        4 max(D) + 1, so the codes of (mu, nu) and (eta, zeta) add up to
+        the grade's code; profiles are keyed by it, and only supported
+        swaps, which come up again as keys, are marked seen.  With
         rational Perron data the differences are summed as ints, S * T
         times their value (see _scales); one common multiplier leaves the
         deduplication unchanged.  The table holds the profiles at their
@@ -774,8 +779,9 @@ class KMSStates:
         n = len(box.paths)
         nn = n * n
         rho = self.measure.rho
+        radix = 4 * max(D) + 1
         factors = {}    # gamma -> T * rho^{-gamma}
-        pairs = {}      # packed (mu, nu) -> (d(mu) - d(nu), its factor)
+        pairs = {}      # packed (mu, nu) -> (code of gamma, factor, gamma)
 
         def graded(pair):
             mu, nu = divmod(pair, n)
@@ -784,39 +790,49 @@ class KMSStates:
             if factor is None:
                 factor = factors[gamma] = _scaled(
                     dg.rho_power(rho, dg.neg(gamma)), T)
-            hit = pairs[pair] = (gamma, factor)
+            code = sum(c * radix ** i for i, c in enumerate(gamma))
+            hit = pairs[pair] = (code, factor, gamma)
             return hit
 
-        profiles = {}
-        seen = set()
-        for base in contributions:
-            flipped = box.swap(base)
-            for key, swapped in ((base, flipped), (flipped, base)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                left = contributions.get(key, 0)
-                right = contributions.get(swapped, 0)
-                high, low = divmod(key, nn)
-                gamma, factor = pairs.get(high) or graded(high)
-                diff = T * left - factor * right
-                if diff == 0:
-                    continue
-                profile = (dg.add(gamma, (pairs.get(low) or graded(low))[0]),
-                           diff)
-                bucket = profiles.get(profile)
-                if bucket is None:
-                    bucket = profiles[profile] = [0, []]
-                bucket[0] += 1
-                if len(bucket[1]) < 20:
-                    bucket[1].append((key, left, right))
+        profiles = {}   # (code of g, diff) -> [count, samples, g]
+        seen = set()    # supported swaps already visited
+        checked = 0
+
+        def tally(code, diff, sample, ghigh, glow):
+            bucket = profiles.get((code, diff))
+            if bucket is None:
+                bucket = profiles[code, diff] = [0, [], dg.add(ghigh, glow)]
+            bucket[0] += 1
+            if len(bucket[1]) < 20:
+                bucket[1].append(sample)
+
+        for key, left in contributions.items():
+            if key in seen:
+                continue
+            high, low = divmod(key, nn)
+            swap = low * nn + high
+            right = contributions.get(swap, 0)
+            chigh, fhigh, ghigh = pairs.get(high) or graded(high)
+            clow, flow, glow = pairs.get(low) or graded(low)
+            code = chigh + clow
+            diff = T * left - fhigh * right
+            if diff:
+                tally(code, diff, (key, left, right), ghigh, glow)
+            checked += 1
+            if swap != key:
+                checked += 1
+                if right:   # a supported swap; masses are positive
+                    seen.add(swap)
+                diff = T * right - flow * left
+                if diff:
+                    tally(code, diff, (swap, right, left), ghigh, glow)
         unit = Fraction(1, S * T)
         table = {
             "box": box,
-            "profiles": {(gvec, diff * unit): bucket
-                         for (gvec, diff), bucket in profiles.items()},
+            "profiles": {(bucket[2], diff * unit): bucket[:2]
+                         for (_, diff), bucket in profiles.items()},
             "screen": self._screen_profiles(box, theta_blind),
-            "checked": len(seen),
+            "checked": checked,
             "support": len(contributions),
             "mass_unit": Fraction(1, S),
         }
@@ -841,6 +857,7 @@ class KMSStates:
         way, squared moduli compared exactly when both sides are exact.
         """
         D = _degree_box(max_degree, self.graph.k)
+        check_tol(tol)
         exact = self.measure.exact and state.is_exact
         table = self._sweep_table(D, theta_blind)
         box = table["box"]
@@ -914,6 +931,7 @@ class KMSStates:
         the dynamics scaled by r: one exists at inverse temperature beta
         exactly when beta * r_i >= ln rho_i in every color, and it factors
         through the graph algebra exactly when equality holds throughout."""
+        check_tol(tol)
         if not isinstance(query, PhaseQuery):
             query = PhaseQuery(beta=query[0], r=tuple(query[1]))
         r = tuple(float(v) for v in query.r)
@@ -979,6 +997,7 @@ class KMSStates:
         are compared by their psi values on the basis-generated box, which
         decides every case arising here.
         """
+        check_tol(tol)
         if self.group is None:
             raise InputFormatError("state comparison needs a computed "
                                    "periodicity group")
@@ -1029,12 +1048,6 @@ class _BoxIndex:
         (mu, nu) in the high digits and (eta, zeta) in the low ones."""
         n = len(self.paths)
         return ((mu * n + nu) * n + eta) * n + zeta
-
-    def swap(self, key):
-        """The key of (eta, zeta, mu, nu)."""
-        nn = len(self.paths) ** 2
-        high, low = divmod(key, nn)
-        return low * nn + high
 
     def paths_of(self, key):
         """The quadruple of paths behind a key."""

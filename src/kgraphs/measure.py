@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
 from .graphs import ENUM_CAP
+from .scalars import check_tol
 
 CONSISTENCY_TOL = 1e-10
 FLOAT_SLACK = 1e-12
@@ -75,6 +76,7 @@ class ConsistencyReport:
 def consistency_check(cm, m, n, tol=CONSISTENCY_TOL, cap=ENUM_CAP):
     """Refining every degree-m cylinder into its degree-n extensions must
     preserve mass, and Lambda^n must carry total mass 1."""
+    check_tol(tol)
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.leq(m, n)):
         raise InputFormatError(f"need 0 <= {m} <= {n}")

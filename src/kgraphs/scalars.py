@@ -125,6 +125,12 @@ def is_zero(value, tol):
     return abs(value) <= tol
 
 
+def check_tol(tol):
+    """Refuse a comparison tolerance that is negative, NaN or infinite."""
+    if not 0 <= tol < math.inf:
+        raise InputFormatError(f"tol must be finite and nonnegative, not {tol}")
+
+
 def format_fraction(value):
     """Canonical string for an exact rational: "p" or "p/q"."""
     f = Fraction(value)

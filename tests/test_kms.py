@@ -1,5 +1,6 @@
 """Span-term algebra and the equilibrium-state family."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 from kgraphs import degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
-from kgraphs.kms import (AlgebraElement, KMSStates, SpanTerm, StateSpec,
-                         parse_state)
+from kgraphs.kms import (AlgebraElement, KMSStates, PhaseQuery, SpanTerm,
+                         StateSpec, _BoxIndex, parse_state)
 from kgraphs.scalars import QQi
 
 F = Fraction
@@ -235,6 +236,19 @@ def test_unitary_identities_reports(states):
     assert rep.group_elements == ((0,),)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, -1, math.nan, math.inf])
+def test_bad_tol_is_refused(states, tol):
+    # a negative or NaN tol would fail every float comparison in silence
+    st = states["fib"]
+    haar = StateSpec.haar()
+    with pytest.raises(InputFormatError):
+        st.kms_check(haar, (2,), tol=tol)
+    with pytest.raises(InputFormatError):
+        st.states_equal(haar, haar, tol=tol)
+    with pytest.raises(InputFormatError):
+        st.toeplitz_kms_exists(PhaseQuery(beta=1, r=(1,)), tol=tol)
+
+
 def test_negative_degree_box_is_refused(states):
     st = states["pullback-b2"]
     for bad in (-1, (-1, 0), (1,)):
@@ -284,7 +298,6 @@ def test_states_equal(states):
 
 
 def test_toeplitz_existence(states):
-    import math
     st = states["b2"]
     rep = st.toeplitz_kms_exists((1, (math.log(2),)))
     assert rep.exists and rep.factors_through_quotient
@@ -378,3 +391,55 @@ def test_cached_sweep_table_retains_little(graphs, perron, groups):
         tracemalloc.stop()
     assert rep.support_size == 14_033 and rep.failure_count > 0
     assert retained < 2 ** 20
+
+
+def reference_sweep(st, D, theta_blind):
+    """The sweep as a slow per-key loop: each key of the support and each
+    swap is visited on its own, its paths and grade read from the box, and
+    its difference taken unscaled, as a Fraction when the data is exact."""
+    S, _ = st._scales(D)
+    box = _BoxIndex(st.graph, D, st.cap)
+    contributions = st._support_contributions(box, theta_blind, S)
+    unit = F(1, S)
+    nn = len(box.paths) ** 2
+
+    def swap(key):
+        high, low = divmod(key, nn)
+        return low * nn + high
+
+    profiles, seen = {}, set()
+    for base in contributions:
+        for key in (base, swap(base)):
+            if key in seen:
+                continue
+            seen.add(key)
+            left = contributions.get(key, 0)
+            right = contributions.get(swap(key), 0)
+            mu, nu, eta, zeta = box.paths_of(key)
+            gamma = dg.sub(mu.degree, nu.degree)
+            diff = left * unit - (dg.rho_power(st.measure.rho, dg.neg(gamma))
+                                  * (right * unit))
+            if diff == 0:
+                continue
+            grade = dg.add(gamma, dg.sub(eta.degree, zeta.degree))
+            bucket = profiles.setdefault((grade, diff), [0, []])
+            bucket[0] += 1
+            if len(bucket[1]) < 20:
+                bucket[1].append((key, left, right))
+    return profiles, len(seen), len(contributions)
+
+
+@pytest.mark.parametrize("name, D", [("b2", (2,)), ("fib", (2,)),
+                                     ("pullback-b2", (2, 1)),
+                                     ("product-b2-c2", (1, 1))])
+@pytest.mark.parametrize("theta_blind", [False, True])
+def test_sweep_matches_per_key_reference(graphs, perron, groups, name, D,
+                                         theta_blind):
+    st = KMSStates(graphs[name], perron[name], group=groups[name])
+    table = st._sweep_table(D, theta_blind)
+    profiles, checked, support = reference_sweep(st, D, theta_blind)
+    assert list(table["profiles"]) == list(profiles)
+    assert list(table["profiles"].values()) == list(profiles.values())
+    assert (table["checked"], table["support"]) == (checked, support)
+    if theta_blind:
+        assert profiles

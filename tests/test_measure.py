@@ -1,5 +1,6 @@
 """The shift-invariant measure on the infinite-path space."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,10 @@ def test_consistency_reports(measures):
     assert rep.max_refinement_error < 1e-10
     with pytest.raises(InputFormatError):
         consistency_check(measures["b2"], (3,), (1,))
+    # a negative tol would fail every float comparison in silence
+    for tol in (-1, -1e-9, math.nan, math.inf):
+        with pytest.raises(InputFormatError):
+            consistency_check(measures["fib"], (2,), (4,), tol=tol)
 
 
 def test_periodicity_mass_values(measures):
