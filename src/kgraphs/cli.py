@@ -16,14 +16,14 @@ file supplies defaults for tolerances and bounds in ``key = value`` lines;
 explicit flags win.
 
 Each analysis command is a row of ``COMMANDS``: one runner does the steps
-they share, and the parser is generated from the table.
+they share, and the parser is generated from the table.  Commands import
+the analysis modules they use (periodicity, measure, kms) when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -39,13 +39,9 @@ from .errors import (CompositionError, ConvergenceError, EnumerationCapError,
                      PeriodicityUndecidedError, SegmentRangeError,
                      WitnessSearchError)
 from .graphs import ENUM_CAP, KGraph
-from .kms import (KMS_TOL, TOEPLITZ_TOL, KMSStates, PhaseQuery, parse_state)
-from .measure import (CONSISTENCY_TOL, CylinderMeasure, agreement_mass,
-                      consistency_check, decay_check, find_decay_witness,
-                      periodicity_mass_profile)
-from .periodicity import periodicity_group
 from .perron import MatrixFamily, perron_data
-from .scalars import QQi, format_fraction, parse_number
+from .scalars import (CONSISTENCY_TOL, KMS_TOL, TOEPLITZ_TOL, QQi,
+                      check_tol, format_fraction, parse_number)
 
 DEFAULT_BOUND = 2
 
@@ -180,15 +176,18 @@ class Context:
 
     @cached_property
     def measure(self):
+        from .measure import CylinderMeasure
         return CylinderMeasure(self.graph, self.perron)
 
     @cached_property
     def group(self):
+        from .periodicity import periodicity_group
         return periodicity_group(self.graph, bound=self.opts["bound"],
                                  cap=self.opts["cap"])
 
     @cached_property
     def states(self):
+        from .kms import KMSStates
         return KMSStates(self.graph, self.perron, measure=self.measure,
                          group=self.group, cap=self.opts["cap"])
 
@@ -198,7 +197,7 @@ class Context:
 
 def report_validate(ctx, args):
     report = ctx.graph.validate()
-    return report.to_dict(), report.valid
+    return asdict(report), report.valid
 
 
 def report_info(ctx, args):
@@ -214,10 +213,14 @@ def report_info(ctx, args):
 
 
 def report_periodicity(ctx, args):
-    doc = ctx.group.to_dict()
-    doc["aperiodic"] = ctx.group.rank == 0
-    doc["bound"] = doc.pop("search_bound")
-    return doc, True
+    group = ctx.group
+    return {
+        "basis": [list(b) for b in group.basis],
+        "rank": group.rank,
+        "aperiodic": group.rank == 0,
+        "bound": group.search_bound,
+        "complete_up_to_bound": group.complete_up_to_bound,
+    }, True
 
 
 def report_mass(ctx, args):
@@ -232,6 +235,7 @@ def report_mass(ctx, args):
 
 
 def report_consistency(ctx, args):
+    from .measure import consistency_check
     report = consistency_check(ctx.measure, ctx.degree(args.m),
                                ctx.degree(args.n),
                                tol=ctx.opts["tol"], cap=ctx.opts["cap"])
@@ -239,6 +243,7 @@ def report_consistency(ctx, args):
 
 
 def report_shift(ctx, args):
+    from .measure import periodicity_mass_profile
     cm = ctx.measure
     m, n = ctx.degree(args.m), ctx.degree(args.n)
     profile = periodicity_mass_profile(cm, m, n, ctx.opts["level"],
@@ -252,6 +257,7 @@ def report_shift(ctx, args):
 
 
 def report_agreement(ctx, args):
+    from .measure import agreement_mass
     cm, group = ctx.measure, ctx.group
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
     report = agreement_mass(cm, mu, nu, ctx.opts["level"], group=group,
@@ -268,6 +274,7 @@ def report_agreement(ctx, args):
 
 
 def report_decay(ctx, args):
+    from .measure import decay_check, find_decay_witness
     cm, cap = ctx.measure, ctx.opts["cap"]
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
     witness = find_decay_witness(cm, dg.sub(mu.degree, nu.degree),
@@ -288,6 +295,7 @@ def report_decay(ctx, args):
 
 
 def report_kms_eval(ctx, args):
+    from .kms import parse_state
     states = ctx.states
     state = parse_state(args.state)
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
@@ -303,6 +311,7 @@ def report_kms_eval(ctx, args):
 
 
 def report_kms_check(ctx, args):
+    from .kms import parse_state
     report = ctx.states.kms_check(parse_state(args.state),
                                   ctx.degree(args.max_degree),
                                   tol=ctx.opts["tol"],
@@ -315,6 +324,7 @@ def report_phase(ctx, args):
 
 
 def report_toeplitz(ctx, args):
+    from .kms import KMSStates, PhaseQuery
     # the existence test reads no periodicity group, so none is built
     states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure,
                        cap=ctx.opts["cap"])
@@ -382,9 +392,7 @@ def run_command(name, args):
     opts = {key: resolve(key, getattr(args, key), config, default)
             for key, default in row.options.items()}
     for key, value in opts.items():
-        if not 0 <= value < math.inf:
-            raise InputFormatError(
-                f"{key} must be finite and nonnegative, not {value}")
+        check_tol(value, key)
     doc, passed = row.report(Context(graph, opts), args)
     shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
     doc["provenance"] = {"graph_sha256": graph.sha256(), "command": name,

@@ -86,20 +86,6 @@ class ValidationReport:
     no_sources: bool
     no_sinks: bool
 
-    def to_dict(self):
-        return {
-            "valid": self.valid,
-            "k": self.k,
-            "vertex_count": self.vertex_count,
-            "edge_counts": list(self.edge_counts),
-            "square_failures": list(self.square_failures),
-            "cubical_checked": self.cubical_checked,
-            "cubical_failures": list(self.cubical_failures),
-            "strongly_connected": self.strongly_connected,
-            "no_sources": self.no_sources,
-            "no_sinks": self.no_sinks,
-        }
-
 
 class KGraph:
     """Immutable rank-k graph.  Mutating after construction is unsupported."""
@@ -575,11 +561,21 @@ class KGraph:
                        for s in doc["squares"]]
         except (TypeError, KeyError) as exc:
             raise InputFormatError(f"malformed edge/square entry: {exc}") from exc
-        if not isinstance(doc["k"], int):
+        # type(x) is int refuses bools, which JSON true/false decode to
+        if type(doc["k"]) is not int:
             raise InputFormatError("k must be an integer")
+        if not (isinstance(doc["vertices"], list)
+                and all(isinstance(v, str) for v in doc["vertices"])):
+            raise InputFormatError("vertices must be a list of strings")
         for e in edges:
-            if not isinstance(e.color, int):
-                raise InputFormatError(f"edge {e.id!r}: color must be an int")
+            if type(e.color) is not int or not all(
+                    isinstance(x, str) for x in (e.id, e.range, e.source)):
+                raise InputFormatError(f"edge {e.id!r}: color must be an int "
+                                       f"and the other fields strings")
+        for sq in squares:
+            if not all(isinstance(x, str)
+                       for x in (sq.blue, sq.red, sq.red2, sq.blue2)):
+                raise InputFormatError(f"square {sq}: fields must be strings")
         return cls(doc["k"], doc["vertices"], edges, squares)
 
     @classmethod

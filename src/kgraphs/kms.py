@@ -44,12 +44,10 @@ from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
 from .graphs import ENUM_CAP
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
-from .scalars import (QQi, check_tol, coerce_scalar, format_fraction,
-                      is_zero, parse_number)
+from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, check_tol, coerce_scalar,
+                      format_fraction, is_zero, parse_number)
 
 FLOAT_PRUNE = 1e-14
-KMS_TOL = 1e-12
-TOEPLITZ_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------

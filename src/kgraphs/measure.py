@@ -20,9 +20,8 @@ from fractions import Fraction
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
 from .graphs import ENUM_CAP
-from .scalars import check_tol
+from .scalars import CONSISTENCY_TOL, check_tol
 
-CONSISTENCY_TOL = 1e-10
 FLOAT_SLACK = 1e-12
 
 

@@ -119,14 +119,6 @@ class PeriodicityGroup:
             v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
-    def to_dict(self):
-        return {
-            "basis": [list(b) for b in self.basis],
-            "rank": self.rank,
-            "search_bound": self.search_bound,
-            "complete_up_to_bound": self.complete_up_to_bound,
-        }
-
 
 def hnf_basis(vectors, k):
     """Row-style Hermite normal form of the subgroup generated by vectors:

@@ -239,15 +239,6 @@ class SubinvarianceReport:
     lambda_dominates_rho: bool
     equals_eigenvector: bool  # None unless lambda = rho and |y|_1 = 1
 
-    def to_dict(self):
-        return {
-            "subinvariant": self.subinvariant,
-            "violations": [list(v) for v in self.violations],
-            "y_positive": self.y_positive,
-            "lambda_dominates_rho": self.lambda_dominates_rho,
-            "equals_eigenvector": self.equals_eigenvector,
-        }
-
 
 def verify_subinvariance(fam, y, lam, pd=None, tol=1e-9):
     """Check A_i y <= lam_i y and report the structural consequences: a

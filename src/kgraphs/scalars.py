@@ -12,6 +12,7 @@ gives the complex result, so other modules use plain operators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,10 +126,18 @@ def is_zero(value, tol):
     return abs(value) <= tol
 
 
-def check_tol(tol):
-    """Refuse a comparison tolerance that is negative, NaN or infinite."""
-    if not 0 <= tol < math.inf:
-        raise InputFormatError(f"tol must be finite and nonnegative, not {tol}")
+# the checks' default tolerances, kept here so cli need not import the checks
+KMS_TOL = 1e-12
+TOEPLITZ_TOL = 1e-9
+CONSISTENCY_TOL = 1e-10
+
+
+def check_tol(value, name="tol"):
+    """Refuse a tolerance, or another numeric option, that is negative, NaN
+    or infinite."""
+    if not 0 <= value < math.inf:
+        raise InputFormatError(
+            f"{name} must be finite and nonnegative, not {value}")
 
 
 def format_fraction(value):
@@ -140,19 +149,19 @@ def format_fraction(value):
 
 
 def parse_number(text):
-    """Exact Fraction when the literal is one, a finite float otherwise."""
+    """Exact Fraction when the literal is one, a float otherwise; refused
+    past sys.float_info.max in magnitude, so its float() is finite."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ValueError:
-        pass
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputFormatError(f"bad number {text!r}") from None
     except ZeroDivisionError:
         raise InputFormatError(f"zero denominator in {text!r}") from None
-    try:
-        value = float(text)
-    except ValueError:
-        raise InputFormatError(f"bad number {text!r}") from None
-    if not math.isfinite(value):
-        raise InputFormatError(f"number {text!r} is not finite")
+    if not abs(value) <= sys.float_info.max:
+        raise InputFormatError(f"number {text!r} is not a finite float")
     return value
 
 

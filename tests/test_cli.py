@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,12 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     assert code == 3
     code, _ = run(capsys, "measure", "mass", b2_file, "--path", "zzz")
     assert code == 3
+    # a wrongly typed graph field is malformed input, not a traceback
+    doc = json.loads(Path(b2_file).read_text())
+    doc["vertices"] = 5
+    bad.write_text(json.dumps(doc))
+    code, _ = run(capsys, "validate", str(bad))
+    assert code == 3
     # a tiny cap turns an honest computation into a bound failure
     code, _ = run(capsys, "measure", "consistency", b2_file,
                   "--m", "0", "--n", "12", "--cap", "100")
@@ -190,6 +200,11 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     ("phase", "GRAPH", "--beta=-inf"),
     ("toeplitz", "GRAPH", "--beta", "inf", "--r", "1,1"),
     ("toeplitz", "GRAPH", "--beta", "1", "--r", "1,nan"),
+    # exact literals whose float() would overflow
+    ("toeplitz", "GRAPH", "--beta", "1e400", "--r", "1,1"),
+    ("toeplitz", "GRAPH", "--beta", "1", "--r", "1e400,1"),
+    ("kms", "eval", "GRAPH", "--state", "z=1/3,1e400", "--mu", "a1",
+     "--nu", "b1"),
     ("kms", "check", "GRAPH", "--state", "z=inf,0", "--max-degree", "1,1"),
     ("measure", "consistency", "GRAPH", "--m", "1,0", "--n", "1,1",
      "--tol", "nan"),
@@ -212,6 +227,44 @@ def test_malformed_literals_exit_3(capsys, pb2_file, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("kgraph: input error")
+
+
+SLICE = """
+import contextlib, io, json, sys
+from kgraphs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("kgraphs."))]))
+"""
+
+
+SLICE_CASES = [
+    (("gen", "pullback-b2"), {"kms", "measure", "periodicity"}),
+    (("validate", "GRAPH"), {"kms", "measure", "periodicity"}),
+    (("info", "GRAPH"), {"kms", "measure"}),
+    (("periodicity", "GRAPH"), {"kms", "measure"}),
+    (("measure", "mass", "GRAPH", "--path", "a1"), {"kms"}),
+    (("measure", "consistency", "GRAPH", "--m", "1,0", "--n", "1,1"),
+     {"kms"}),
+    (("measure", "shift", "GRAPH", "--m", "1,0", "--n", "0,1"), {"kms"}),
+    (("measure", "decay", "GRAPH", "--mu", "a1", "--nu", "v"), {"kms"}),
+]
+
+
+@pytest.mark.parametrize("argv, unused", SLICE_CASES,
+                         ids=[" ".join(argv) for argv, _ in SLICE_CASES])
+def test_command_imports_only_its_modules(pb2_file, argv, unused):
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [pb2_file if a == "GRAPH" else a for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-c", SLICE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True).stdout
+    code, modules = json.loads(out)
+    assert code == 0
+    assert not {"kgraphs." + name for name in unused} & set(modules)
 
 
 @pytest.mark.parametrize("command", ["periodicity", "info"])

@@ -1,6 +1,7 @@
 """Path category core: factorization, enumeration, common extensions."""
 
 import itertools
+import json
 
 import pytest
 
@@ -152,7 +153,7 @@ def test_json_roundtrip_and_hash(graphs):
         assert text.endswith("\n")
 
 
-def test_from_json_rejects_garbage():
+def test_from_json_rejects_garbage(b2g, pb2g):
     with pytest.raises(InputFormatError):
         KGraph.from_json_dict({"k": 1})
     with pytest.raises(InputFormatError):
@@ -160,6 +161,28 @@ def test_from_json_rejects_garbage():
             "k": 1, "vertices": ["v"],
             "edges": [{"id": "e", "color": 1, "range": "v", "source": "w"}],
             "squares": []})
+    # wrongly typed fields: each once crashed with a TypeError or was
+    # silently read as something else ("uv" as two vertices, true as 1)
+    edits = [
+        (b2g, ["k"], True),
+        (b2g, ["vertices"], "uv"),
+        (b2g, ["edges", 0, "color"], True),
+        (pb2g, ["vertices"], 5),
+        (pb2g, ["vertices"], ["a", 1]),
+        (pb2g, ["vertices"], [["v"]]),
+        (pb2g, ["edges", 0, "id"], 1),
+        (pb2g, ["edges", 0, "range"], ["v"]),
+        (pb2g, ["squares", 0, "red2"], ["b"]),
+    ]
+    for g, where, value in edits:
+        doc = json.loads(g.to_json())
+        *parents, key = where
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(InputFormatError):
+            KGraph.from_json_dict(doc)
 
 
 def test_enumeration_cap(b2g):
