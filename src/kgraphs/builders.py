@@ -8,8 +8,8 @@ appears in an id, it is the path-literal separator.
 
 from __future__ import annotations
 
-from .errors import InputFormatError
-from .graphs import Edge, KGraph, Square
+from .errors import EnumerationCapError, InputFormatError
+from .graphs import ENUM_CAP, Edge, KGraph, Square
 
 
 def one_graph(vertices, edges):
@@ -26,7 +26,9 @@ def make_single_vertex(k, loops, squares=None):
     squares maps a color pair (i, j), i < j, to a dict {(s, t): (u, v)}
     (1-based loop indices) meaning (color-i loop s).(color-j loop t) =
     (color-j loop u).(color-i loop v).  Color pairs left unspecified get the
-    flip squares x.y = y.x, which always satisfy the axioms.
+    flip squares x.y = y.x, which always satisfy the axioms.  Raises
+    EnumerationCapError, before building anything, when the edges and
+    squares of such a graph would number more than ENUM_CAP.
     """
     if len(loops) != k:
         raise InputFormatError(f"need {k} loop counts, got {len(loops)}")
@@ -34,6 +36,11 @@ def make_single_vertex(k, loops, squares=None):
         raise InputFormatError("ranks above 26 exceed the naming scheme")
     if any(n < 0 for n in loops):
         raise InputFormatError(f"loop counts must be nonnegative: {loops}")
+    size = sum(loops) + sum(a * b for i, a in enumerate(loops)
+                            for b in loops[i + 1:])
+    if size > ENUM_CAP:
+        raise EnumerationCapError(f"{size} edges and squares for loops "
+                                  f"{loops} exceed cap {ENUM_CAP}")
 
     def name(color, idx):
         if k == 1:

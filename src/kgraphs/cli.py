@@ -55,7 +55,6 @@ OPTIONS = {
     "a_max": (int, "decay-witness search bound"),
     "j_max": (int, "number of decay levels checked"),
 }
-CONFIG_KEYS = tuple(OPTIONS)
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +104,7 @@ def read_config(path):
                 f"config line {i} is not of the form key = value: {line!r}")
         key, _, value = text.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise InputFormatError(f"unknown config key {key!r} on line {i}")
         opts[key] = value.strip()
     return opts
@@ -324,13 +323,14 @@ def report_phase(ctx, args):
 
 
 def report_toeplitz(ctx, args):
-    from .kms import KMSStates, PhaseQuery
+    from .kms import KMSStates
     # the existence test reads no periodicity group, so none is built
     states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure,
                        cap=ctx.opts["cap"])
-    query = PhaseQuery(beta=parse_number(args.beta),
-                       r=tuple(parse_number(p) for p in args.r.split(",")))
-    return asdict(states.toeplitz_kms_exists(query, tol=ctx.opts["tol"])), True
+    report = states.toeplitz_kms_exists(
+        parse_number(args.beta), [parse_number(p) for p in args.r.split(",")],
+        tol=ctx.opts["tol"])
+    return asdict(report), True
 
 
 class Command(NamedTuple):

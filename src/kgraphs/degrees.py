@@ -13,9 +13,6 @@ import math
 
 from .errors import InputFormatError
 
-Degree = tuple  # N^k, plain tuple of ints
-GroupElement = tuple  # Z^k
-
 
 def zero(k):
     return (0,) * k
@@ -88,8 +85,8 @@ def degrees_below(n):
     return box(zero(len(n)), n)
 
 
-def parse_degree(text, k, allow_negative=False):
-    """Parse a comma-separated degree literal like "1,0"."""
+def parse_degree(text, k):
+    """Parse a comma-separated degree literal like "1,0" into N^k."""
     parts = text.split(",")
     if len(parts) != k:
         raise InputFormatError(f"degree literal {text!r} has {len(parts)} "
@@ -98,13 +95,9 @@ def parse_degree(text, k, allow_negative=False):
         vec = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise InputFormatError(f"bad degree literal {text!r}") from exc
-    if not allow_negative and not is_nonneg(vec):
+    if not is_nonneg(vec):
         raise InputFormatError(f"degree literal {text!r} must be nonnegative")
     return vec
-
-
-def format_degree(m):
-    return ",".join(str(a) for a in m)
 
 
 def rho_power(rho, m):

@@ -91,20 +91,34 @@ class KGraph:
     """Immutable rank-k graph.  Mutating after construction is unsupported."""
 
     def __init__(self, k, vertices, edges, squares):
-        if not isinstance(k, int) or k < 1:
+        # types first: sorting mixed types raises TypeError, and
+        # type(x) is int refuses bools
+        if type(k) is not int or k < 1:
             raise InputFormatError("rank k must be a positive integer")
+        if not (isinstance(vertices, (list, tuple))
+                and all(isinstance(v, str) for v in vertices)):
+            raise InputFormatError("vertices must be a list of strings")
+        for e in edges:
+            if type(e.color) is not int or not all(
+                    isinstance(x, str) for x in (e.id, e.range, e.source)):
+                raise InputFormatError(f"edge {e.id!r}: color must be an int "
+                                       f"and the other fields strings")
+        for sq in squares:
+            if not all(isinstance(x, str)
+                       for x in (sq.blue, sq.red, sq.red2, sq.blue2)):
+                raise InputFormatError(f"square {sq}: fields must be strings")
         self.k = k
         self.vertices = tuple(sorted(vertices))
         self._vset = set(self.vertices)
         if len(self._vset) != len(self.vertices):
             raise InputFormatError("duplicate vertex ids")
         for v in self.vertices:
-            if not isinstance(v, str) or not v or PATH_SEP in v:
+            if not v or PATH_SEP in v:
                 raise InputFormatError(f"bad vertex id {v!r}")
         self.edges = tuple(sorted(edges, key=lambda e: e.id))
         self._edge = {}
         for e in self.edges:
-            if not isinstance(e.id, str) or not e.id or PATH_SEP in e.id:
+            if not e.id or PATH_SEP in e.id:
                 raise InputFormatError(f"bad edge id {e.id!r}")
             if e.id in self._edge or e.id in self._vset:
                 raise InputFormatError(f"duplicate id {e.id!r}")
@@ -345,9 +359,8 @@ class KGraph:
                     moved = True
         return seq
 
-    def _path_from_normal(self, seq, range_v=None, source_v=None):
-        if not seq:
-            return Path(dg.zero(self.k), (), range_v, source_v)
+    def _path_from_normal(self, seq):
+        """The path of a nonempty normal-form edge sequence."""
         deg = [0] * self.k
         for eid in seq:
             deg[self.color_of(eid) - 1] += 1
@@ -561,21 +574,6 @@ class KGraph:
                        for s in doc["squares"]]
         except (TypeError, KeyError) as exc:
             raise InputFormatError(f"malformed edge/square entry: {exc}") from exc
-        # type(x) is int refuses bools, which JSON true/false decode to
-        if type(doc["k"]) is not int:
-            raise InputFormatError("k must be an integer")
-        if not (isinstance(doc["vertices"], list)
-                and all(isinstance(v, str) for v in doc["vertices"])):
-            raise InputFormatError("vertices must be a list of strings")
-        for e in edges:
-            if type(e.color) is not int or not all(
-                    isinstance(x, str) for x in (e.id, e.range, e.source)):
-                raise InputFormatError(f"edge {e.id!r}: color must be an int "
-                                       f"and the other fields strings")
-        for sq in squares:
-            if not all(isinstance(x, str)
-                       for x in (sq.blue, sq.red, sq.red2, sq.blue2)):
-                raise InputFormatError(f"square {sq}: fields must be strings")
         return cls(doc["k"], doc["vertices"], edges, squares)
 
     @classmethod

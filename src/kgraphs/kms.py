@@ -69,11 +69,6 @@ class SpanTerm:
         return f"{self.mu.literal()}|{self.nu.literal()}"
 
 
-def _term_key(t):
-    return (t.mu.degree, t.nu.degree, t.mu.range, t.mu.edges,
-            t.nu.range, t.nu.edges)
-
-
 class AlgebraElement:
     """A finite linear combination of span terms over one graph.
 
@@ -178,10 +173,7 @@ class AlgebraElement:
     def exact(self):
         return all(isinstance(c, QQi) for c in self.terms.values())
 
-    def canonical_terms(self):
-        return sorted(self.terms.items(), key=lambda tc: _term_key(tc[0]))
-
-    def is_zero(self, tol=FLOAT_PRUNE):
+    def is_zero(self):
         """Whether the element is zero in the graph algebra.
 
         The span presentation is not faithful, so the terms of each grade
@@ -190,7 +182,8 @@ class AlgebraElement:
         s_{mu.lam} s*_{nu.lam}.  After that rewriting the surviving terms
         are linearly independent, so the element vanishes exactly when every
         refined coefficient does.  Needs a graph with no sources, which
-        strong connectivity guarantees.
+        strong connectivity guarantees.  Float coefficients count as zero
+        below FLOAT_PRUNE.
         """
         if not self.terms:
             return True
@@ -211,18 +204,20 @@ class AlgebraElement:
                     refined[key] = refined[key] + coeff \
                         if key in refined else coeff
             for value in refined.values():
-                if not is_zero(value, tol):
+                if not is_zero(value, FLOAT_PRUNE):
                     return False
         return True
 
-    def equals(self, other, tol=FLOAT_PRUNE):
-        return (self - other).is_zero(tol)
+    def equals(self, other):
+        return (self - other).is_zero()
 
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        bits = [f"{coeff!r}*[{term.literal()}]"
-                for term, coeff in self.canonical_terms()]
+        terms = sorted(self.terms.items(), key=lambda tc: (
+            tc[0].mu.degree, tc[0].nu.degree, tc[0].mu.range,
+            tc[0].mu.edges, tc[0].nu.range, tc[0].nu.edges))
+        bits = [f"{coeff!r}*[{term.literal()}]" for term, coeff in terms]
         return "<" + " + ".join(bits) + ">"
 
 
@@ -358,14 +353,6 @@ def parse_state(text):
                            f"'haar' or 'z=<turns>'")
 
 
-@dataclass(frozen=True)
-class PhaseQuery:
-    """An inverse temperature and the per-color dynamics exponents."""
-
-    beta: object
-    r: tuple
-
-
 # ----------------------------------------------------------------------
 # reports
 
@@ -424,7 +411,7 @@ class PhaseReport:
 class KMSStates:
     """Equilibrium-state evaluation for one strongly connected graph.
 
-    Bundles the graph with its Perron data, the cylinder measure, and
+    Bundles the graph with the cylinder measure of its Perron data and
     (optionally) a precomputed periodicity group; caches the periodicity
     decisions and shift-agreement bijections that the state formulas need.
     """
@@ -433,7 +420,6 @@ class KMSStates:
                  cap=ENUM_CAP):
         graph.require_strongly_connected()
         self.graph = graph
-        self.perron = perron
         self.measure = measure if measure is not None \
             else CylinderMeasure(graph, perron)
         self.group = group
@@ -924,19 +910,18 @@ class KMSStates:
             "search_bound": self.group.search_bound,
         }
 
-    def toeplitz_kms_exists(self, query, tol=TOEPLITZ_TOL):
+    def toeplitz_kms_exists(self, beta, r, tol=TOEPLITZ_TOL):
         """Existence of an equilibrium state on the Toeplitz extension for
-        the dynamics scaled by r: one exists at inverse temperature beta
-        exactly when beta * r_i >= ln rho_i in every color, and it factors
-        through the graph algebra exactly when equality holds throughout."""
+        the dynamics scaled by the per-color numbers r: one exists at
+        inverse temperature beta exactly when beta * r_i >= ln rho_i in
+        every color, and it factors through the graph algebra exactly when
+        equality holds throughout (within tol)."""
         check_tol(tol)
-        if not isinstance(query, PhaseQuery):
-            query = PhaseQuery(beta=query[0], r=tuple(query[1]))
-        r = tuple(float(v) for v in query.r)
+        r = tuple(float(v) for v in r)
         if len(r) != self.graph.k:
             raise InputFormatError(f"r has {len(r)} entries for a "
                                    f"{self.graph.k}-color graph")
-        beta = float(query.beta)
+        beta = float(beta)
         gaps = tuple(beta * ri - math.log(float(rho_i))
                      for ri, rho_i in zip(r, self.measure.rho))
         exists = all(gap >= -tol for gap in gaps)
@@ -988,33 +973,21 @@ class KMSStates:
     def states_equal(self, sa, sb, tol=KMS_TOL):
         """Whether two state specifications induce the same state.
 
-        Two characters agree exactly when their ratio is trivial on the
-        periodicity group, which it is enough to test on a basis.  The
-        averaging state equals a character only when the group is trivial
-        (where all specifications collapse to the same state).  Mixtures
-        are compared by their psi values on the basis-generated box, which
-        decides every case arising here.
+        A state at the critical inverse temperature is fixed by its psi on
+        the periodicity group, so the two psi are compared, within tol, on
+        the multiples t b of each basis vector b with |t| <= search_bound.
+        That decides every kind: a character never vanishes while the
+        averaging state vanishes off 0, and on the trivial group (no basis)
+        every specification gives the same state.
         """
         check_tol(tol)
         if self.group is None:
             raise InputFormatError("state comparison needs a computed "
                                    "periodicity group")
-        if self.group.rank == 0:
-            return True
-        basis = self.group.basis
-        if sa.kind == sb.kind == "character" or "mixture" in (sa.kind,
-                                                              sb.kind):
-            probes = list(basis)
-            if "mixture" in (sa.kind, sb.kind):
-                probes = [dg.scale(t, b) for b in basis
-                          for t in range(-self.group.search_bound,
-                                         self.group.search_bound + 1)]
-            return all(is_zero(sa.psi(gv) - sb.psi(gv), tol)
-                       for gv in probes)
-        if sa.kind == sb.kind == "haar":
-            return True
-        char = sa if sa.kind == "character" else sb
-        return all(is_zero(char.psi(b), tol) for b in basis)
+        bound = self.group.search_bound
+        return all(is_zero(sa.psi(gv) - sb.psi(gv), tol)
+                   for gv in (dg.scale(t, b) for b in self.group.basis
+                              for t in range(-bound, bound + 1)))
 
 
 class _BoxIndex:

@@ -33,16 +33,12 @@ class CylinderMeasure:
             raise InputFormatError("Perron data does not index this graph's "
                                    "vertices")
         self.graph = graph
-        self.perron = pd
         self.exact = pd.exact
         self.rho = pd.rho_values()
         self.x = dict(zip(pd.labels, pd.x_values()))
         self.zero, self.one = ((Fraction(0), Fraction(1)) if self.exact
                                else (0.0, 1.0))
         self._masses = {}   # (degree, source) -> mass
-
-    def vertex_mass(self, v):
-        return self.x[v]
 
     def mass(self, path):
         """M(Z(path)) = rho^{-d} * x at the source."""
@@ -122,13 +118,6 @@ def _extend_level(cm, m, n, l, survivors, cap):
     return nxt
 
 
-def _shift_agreement_survivors(cm, m, n, level, initial, cap):
-    survivors = list(initial)
-    for l in range(1, level + 1):
-        survivors = _extend_level(cm, m, n, l, survivors, cap)
-    return survivors
-
-
 def periodicity_mass_profile(cm, m, n, max_level, cap=ENUM_CAP):
     """Outer-bound masses of {sigma^m = sigma^n} at levels 0..max_level.
 
@@ -173,9 +162,10 @@ def agreement_mass(cm, mu, nu, level, group=None, cap=ENUM_CAP):
         matched = th(mu) == nu
         if matched:
             closed = cm.mass(mu)
-    initial = [g.compose(mu, a) for a, _ in g.lambda_min(mu, nu)]
-    survivors = _shift_agreement_survivors(cm, mu.degree, nu.degree, level,
-                                           initial, cap)
+    survivors = [g.compose(mu, a) for a, _ in g.lambda_min(mu, nu)]
+    for l in range(1, level + 1):
+        survivors = _extend_level(cm, mu.degree, nu.degree, l, survivors,
+                                  cap)
     bound = sum((cm.mass(p) for p in survivors), cm.zero)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
@@ -219,7 +209,7 @@ def find_decay_witness(cm, gvec, a_max=6, cap=ENUM_CAP):
                 break
             tails[v] = pick
         else:
-            K = max(cm.one - cm.mass(tails[v]) / cm.vertex_mass(v)
+            K = max(cm.one - cm.mass(tails[v]) / cm.x[v]
                     for v in g.vertices)
             return DecayWitness(g=gvec, a=a, tails=tails, K=K)
     raise WitnessSearchError(
@@ -276,8 +266,7 @@ def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
         bounds.append(kpow * base)
         kpow = kpow * witness.K
     slack = 0 if cm.exact else FLOAT_SLACK
-    passed = all(float(mj) <= float(b) + slack
-                 for mj, b in zip(masses, bounds))
+    passed = all(mj <= b + slack for mj, b in zip(masses, bounds))
     return DecayReport(g=witness.g, a=witness.a, K=witness.K,
                        masses=tuple(masses), bounds=tuple(bounds),
                        exact=cm.exact, passed=passed)

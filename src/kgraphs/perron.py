@@ -2,10 +2,11 @@
 
 For an irreducible family (some box sum A_F = sum_{n in F} A^n entrywise
 positive) there is a unique entrywise-positive x with 1-norm 1 satisfying
-A_i x = rho_i x for all i; the vector is found by power iteration on A_F and
-the rho_i recovered as Rayleigh ratios.  When rho and x are rational they are
-reconstructed exactly (Fraction arithmetic, verified), so downstream measure
-computations can stay exact.
+A_i x = rho_i x for all i.  perron_data(fam) finds the smallest box
+F = {0..N}^k with N < the matrix size and A_F positive, runs power iteration
+on A_F to POWER_TOL, and recovers the rho_i as Rayleigh ratios.  When rho and
+x are rational they are reconstructed exactly (Fraction arithmetic,
+verified), so downstream measure computations can stay exact.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .scalars import solve_exact
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10 ** 6
 RAYLEIGH_REL_TOL = 1e-8
+SUBINVARIANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,14 @@ class MatrixFamily:
     def size(self):
         return len(self.labels)
 
-    def check_commuting(self, tol=0):
-        """True iff all pairs commute: exactly for int/Fraction entries, or
-        within tol when entries are floats."""
+    def check_commuting(self):
+        """True iff all pairs commute, compared exactly (the entries are
+        ints or Fractions)."""
         for i in range(self.k):
             for j in range(i + 1, self.k):
-                ab = mat_mul(self.matrices[i], self.matrices[j])
-                ba = mat_mul(self.matrices[j], self.matrices[i])
-                for ra, rb in zip(ab, ba):
-                    for a, b in zip(ra, rb):
-                        if abs(a - b) > tol:
-                            return False
+                if mat_mul(self.matrices[i], self.matrices[j]) != \
+                        mat_mul(self.matrices[j], self.matrices[i]):
+                    return False
         return True
 
     def power(self, n):
@@ -98,7 +97,6 @@ class PerronData:
     x_exact: tuple        # Fractions, or None
     F: tuple              # degrees with A_F positive
     F_bound: int
-    tol: float
 
     @property
     def exact(self):
@@ -123,22 +121,20 @@ def identity(n):
                  for i in range(n))
 
 
-def find_positive_F(fam, bound=None):
-    """Smallest N <= bound with sum_{0 <= n <= N*1} A^n entrywise positive,
-    returned as (N, F, A_F); None if no N within the bound works."""
-    if bound is None:
-        bound = max(fam.size - 1, 0)
-    for N in range(bound + 1):
+def find_positive_F(fam):
+    """Smallest N < max(size, 1) with sum_{0 <= n <= N*1} A^n entrywise
+    positive, returned as (N, F, A_F); None if no such N works."""
+    for N in range(max(fam.size, 1)):
         a_f, F = fam.box_sum(N)
         if all(entry > 0 for row in a_f for entry in row):
             return N, F, a_f
     return None
 
 
-def power_iteration(matrix, start=None, tol=POWER_TOL,
-                    max_iter=POWER_MAX_ITER):
-    """1-norm-normalized power iteration on an entrywise-positive matrix.
-    Deterministic: the default start is uniform."""
+def power_iteration(matrix, start=None, max_iter=POWER_MAX_ITER):
+    """1-norm-normalized power iteration on an entrywise-positive matrix,
+    run until no entry moves by POWER_TOL.  Deterministic: the default
+    start is uniform."""
     a = [[float(c) for c in row] for row in matrix]
     n = len(a)
     if start is None:
@@ -153,7 +149,7 @@ def power_iteration(matrix, start=None, tol=POWER_TOL,
         y = [sum(c * v for c, v in zip(row, x)) for row in a]
         total = sum(y)
         y = [v / total for v in y]
-        if max(abs(s - t) for s, t in zip(y, x)) < tol:
+        if max(abs(s - t) for s, t in zip(y, x)) < POWER_TOL:
             return tuple(y)
         x = y
     raise ConvergenceError(
@@ -214,21 +210,21 @@ def _reconstruct_exact(fam, rho):
     return tuple(cand), tuple(sol)
 
 
-def perron_data(fam, bound=None, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
+def perron_data(fam):
     """The unimodular Perron eigenvector and spectral radii of the family."""
-    found = find_positive_F(fam, bound)
+    found = find_positive_F(fam)
     if found is None:
         raise NotIrreducibleError(
             "no box sum of powers is entrywise positive within the bound; "
             "family is not irreducible")
     N, F, a_f = found
-    x = power_iteration(a_f, tol=tol, max_iter=max_iter)
+    x = power_iteration(a_f)
     rho = _rayleigh(fam, x)
     exact = _reconstruct_exact(fam, rho)
     rho_exact, x_exact = exact if exact else (None, None)
     return PerronData(labels=fam.labels, rho=rho, x=x,
                       rho_exact=rho_exact, x_exact=x_exact,
-                      F=F, F_bound=N, tol=tol)
+                      F=F, F_bound=N)
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ class SubinvarianceReport:
     equals_eigenvector: bool  # None unless lambda = rho and |y|_1 = 1
 
 
-def verify_subinvariance(fam, y, lam, pd=None, tol=1e-9):
+def verify_subinvariance(fam, y, lam, pd):
     """Check A_i y <= lam_i y and report the structural consequences: a
     nonzero nonnegative subinvariant y must be strictly positive with every
     lam_i >= rho_i, and when lam = rho and |y|_1 = 1 it must equal the
@@ -249,10 +245,8 @@ def verify_subinvariance(fam, y, lam, pd=None, tol=1e-9):
         raise InputFormatError("vector/lambda shapes do not match the family")
     if any(v < 0 for v in y) or not any(v > 0 for v in y):
         raise InputFormatError("y must be nonnegative and nonzero")
-    if pd is None:
-        pd = perron_data(fam)
     exact_in = all(isinstance(v, (int, Fraction)) for v in list(y) + list(lam))
-    slack = 0 if exact_in else tol
+    slack = 0 if exact_in else SUBINVARIANCE_TOL
     violations = []
     for i in range(fam.k):
         for r in range(fam.size):
@@ -263,11 +257,13 @@ def verify_subinvariance(fam, y, lam, pd=None, tol=1e-9):
                                    float(rhs)))
     subinvariant = not violations
     y_positive = all(v > 0 for v in y)
-    lam_dom = all(float(l) >= pd.rho[i] - tol for i, l in enumerate(lam))
+    lam_dom = all(float(l) >= rho - SUBINVARIANCE_TOL
+                  for l, rho in zip(lam, pd.rho))
     equals = None
     norm = sum(float(v) for v in y)
-    if subinvariant and abs(norm - 1.0) <= tol and \
-            all(abs(float(l) - pd.rho[i]) <= tol for i, l in enumerate(lam)):
+    if subinvariant and abs(norm - 1.0) <= SUBINVARIANCE_TOL and \
+            all(abs(float(l) - rho) <= SUBINVARIANCE_TOL
+                for l, rho in zip(lam, pd.rho)):
         equals = all(abs(float(y[r]) - pd.x[r]) <= 1e-8
                      for r in range(fam.size))
     return SubinvarianceReport(subinvariant=subinvariant,
@@ -288,25 +284,15 @@ class SpectralCheckReport:
     box_error: float
 
 
-def spectral_radius_power_check(fam, n, oracle, pd=None):
+def spectral_radius_power_check(fam, n, oracle, pd):
     """Compare an independent spectral-radius oracle against the product and
     box-sum predictions rho(A^n) = prod rho_i^{n_i} and
     rho(A_F) = sum_{m in F} prod rho_i^{m_i}."""
-    if pd is None:
-        pd = perron_data(fam)
-    a_n = fam.power(n)
-    got_power = float(oracle(a_n))
-    want_power = 1.0
-    for r, e in zip(pd.rho, n):
-        want_power *= r ** e
+    got_power = float(oracle(fam.power(n)))
+    want_power = dg.rho_power(pd.rho, n)
     a_f, _ = fam.box_sum(pd.F_bound)
     got_box = float(oracle(a_f))
-    want_box = 0.0
-    for m in pd.F:
-        term = 1.0
-        for r, e in zip(pd.rho, m):
-            term *= r ** e
-        want_box += term
+    want_box = sum(dg.rho_power(pd.rho, m) for m in pd.F)
     return SpectralCheckReport(
         n=tuple(n),
         oracle_power=got_power, predicted_power=want_power,

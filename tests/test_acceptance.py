@@ -64,7 +64,7 @@ def test_criterion_02_spectral_radius_oracle(graphs, perron):
         fam = MatrixFamily.from_graph(graphs[name])
         pd = perron[name]
         for n in dg.degrees_below((2,) * fam.k):
-            rep = spectral_radius_power_check(fam, n, srad, pd=pd)
+            rep = spectral_radius_power_check(fam, n, srad, pd)
             assert rep.power_error <= 1e-9, (name, n, rep.power_error)
             assert rep.box_error <= 1e-9, (name, n, rep.box_error)
     ok(2, "eigenvalue oracle matches rho products on powers and the "

@@ -285,6 +285,15 @@ def test_periodicity_search_box_is_capped(capsys, b2_file):
     assert err.startswith("kgraph: bound exceeded")
 
 
+def test_gen_single_vertex_is_capped(capsys):
+    # 2,001 loops and 1,001,000 flip squares: refused before any is built
+    code = main(["gen", "single-vertex", "--loops", "1001,1000"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kgraph: bound exceeded")
+
+
 def test_kms_support_is_capped(capsys, b2_file):
     # b2 at box (2,): the honest support has 93 keys, the theta-blind 299
     argv = ["kms", "check", b2_file, "--state", "haar", "--max-degree", "2",

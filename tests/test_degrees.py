@@ -53,8 +53,6 @@ def test_box_is_lex_sorted_and_complete():
 
 def test_parse_and_format():
     assert dg.parse_degree("1,0", 2) == (1, 0)
-    assert dg.parse_degree("-1,2", 2, allow_negative=True) == (-1, 2)
-    assert dg.format_degree((1, 0)) == "1,0"
     with pytest.raises(InputFormatError):
         dg.parse_degree("1", 2)
     with pytest.raises(InputFormatError):

@@ -10,7 +10,7 @@ from kgraphs.builders import make_single_vertex
 from kgraphs.errors import (CompositionError, EnumerationCapError,
                             GraphValidationError, InputFormatError,
                             SegmentRangeError)
-from kgraphs.graphs import KGraph
+from kgraphs.graphs import Edge, KGraph
 
 
 def test_validate_fixtures(graphs):
@@ -183,6 +183,19 @@ def test_from_json_rejects_garbage(b2g, pb2g):
         target[key] = value
         with pytest.raises(InputFormatError):
             KGraph.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("args", [
+    (1, ["a", 1], [], []),
+    (1, ["v"], [Edge("e", 1, "v", "v"), Edge(2, 1, "v", "v")], []),
+    (True, ["v"], [Edge("e", 1, "v", "v")], []),
+    (1, "uv", [], []),
+    (1, ["v"], [Edge("e", True, "v", "v")], []),
+])
+def test_constructor_checks_types(args):
+    # each once raised TypeError from a sort or was read as something else
+    with pytest.raises(InputFormatError):
+        KGraph(*args)
 
 
 def test_enumeration_cap(b2g):

@@ -10,8 +10,8 @@ import pytest
 from kgraphs import degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
-from kgraphs.kms import (AlgebraElement, KMSStates, PhaseQuery, SpanTerm,
-                         StateSpec, _BoxIndex, parse_state)
+from kgraphs.kms import (AlgebraElement, KMSStates, SpanTerm, StateSpec,
+                         _BoxIndex, parse_state)
 from kgraphs.scalars import QQi
 
 F = Fraction
@@ -246,7 +246,7 @@ def test_bad_tol_is_refused(states, tol):
     with pytest.raises(InputFormatError):
         st.states_equal(haar, haar, tol=tol)
     with pytest.raises(InputFormatError):
-        st.toeplitz_kms_exists(PhaseQuery(beta=1, r=(1,)), tol=tol)
+        st.toeplitz_kms_exists(1, (1,), tol=tol)
 
 
 def test_negative_degree_box_is_refused(states):
@@ -299,12 +299,12 @@ def test_states_equal(states):
 
 def test_toeplitz_existence(states):
     st = states["b2"]
-    rep = st.toeplitz_kms_exists((1, (math.log(2),)))
+    rep = st.toeplitz_kms_exists(1, (math.log(2),))
     assert rep.exists and rep.factors_through_quotient
-    rep = st.toeplitz_kms_exists((0.5, (math.log(2),)))
+    rep = st.toeplitz_kms_exists(0.5, (math.log(2),))
     assert not rep.exists
     prod = states["product-b2-c2"]
-    rep = prod.toeplitz_kms_exists((2, (math.log(2), 0)))
+    rep = prod.toeplitz_kms_exists(2, (math.log(2), 0))
     assert rep.exists and not rep.factors_through_quotient
 
 

@@ -1,6 +1,7 @@
 """The shift-invariant measure on the infinite-path space."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,18 @@ def test_decay_check_b2(measures, b2g):
     assert rep.passed and rep.exact
     assert rep.masses == (F(1, 2), F(1, 8), F(1, 32), F(1, 128))
     assert rep.bounds == (F(1, 2), F(3, 8), F(9, 32), F(27, 128))
+
+
+def test_decay_check_compares_exact_masses_exactly(measures, b2g):
+    # K a hair below m_1 / M(Z(e1)) puts m_1 above its bound by 10^-30,
+    # which floats cannot see
+    cm = measures["b2"]
+    mu = b2g.parse_path("e1")
+    w = find_decay_witness(cm, (1,))
+    w = replace(w, K=(F(1, 8) - F(1, 10 ** 30)) / cm.mass(mu))
+    rep = decay_check(cm, w, mu, b2g.vertex_path("v"), 1)
+    assert rep.masses[1] > rep.bounds[1]
+    assert not rep.passed
 
 
 def _shared_masses(cm, witness, mu, nu, j_max):

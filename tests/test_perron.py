@@ -112,8 +112,7 @@ def numpy_power_iteration(matrix, tol=POWER_TOL):
 
 def test_power_iteration_matches_numpy_on_fixtures(graphs, perron):
     for name, g in graphs.items():
-        _, _, a_f = find_positive_F(MatrixFamily.from_graph(g),
-                                    bound=perron[name].F_bound)
+        _, _, a_f = find_positive_F(MatrixFamily.from_graph(g))
         want = numpy_power_iteration(a_f)
         assert power_iteration(a_f) == want == perron[name].x, name
 
@@ -155,9 +154,10 @@ def test_positive_block(graphs, perron):
     for name, g in graphs.items():
         fam = MatrixFamily.from_graph(g)
         pd = perron[name]
-        found = find_positive_F(fam, bound=pd.F_bound)
+        found = find_positive_F(fam)
         assert found is not None
-        _, F, a_f = found[0], found[1], found[2]
+        N, F, a_f = found
+        assert N == pd.F_bound
         assert tuple(F) == tuple(pd.F)
         assert all(entry > 0 for row in a_f for entry in row)
 
@@ -167,7 +167,7 @@ def test_spectral_power_checks(graphs, perron):
         fam = MatrixFamily.from_graph(g)
         pd = perron[name]
         for n in dg.degrees_below((2,) * fam.k):
-            rep = spectral_radius_power_check(fam, n, srad, pd=pd)
+            rep = spectral_radius_power_check(fam, n, srad, pd)
             assert rep.power_error <= 1e-9
             assert rep.box_error <= 1e-9
 
@@ -185,7 +185,7 @@ def test_subinvariance_randomized(graphs, perron):
                 worst = max(sum(mat[r][c] * y[c] for c in range(fam.size))
                             / y[r] for r in range(fam.size))
                 lam.append(worst * (1 + rng.uniform(0, 0.5)))
-            rep = verify_subinvariance(fam, y, lam, pd=pd)
+            rep = verify_subinvariance(fam, y, lam, pd)
             assert rep.subinvariant
             assert rep.y_positive
             assert rep.lambda_dominates_rho
@@ -194,21 +194,20 @@ def test_subinvariance_randomized(graphs, perron):
             y = [rng.uniform(0.2, 1.0) for _ in range(fam.size)]
             lam = [pd.rho[i] * rng.uniform(0.01, 0.5)
                    for i in range(fam.k)]
-            rep = verify_subinvariance(fam, y, lam, pd=pd)
+            rep = verify_subinvariance(fam, y, lam, pd)
             assert not rep.subinvariant or rep.lambda_dominates_rho
 
 
 def test_subinvariant_eigenvector_detection(graphs, perron):
     pd = perron["product-b2-c2"]
     fam = fam_of(graphs, "product-b2-c2")
-    rep = verify_subinvariance(fam, list(pd.x_exact), list(pd.rho_exact),
-                               pd=pd)
+    rep = verify_subinvariance(fam, list(pd.x_exact), list(pd.rho_exact), pd)
     assert rep.subinvariant and rep.equals_eigenvector
 
 
-def test_input_validation(graphs):
-    fam = fam_of(graphs, "fib")
+def test_input_validation(graphs, perron):
+    fam, pd = fam_of(graphs, "fib"), perron["fib"]
     with pytest.raises(InputFormatError):
-        verify_subinvariance(fam, [1.0], [2.0])
+        verify_subinvariance(fam, [1.0], [2.0], pd)
     with pytest.raises(InputFormatError):
-        verify_subinvariance(fam, [0, 0], [2.0])
+        verify_subinvariance(fam, [0, 0], [2.0], pd)
