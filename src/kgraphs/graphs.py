@@ -4,8 +4,9 @@ A graph of rank k is given by vertices, edges colored 1..k, and for each color
 pair i < j a square table identifying each composable pair (e of color i, f of
 color j) with its unique refactorization (f' of color j, e' of color i), so
 that e.f = f'.e' as morphisms.  Paths are kept in color-ordered normal form
-(all color-1 edges first, then color-2, ...); composition and factorization
-move edges across squares one adjacent transposition at a time.
+(all color-1 edges first, then color-2, ...).  Each path operation is one
+pass over a list of edge ids through two flat square dicts: composition is an
+insertion merge, factorization carries each head edge left past the tail.
 
 Validation checks that the square tables are total bijections with matched
 endpoints and, for rank >= 3, that the two ways of reversing a tricolored
@@ -128,6 +129,7 @@ class KGraph:
             if e.range not in self._vset or e.source not in self._vset:
                 raise InputFormatError(f"edge {e.id}: unknown endpoint")
             self._edge[e.id] = e
+        self._color = {e.id: e.color for e in self.edges}
         self.squares = tuple(sorted(squares, key=lambda s: (s.blue, s.red)))
         for sq in self.squares:
             for eid in (sq.blue, sq.red, sq.red2, sq.blue2):
@@ -142,8 +144,8 @@ class KGraph:
             self._by_range.setdefault((e.color, e.range), []).append(e.id)
         for key in self._by_range:
             self._by_range[key] = tuple(sorted(self._by_range[key]))
-        self._fwd = {}   # (i, j) -> {(blue, red): (red2, blue2)}
-        self._inv = {}   # (i, j) -> {(red2, blue2): (blue, red)}
+        self._fwd = {}   # (blue, red) -> (red2, blue2), all color pairs
+        self._inv = {}   # (red2, blue2) -> (blue, red)
         self._report = None
         self._path_cache = {}       # degree -> tuple[Path]
         self._paths_by_range = {}   # degree -> {vertex: tuple[Path]}
@@ -174,8 +176,6 @@ class KGraph:
         if self._report is not None:
             return self._report
         square_failures = []
-        fwd = {}
-        inv = {}
         buckets = {}
         for sq in self.squares:
             b, r = self.edge(sq.blue), self.edge(sq.red)
@@ -238,8 +238,8 @@ class KGraph:
                     square_failures.append(
                         f"squares miss reversed pair {val} "
                         f"for colors ({i},{j})")
-                self._fwd[(i, j)] = table
-                self._inv[(i, j)] = values
+                self._fwd.update(table)
+                self._inv.update(values)
         cubical_failures = []
         cubical_checked = False
         if self.k >= 3 and not square_failures:
@@ -278,10 +278,7 @@ class KGraph:
         def fwd_swap(seq, t):
             # seq[t], seq[t+1] is an ascending color pair; push the higher
             # color left through its square.
-            e, f = seq[t], seq[t + 1]
-            ci, cj = self.color_of(e), self.color_of(f)
-            r2, b2 = self._fwd[(ci, cj)][(e, f)]
-            return seq[:t] + [r2, b2] + seq[t + 2:]
+            return seq[:t] + list(self._fwd[seq[t], seq[t + 1]]) + seq[t + 2:]
 
         for i in range(1, self.k + 1):
             for j in range(i + 1, self.k + 1):
@@ -341,31 +338,24 @@ class KGraph:
     # ------------------------------------------------------------------
     # path machinery
 
-    def _normalize(self, seq):
-        """Sort a composable edge sequence into ascending color order by
-        rewriting descending adjacent pairs through inverse squares."""
+    def _normalize(self, seq, start):
+        """Sort a composable edge sequence whose first `start` edges are in
+        normal form: an insertion merge that carries each later edge left,
+        through inverse squares, past the higher-colored edges before it."""
         seq = list(seq)
-        n = len(seq)
-        moved = True
-        while moved:
-            moved = False
-            for t in range(n - 1):
-                ci = self.color_of(seq[t])
-                cj = self.color_of(seq[t + 1])
-                if ci > cj:
-                    # (seq[t], seq[t+1]) equals some (red2, blue2); replace
-                    # with the square's (blue, red).
-                    seq[t], seq[t + 1] = self._inv[(cj, ci)][(seq[t], seq[t + 1])]
-                    moved = True
+        color, inv = self._color, self._inv
+        for t in range(start, len(seq)):
+            c = color[seq[t]]
+            j = t
+            while j and color[seq[j - 1]] > c:
+                seq[j - 1], seq[j] = inv[seq[j - 1], seq[j]]
+                j -= 1
         return seq
 
-    def _path_from_normal(self, seq):
-        """The path of a nonempty normal-form edge sequence."""
-        deg = [0] * self.k
-        for eid in seq:
-            deg[self.color_of(eid) - 1] += 1
-        return Path(tuple(deg), tuple(seq),
-                    self.edge(seq[0]).range, self.edge(seq[-1]).source)
+    def _path_from_normal(self, seq, deg):
+        """The degree-deg path of a nonempty normal-form edge sequence."""
+        return Path(deg, tuple(seq), self._edge[seq[0]].range,
+                    self._edge[seq[-1]].source)
 
     def path_from_edges(self, edge_ids):
         """Build a path from a composable edge-id sequence (any color order);
@@ -379,7 +369,9 @@ class KGraph:
             if self.edge(a).source != self.edge(b).range:
                 raise CompositionError(
                     f"edges {a!r} and {b!r} are not composable")
-        return self._path_from_normal(self._normalize(ids))
+        deg = tuple(sum(self.edge(e).color == i for e in ids)
+                    for i in range(1, self.k + 1))
+        return self._path_from_normal(self._normalize(ids, 1), deg)
 
     def parse_path(self, literal):
         """Parse a path literal: a vertex id, or edge ids joined by '.'."""
@@ -403,21 +395,28 @@ class KGraph:
         if nu.is_vertex:
             return mu
         self.require_valid()
-        seq = self._normalize(list(mu.edges) + list(nu.edges))
-        return self._path_from_normal(seq)
+        seq = self._normalize(mu.edges + nu.edges, len(mu.edges))
+        return self._path_from_normal(seq, dg.add(mu.degree, nu.degree))
 
-    def _split_first(self, seq, color):
-        """Factor a normal-form sequence as (edge of `color`) . remainder,
-        returning (edge_id, remainder_seq)."""
-        t = next(i for i, eid in enumerate(seq)
-                 if self.color_of(eid) == color)
+    def _take(self, seq, m):
+        """Split a normal-form sequence into head and tail lists, d(head) = m,
+        in one pass: the first m_i edges of each color are carried left
+        through squares past the (lower-colored) tail edges before them."""
         seq = list(seq)
-        for j in range(t, 0, -1):
-            blue, red = seq[j - 1], seq[j]
-            cb = self.color_of(blue)
-            r2, b2 = self._fwd[(cb, color)][(blue, red)]
-            seq[j - 1], seq[j] = r2, b2
-        return seq[0], seq[1:]
+        color, fwd = self._color, self._fwd
+        need = list(m)
+        left = sum(need)
+        h = t = 0   # head length, scan position
+        while left:
+            c = color[seq[t]] - 1
+            if need[c]:
+                need[c] -= 1
+                left -= 1
+                for j in range(t, h, -1):
+                    seq[j - 1], seq[j] = fwd[seq[j - 1], seq[j]]
+                h += 1
+            t += 1
+        return seq[:h], seq[h:]
 
     def factorize(self, path, m):
         """The unique factorization path = head . tail with d(head) = m."""
@@ -425,30 +424,26 @@ class KGraph:
             raise SegmentRangeError(
                 f"degree {m} not between 0 and {path.degree}")
         self.require_valid()
-        seq = list(path.edges)
-        collected = []
-        for color in range(1, self.k + 1):
-            for _ in range(m[color - 1]):
-                eid, seq = self._split_first(seq, color)
-                collected.append(eid)
-        if collected:
-            head = self._path_from_normal(collected)
-        else:
-            head = self.vertex_path(path.range)
-        if seq:
-            tail = self._path_from_normal(seq)
-        else:
-            tail = self.vertex_path(head.source)
-        return head, tail
+        head, tail = self._take(path.edges, m)
+        mid = self.vertex_path(self._edge[tail[0]].range if tail
+                               else path.source)
+        return (self._path_from_normal(head, tuple(m)) if head else mid,
+                self._path_from_normal(tail, dg.sub(path.degree, m))
+                if tail else mid)
 
     def segment(self, path, m, n):
-        """The subpath path(m, n) of degree n - m."""
+        """The subpath path(m, n) of degree n - m: one _take drops the
+        degree-m head, a second keeps the degree-(n - m) head of the rest."""
         if not (dg.is_nonneg(m) and dg.leq(m, n) and dg.leq(n, path.degree)):
             raise SegmentRangeError(
                 f"need 0 <= {m} <= {n} <= {path.degree}")
-        _, rest = self.factorize(path, m)
-        seg, _ = self.factorize(rest, dg.sub(n, m))
-        return seg
+        self.require_valid()
+        _, rest = self._take(path.edges, m)
+        seg, _ = self._take(rest, dg.sub(n, m))
+        if seg:
+            return self._path_from_normal(seg, dg.sub(n, m))
+        return self.vertex_path(self._edge[rest[0]].range if rest
+                                else path.source)
 
     # ------------------------------------------------------------------
     # enumeration
@@ -490,15 +485,14 @@ class KGraph:
         # Append one edge of the highest used color at the source end; the
         # result is already in normal form, and by uniqueness of the
         # degree-(n - e_i) | e_i factorization each path arises exactly once.
+        # Stems come sorted by (range, edges) and edge ids sorted, so the
+        # paths come out in that canonical order.
         color = max(i + 1 for i, c in enumerate(n) if c > 0)
         stem_deg = dg.sub(n, dg.unit(self.k, color))
-        out = []
-        for stem in self.paths_of_degree(stem_deg, cap=None):
-            for eid in self._by_range.get((color, stem.source), ()):
-                e = self.edge(eid)
-                out.append(Path(n, stem.edges + (eid,), stem.range, e.source))
-        out.sort(key=lambda p: (p.range, p.edges))
-        return tuple(out)
+        return tuple(Path(n, stem.edges + (eid,), stem.range,
+                          self._edge[eid].source)
+                     for stem in self.paths_of_degree(stem_deg, cap=None)
+                     for eid in self._by_range.get((color, stem.source), ()))
 
     def lambda_min(self, mu, nu):
         """All (alpha, beta) with mu.alpha = nu.beta of degree d(mu) v d(nu),
@@ -507,12 +501,14 @@ class KGraph:
         if mu.range != nu.range:
             return []
         jn = dg.join(mu.degree, nu.degree)
-        table = {}
+        table = {}   # compose(mu, a).edges -> a, with no Path built
+        start = len(mu.edges)
         for a in self.paths_of_degree(dg.sub(jn, mu.degree), range=mu.source):
-            table[self.compose(mu, a).edges] = a
+            table[tuple(self._normalize(mu.edges + a.edges, start))] = a
         out = []
+        start = len(nu.edges)
         for b in self.paths_of_degree(dg.sub(jn, nu.degree), range=nu.source):
-            a = table.get(self.compose(nu, b).edges)
+            a = table.get(tuple(self._normalize(nu.edges + b.edges, start)))
             if a is not None:
                 out.append((a, b))
         out.sort(key=lambda ab: (ab[0].edges, ab[1].edges))

@@ -5,12 +5,19 @@ session-scoped so the suite builds each object once.
 """
 
 import pytest
+from hypothesis import settings
 
 from kgraphs import builders
 from kgraphs.kms import KMSStates
 from kgraphs.measure import CylinderMeasure
 from kgraphs.periodicity import periodicity_group
 from kgraphs.perron import MatrixFamily, perron_data
+
+# Derandomized: every @given test draws the same examples on every run, and
+# no example database or wall-clock deadline can change the outcome.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
 
 NAMES = ("b2", "fib", "pullback-b2", "product-b2-c2")
 

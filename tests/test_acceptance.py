@@ -12,11 +12,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from kgraphs import builders
 from kgraphs import degrees as dg
-from kgraphs.kms import KMSStates, StateSpec
+from kgraphs.kms import StateSpec
 from kgraphs.measure import (consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
 from kgraphs.periodicity import periodicity_group, theta

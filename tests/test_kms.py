@@ -10,8 +10,8 @@ import pytest
 from kgraphs import degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
-from kgraphs.kms import (AlgebraElement, KMSStates, SpanTerm, StateSpec,
-                         _BoxIndex, parse_state)
+from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
+                         parse_state)
 from kgraphs.scalars import QQi
 
 F = Fraction

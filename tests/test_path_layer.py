@@ -1,0 +1,201 @@
+"""Differential test of the path layer against the code it replaced.
+
+`OldLayer` is a test-only copy of the transposition-at-a-time path layer:
+a bubble-sort normal form, `_split_first` moving one head edge at a time to
+the front, and `segment` as two factorizations.  KGraph's one-pass
+`compose`, `factorize`, `segment`, `path_from_edges` and `lambda_min` must
+give equal results on the four fixtures, on generated single-vertex
+2-graphs, on pullbacks of generated 1-graphs and at rank 3.  The
+factorization property is checked along the way: a factorization and the
+three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration must
+come out in canonical (range, edges) order.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from kgraphs import builders
+from kgraphs import degrees as dg
+from kgraphs.graphs import Path
+
+
+class OldLayer:
+    """The path operations as they were, on one graph's square table."""
+
+    def __init__(self, g):
+        self.g = g
+        self.fwd = {(s.blue, s.red): (s.red2, s.blue2) for s in g.squares}
+        self.inv = {v: key for key, v in self.fwd.items()}
+
+    def normalize(self, seq):
+        seq = list(seq)
+        moved = True
+        while moved:
+            moved = False
+            for t in range(len(seq) - 1):
+                if self.g.color_of(seq[t]) > self.g.color_of(seq[t + 1]):
+                    seq[t], seq[t + 1] = self.inv[(seq[t], seq[t + 1])]
+                    moved = True
+        return seq
+
+    def path(self, seq):
+        deg = [0] * self.g.k
+        for eid in seq:
+            deg[self.g.color_of(eid) - 1] += 1
+        return Path(tuple(deg), tuple(seq), self.g.edge(seq[0]).range,
+                    self.g.edge(seq[-1]).source)
+
+    def path_from_edges(self, ids):
+        return self.path(self.normalize(ids))
+
+    def compose(self, mu, nu):
+        assert mu.source == nu.range
+        if mu.is_vertex:
+            return nu
+        if nu.is_vertex:
+            return mu
+        return self.path(self.normalize(list(mu.edges) + list(nu.edges)))
+
+    def split_first(self, seq, color):
+        t = next(i for i, eid in enumerate(seq)
+                 if self.g.color_of(eid) == color)
+        seq = list(seq)
+        for j in range(t, 0, -1):
+            seq[j - 1], seq[j] = self.fwd[(seq[j - 1], seq[j])]
+        return seq[0], seq[1:]
+
+    def factorize(self, path, m):
+        seq = list(path.edges)
+        collected = []
+        for color in range(1, self.g.k + 1):
+            for _ in range(m[color - 1]):
+                eid, seq = self.split_first(seq, color)
+                collected.append(eid)
+        head = (self.path(collected) if collected
+                else self.g.vertex_path(path.range))
+        tail = self.path(seq) if seq else self.g.vertex_path(head.source)
+        return head, tail
+
+    def segment(self, path, m, n):
+        _, rest = self.factorize(path, m)
+        return self.factorize(rest, dg.sub(n, m))[0]
+
+    def lambda_min(self, mu, nu):
+        if mu.range != nu.range:
+            return []
+        jn = dg.join(mu.degree, nu.degree)
+        table = {self.compose(mu, a).edges: a
+                 for a in self.g.paths_of_degree(dg.sub(jn, mu.degree),
+                                                 range=mu.source)}
+        out = [(table[self.compose(nu, b).edges], b)
+               for b in self.g.paths_of_degree(dg.sub(jn, nu.degree),
+                                               range=nu.source)
+               if self.compose(nu, b).edges in table]
+        return sorted(out, key=lambda ab: (ab[0].edges, ab[1].edges))
+
+
+def paths_up_to(g, top):
+    return [p for d in dg.degrees_below(top) for p in g.paths_of_degree(d)]
+
+
+def walks(g, length):
+    """Every composable edge sequence of the given length, in any colors."""
+    seqs = [[e.id] for e in g.edges]
+    for _ in range(length - 1):
+        seqs = [s + [e.id] for s in seqs for e in g.edges
+                if g.edge(s[-1]).source == e.range]
+    return seqs
+
+
+def check_layer(g, top, pair_top):
+    """New against old on every path of degree <= top, and on every pair
+    of paths of degree <= pair_top for compose and lambda_min."""
+    assert g.validate().valid
+    old = OldLayer(g)
+    for d in dg.degrees_below(top):
+        paths = g.paths_of_degree(d)
+        assert paths == sorted(paths, key=lambda p: (p.range, p.edges))
+    for p in paths_up_to(g, top):
+        if not p.is_vertex:
+            assert g.path_from_edges(p.edges) == p
+        facs = {m: g.factorize(p, m) for m in dg.degrees_below(p.degree)}
+        for m, (head, tail) in facs.items():
+            assert (head, tail) == old.factorize(p, m)
+            assert g.compose(head, tail) == p
+            assert g.segment(p, dg.zero(g.k), m) == head
+            assert g.segment(p, m, p.degree) == tail
+            for n in facs:
+                if dg.leq(m, n):
+                    # p = p(0, m) p(m, n) p(n, d(p))
+                    seg = g.segment(p, m, n)
+                    assert seg == old.segment(p, m, n)
+                    assert seg.degree == dg.sub(n, m)
+                    assert g.compose(g.compose(head, seg), facs[n][1]) == p
+    small = paths_up_to(g, pair_top)
+    for mu, nu in itertools.product(small, repeat=2):
+        if mu.source == nu.range:
+            assert g.compose(mu, nu) == old.compose(mu, nu)
+        assert g.lambda_min(mu, nu) == old.lambda_min(mu, nu)
+    for seq in walks(g, sum(top)):
+        assert g.path_from_edges(seq) == old.path_from_edges(seq)
+
+
+def test_fixtures(graphs):
+    for g in graphs.values():
+        if g.k == 1:
+            check_layer(g, (4,), (2,))
+        else:
+            check_layer(g, (2, 2), (1, 1))
+
+
+def test_rank_three():
+    check_layer(builders.make_single_vertex(3, [2, 2, 2]), (1, 1, 1),
+                (1, 1, 0))
+    # x_s y = y x_sigma(s) and x_s z = z x_sigma(s): commuting, so cubical
+    sigma = {1: 2, 2: 1, 3: 3}
+    tables = {(1, 2): {(s, 1): (1, sigma[s]) for s in sigma},
+              (1, 3): {(s, 1): (1, sigma[s]) for s in sigma},
+              (2, 3): {(1, 1): (1, 1)}}
+    check_layer(builders.make_single_vertex(3, [3, 1, 1], tables),
+                (2, 1, 1), (1, 1, 1))
+
+
+@st.composite
+def single_vertex_2graphs(draw):
+    """One vertex, 1-3 loops per color, squares from a random bijection of
+    loop pairs: at rank 2 every bijection gives a valid 2-graph."""
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 3))
+    pairs = [(s, t) for s in range(1, a + 1) for t in range(1, b + 1)]
+    images = draw(st.permutations([(u, v) for u in range(1, b + 1)
+                                   for v in range(1, a + 1)]))
+    return builders.make_single_vertex(2, [a, b],
+                                       {(1, 2): dict(zip(pairs, images))})
+
+
+@settings(max_examples=15)
+@given(single_vertex_2graphs())
+def test_single_vertex_2graphs(g):
+    check_layer(g, (2, 2), (1, 1))
+
+
+@st.composite
+def pullbacks(draw):
+    """The pullback of a strongly connected 1-graph on 1-3 vertices: a
+    cycle through every vertex plus 0-2 further edges."""
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    edges += draw(st.lists(st.tuples(st.sampled_from(vs),
+                                     st.sampled_from(vs)), max_size=2))
+    base = builders.one_graph(vs, [(f"x{i}", r, s)
+                                   for i, (r, s) in enumerate(edges)])
+    assert base.validate().strongly_connected
+    return builders.make_pullback(base)
+
+
+@settings(max_examples=15)
+@given(pullbacks())
+def test_pullbacks(g):
+    check_layer(g, (2, 2), (1, 1))
