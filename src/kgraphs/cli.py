@@ -181,14 +181,13 @@ class Context:
     @cached_property
     def group(self):
         from .periodicity import periodicity_group
-        return periodicity_group(self.graph, bound=self.opts["bound"],
-                                 cap=self.opts["cap"])
+        return periodicity_group(self.graph, bound=self.opts["bound"])
 
     @cached_property
     def states(self):
         from .kms import KMSStates
         return KMSStates(self.graph, self.perron, measure=self.measure,
-                         group=self.group, cap=self.opts["cap"])
+                         group=self.group)
 
     def degree(self, text):
         return dg.parse_degree(text, self.graph.k)
@@ -237,7 +236,7 @@ def report_consistency(ctx, args):
     from .measure import consistency_check
     report = consistency_check(ctx.measure, ctx.degree(args.m),
                                ctx.degree(args.n),
-                               tol=ctx.opts["tol"], cap=ctx.opts["cap"])
+                               tol=ctx.opts["tol"])
     return asdict(report), report.passed
 
 
@@ -245,8 +244,7 @@ def report_shift(ctx, args):
     from .measure import periodicity_mass_profile
     cm = ctx.measure
     m, n = ctx.degree(args.m), ctx.degree(args.n)
-    profile = periodicity_mass_profile(cm, m, n, ctx.opts["level"],
-                                       cap=ctx.opts["cap"])
+    profile = periodicity_mass_profile(cm, m, n, ctx.opts["level"])
     return {
         "m": list(m),
         "n": list(n),
@@ -259,8 +257,7 @@ def report_agreement(ctx, args):
     from .measure import agreement_mass
     cm, group = ctx.measure, ctx.group
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
-    report = agreement_mass(cm, mu, nu, ctx.opts["level"], group=group,
-                            cap=ctx.opts["cap"])
+    report = agreement_mass(cm, mu, nu, ctx.opts["level"], group=group)
     return {
         "mu": mu.literal(),
         "nu": nu.literal(),
@@ -274,11 +271,11 @@ def report_agreement(ctx, args):
 
 def report_decay(ctx, args):
     from .measure import decay_check, find_decay_witness
-    cm, cap = ctx.measure, ctx.opts["cap"]
+    cm = ctx.measure
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
     witness = find_decay_witness(cm, dg.sub(mu.degree, nu.degree),
-                                 a_max=ctx.opts["a_max"], cap=cap)
-    report = decay_check(cm, witness, mu, nu, ctx.opts["j_max"], cap=cap)
+                                 a_max=ctx.opts["a_max"])
+    report = decay_check(cm, witness, mu, nu, ctx.opts["j_max"])
     return {
         "mu": mu.literal(),
         "nu": nu.literal(),
@@ -325,8 +322,7 @@ def report_phase(ctx, args):
 def report_toeplitz(ctx, args):
     from .kms import KMSStates
     # the existence test reads no periodicity group, so none is built
-    states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure,
-                       cap=ctx.opts["cap"])
+    states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure)
     report = states.toeplitz_kms_exists(
         parse_number(args.beta), [parse_number(p) for p in args.r.split(",")],
         tol=ctx.opts["tol"])
@@ -393,6 +389,7 @@ def run_command(name, args):
             for key, default in row.options.items()}
     for key, value in opts.items():
         check_tol(value, key)
+    graph.cap = opts.get("cap", ENUM_CAP)
     doc, passed = row.report(Context(graph, opts), args)
     shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
     doc["provenance"] = {"graph_sha256": graph.sha256(), "command": name,

@@ -51,7 +51,7 @@ class PeriodicityUndecidedError(KGraphError):
 
 
 class EnumerationCapError(KGraphError):
-    """A path enumeration would exceed the configured cap."""
+    """An enumeration would exceed the graph's cap (KGraph.cap)."""
 
 
 class WitnessSearchError(KGraphError):

@@ -26,7 +26,7 @@ from .errors import (CompositionError, EnumerationCapError, GraphValidationError
                      SegmentRangeError)
 from .perron import MatrixFamily
 
-ENUM_CAP = 10 ** 6  # default guard for path enumerations
+ENUM_CAP = 10 ** 6  # default KGraph.cap
 
 PATH_SEP = "."
 
@@ -89,7 +89,8 @@ class ValidationReport:
 
 
 class KGraph:
-    """Immutable rank-k graph.  Mutating after construction is unsupported."""
+    """Immutable rank-k graph.  A caller may set one attribute, before
+    analysing the graph: cap, the bound on every enumeration (ENUM_CAP)."""
 
     def __init__(self, k, vertices, edges, squares):
         # types first: sorting mixed types raises TypeError, and
@@ -147,6 +148,7 @@ class KGraph:
         self._fwd = {}   # (blue, red) -> (red2, blue2), all color pairs
         self._inv = {}   # (red2, blue2) -> (blue, red)
         self._report = None
+        self.cap = ENUM_CAP
         self._path_cache = {}       # degree -> tuple[Path]
         self._paths_by_range = {}   # degree -> {vertex: tuple[Path]}
         self._matrices = None
@@ -395,8 +397,11 @@ class KGraph:
         if nu.is_vertex:
             return mu
         self.require_valid()
-        seq = self._normalize(mu.edges + nu.edges, len(mu.edges))
-        return self._path_from_normal(seq, dg.add(mu.degree, nu.degree))
+        try:
+            seq = self._normalize(mu.edges + nu.edges, len(mu.edges))
+            return self._path_from_normal(seq, dg.add(mu.degree, nu.degree))
+        except KeyError as exc:
+            raise CompositionError(f"{exc} not in this graph") from None
 
     def _take(self, seq, m):
         """Split a normal-form sequence into head and tail lists, d(head) = m,
@@ -424,12 +429,15 @@ class KGraph:
             raise SegmentRangeError(
                 f"degree {m} not between 0 and {path.degree}")
         self.require_valid()
-        head, tail = self._take(path.edges, m)
-        mid = self.vertex_path(self._edge[tail[0]].range if tail
-                               else path.source)
-        return (self._path_from_normal(head, tuple(m)) if head else mid,
-                self._path_from_normal(tail, dg.sub(path.degree, m))
-                if tail else mid)
+        try:
+            head, tail = self._take(path.edges, m)
+            mid = self.vertex_path(self._edge[tail[0]].range if tail
+                                   else path.source)
+            return (self._path_from_normal(head, tuple(m)) if head else mid,
+                    self._path_from_normal(tail, dg.sub(path.degree, m))
+                    if tail else mid)
+        except KeyError as exc:
+            raise CompositionError(f"{exc} not in this graph") from None
 
     def segment(self, path, m, n):
         """The subpath path(m, n) of degree n - m: one _take drops the
@@ -438,12 +446,15 @@ class KGraph:
             raise SegmentRangeError(
                 f"need 0 <= {m} <= {n} <= {path.degree}")
         self.require_valid()
-        _, rest = self._take(path.edges, m)
-        seg, _ = self._take(rest, dg.sub(n, m))
-        if seg:
-            return self._path_from_normal(seg, dg.sub(n, m))
-        return self.vertex_path(self._edge[rest[0]].range if rest
-                                else path.source)
+        try:
+            _, rest = self._take(path.edges, m)
+            seg, _ = self._take(rest, dg.sub(n, m))
+            if seg:
+                return self._path_from_normal(seg, dg.sub(n, m))
+            return self.vertex_path(self._edge[rest[0]].range if rest
+                                    else path.source)
+        except KeyError as exc:
+            raise CompositionError(f"{exc} not in this graph") from None
 
     # ------------------------------------------------------------------
     # enumeration
@@ -453,28 +464,28 @@ class KGraph:
         mat = MatrixFamily.from_graph(self).power(n)
         return sum(sum(row) for row in mat)
 
-    def paths_of_degree(self, n, range=None, source=None, cap=ENUM_CAP):
+    def paths_of_degree(self, n, range=None, source=None):
         """All paths of degree n, optionally filtered by range/source vertex,
-        in canonical sorted order."""
+        in canonical sorted order.  EnumerationCapError when |Lambda^n|
+        exceeds self.cap, whether or not Lambda^n is cached."""
         self.require_valid()
         n = tuple(n)
         if not dg.is_nonneg(n):
             raise InputFormatError(f"degree {n} must be nonnegative")
-        if n not in self._path_cache:
-            if cap is not None and self.count_paths(n) > cap:
-                raise EnumerationCapError(
-                    f"|paths of degree {n}| = {self.count_paths(n)} "
-                    f"exceeds cap {cap}")
-            self._path_cache[n] = self._enumerate(n)
+        paths = self._path_cache.get(n)
+        size = self.count_paths(n) if paths is None else len(paths)
+        if size > self.cap:
+            raise EnumerationCapError(
+                f"|paths of degree {n}| = {size} exceeds cap {self.cap}")
+        if paths is None:
+            paths = self._path_cache[n] = self._enumerate(n)
             by_range = {}
-            for p in self._path_cache[n]:
+            for p in paths:
                 by_range.setdefault(p.range, []).append(p)
             self._paths_by_range[n] = {v: tuple(ps)
                                        for v, ps in by_range.items()}
         if range is not None and source is None:
-            paths = self._paths_by_range[n].get(range, ())
-            return list(paths)
-        paths = self._path_cache[n]
+            return list(self._paths_by_range[n].get(range, ()))
         return [p for p in paths
                 if (range is None or p.range == range)
                 and (source is None or p.source == source)]
@@ -491,7 +502,7 @@ class KGraph:
         stem_deg = dg.sub(n, dg.unit(self.k, color))
         return tuple(Path(n, stem.edges + (eid,), stem.range,
                           self._edge[eid].source)
-                     for stem in self.paths_of_degree(stem_deg, cap=None)
+                     for stem in self.paths_of_degree(stem_deg)
                      for eid in self._by_range.get((color, stem.source), ()))
 
     def lambda_min(self, mu, nu):

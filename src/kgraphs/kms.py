@@ -41,7 +41,6 @@ from functools import cached_property
 
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
-from .graphs import ENUM_CAP
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
 from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, check_tol, coerce_scalar,
@@ -416,14 +415,12 @@ class KMSStates:
     decisions and shift-agreement bijections that the state formulas need.
     """
 
-    def __init__(self, graph, perron, measure=None, group=None,
-                 cap=ENUM_CAP):
+    def __init__(self, graph, perron, measure=None, group=None):
         graph.require_strongly_connected()
         self.graph = graph
         self.measure = measure if measure is not None \
             else CylinderMeasure(graph, perron)
         self.group = group
-        self.cap = cap
         self._periodic_cache = {}
         self._theta_cache = {}
         self._sweep_cache = {}
@@ -434,7 +431,7 @@ class KMSStates:
         gvec = tuple(gvec)
         hit = self._periodic_cache.get(gvec)
         if hit is None:
-            hit = decide_periodic(self.graph, self.group, gvec, cap=self.cap)
+            hit = decide_periodic(self.graph, self.group, gvec)
             self._periodic_cache[gvec] = hit
         return hit
 
@@ -442,8 +439,7 @@ class KMSStates:
         key = (tuple(m), tuple(n))
         hit = self._theta_cache.get(key)
         if hit is None:
-            hit = theta(self.graph, key[0], key[1], pre_checked=True,
-                        cap=self.cap)
+            hit = theta(self.graph, key[0], key[1], pre_checked=True)
             self._theta_cache[key] = hit
         return hit
 
@@ -501,7 +497,7 @@ class KMSStates:
         m, n = dg.pos_part(gvec), dg.neg_part(gvec)
         th = self.theta_map(m, n)
         out = {}
-        for mu in self.graph.paths_of_degree(m, cap=self.cap):
+        for mu in self.graph.paths_of_degree(m):
             out[SpanTerm(mu, th(mu))] = QQi.of(1)
         return AlgebraElement(self.graph, out)
 
@@ -534,7 +530,7 @@ class KMSStates:
                        (u * s_e).equals(s_e * u))
             if any(v):
                 th = self.theta_map(dg.pos_part(v), dg.neg_part(v))
-                for mu in g.paths_of_degree(dg.pos_part(v), cap=self.cap):
+                for mu in g.paths_of_degree(dg.pos_part(v)):
                     lhs = AlgebraElement.span(g, mu, mu)
                     rhs = AlgebraElement.span(g, th(mu), th(mu))
                     record(f"range projection transport {v} at "
@@ -567,7 +563,7 @@ class KMSStates:
         d(w) into the degrees of nu and eta, so walking (w, split, mu, and
         the codomain degree of the bijection) enumerates the support
         completely: any quadruple never touched has phi = 0 on both sides
-        of the equilibrium identity.  More than `cap` keys raise
+        of the equilibrium identity.  More than graph.cap keys raise
         EnumerationCapError, tested after each w.
 
         All four paths of a key lie in the box [0, D], so the key is their
@@ -655,9 +651,9 @@ class KMSStates:
                         blind(base, mu, eta, beta, alpha)
                     else:
                         honest(base, mu, beta, alpha)
-            if len(contributions) > self.cap:
+            if len(contributions) > g.cap:
                 raise EnumerationCapError(
-                    f"KMS support exceeds cap {self.cap} keys")
+                    f"KMS support exceeds cap {g.cap} keys")
         return contributions
 
     def _scales(self, D):
@@ -698,13 +694,12 @@ class KMSStates:
             if hit is None:
                 hit = reach[key] = {
                     g.compose(ml, a).edges for a in g.paths_of_degree(
-                        dg.sub(degree, ml.degree), range=ml.source,
-                        cap=self.cap)}
+                        dg.sub(degree, ml.degree), range=ml.source)}
             return hit
 
         profiles = {}
         for v, here in box.by_source.items():
-            tails = g.paths_of_degree(ones, range=v, cap=self.cap)
+            tails = g.paths_of_degree(ones, range=v)
             extended = {i: [g.compose(box.paths[i], lam) for lam in tails]
                         for i in here}
             for mu in here:
@@ -758,7 +753,7 @@ class KMSStates:
         if hit is not None:
             return hit
         S, T = self._scales(D)
-        box = _BoxIndex(self.graph, D, self.cap)
+        box = _BoxIndex(self.graph, D)
         contributions = self._support_contributions(box, theta_blind, S)
         n = len(box.paths)
         nn = n * n
@@ -996,11 +991,11 @@ class _BoxIndex:
     paths_of_degree order.  The cold half of kms_check works on these
     indices and turns them back into paths only for its report."""
 
-    def __init__(self, graph, D, cap):
+    def __init__(self, graph, D):
         self.degrees = dg.box(dg.zero(graph.k), D)
         self.paths = []
         for m in self.degrees:
-            self.paths.extend(graph.paths_of_degree(m, cap=cap))
+            self.paths.extend(graph.paths_of_degree(m))
         self.index = {p: i for i, p in enumerate(self.paths)}
         self.degree = [p.degree for p in self.paths]
         self.source = [p.source for p in self.paths]

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
-from .graphs import ENUM_CAP
 from .scalars import CONSISTENCY_TOL, check_tol
 
 FLOAT_SLACK = 1e-12
@@ -54,8 +53,8 @@ class CylinderMeasure:
             self._masses[key] = hit
         return hit
 
-    def total_mass(self, n, cap=ENUM_CAP):
-        return sum(self.mass(p) for p in self.graph.paths_of_degree(n, cap=cap))
+    def total_mass(self, n):
+        return sum(self.mass(p) for p in self.graph.paths_of_degree(n))
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class ConsistencyReport:
     passed: bool
 
 
-def consistency_check(cm, m, n, tol=CONSISTENCY_TOL, cap=ENUM_CAP):
+def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     """Refining every degree-m cylinder into its degree-n extensions must
     preserve mass, and Lambda^n must carry total mass 1."""
     check_tol(tol)
@@ -79,56 +78,50 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL, cap=ENUM_CAP):
     step = dg.sub(n, m)
     slack = 0 if cm.exact else tol
     max_err = cm.zero
-    for lam in g.paths_of_degree(m, cap=cap):
+    for lam in g.paths_of_degree(m):
         refined = sum(cm.mass(g.compose(lam, t))
-                      for t in g.paths_of_degree(step, range=lam.source,
-                                                 cap=cap))
+                      for t in g.paths_of_degree(step, range=lam.source))
         max_err = max(max_err, abs(refined - cm.mass(lam)))
-    total_err = abs(cm.total_mass(n, cap=cap) - 1)
+    total_err = abs(cm.total_mass(n) - 1)
     return ConsistencyReport(m=m, n=n, exact=cm.exact,
                              max_refinement_error=float(max_err),
                              total_mass_error=float(total_err),
                              passed=max_err <= slack and total_err <= slack)
 
 
-def _extend_level(cm, m, n, l, survivors, cap):
+def _extend_level(cm, m, n, l, survivors):
     """One refinement round: grow each level-(l-1) survivor by every
     degree-(1,..,1) tail and keep those passing the new color-strip
     conditions segment(xi, m, m + l e_i) = segment(xi, n, n + l e_i).
     Earlier conditions are inherited from the survivor prefix."""
     g = cm.graph
-    k = g.k
-    ones = (1,) * k
+    ones = (1,) * g.k
+    strips = [dg.scale(l, dg.unit(g.k, c)) for c in range(1, g.k + 1)]
+    ends = [(dg.add(m, s), dg.add(n, s)) for s in strips]
     nxt = []
     for xi in survivors:
-        for t in g.paths_of_degree(ones, range=xi.source, cap=cap):
+        for t in g.paths_of_degree(ones, range=xi.source):
             cand = g.compose(xi, t)
-            ok = True
-            for color in range(1, k + 1):
-                strip = dg.scale(l, dg.unit(k, color))
-                if g.segment(cand, m, dg.add(m, strip)) != \
-                        g.segment(cand, n, dg.add(n, strip)):
-                    ok = False
-                    break
-            if ok:
+            if all(g.segment(cand, m, me) == g.segment(cand, n, ne)
+                   for me, ne in ends):
                 nxt.append(cand)
-        if len(nxt) > cap:
+        if len(nxt) > g.cap:
             raise EnumerationCapError(
-                f"level-{l} survivor set exceeds cap {cap}")
+                f"level-{l} survivor set exceeds cap {g.cap}")
     return nxt
 
 
-def periodicity_mass_profile(cm, m, n, max_level, cap=ENUM_CAP):
+def periodicity_mass_profile(cm, m, n, max_level):
     """Outer-bound masses of {sigma^m = sigma^n} at levels 0..max_level.
 
     Decreasing in the level; identically 1 exactly when m - n is periodic."""
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
-    survivors = cm.graph.paths_of_degree(dg.join(m, n), cap=cap)
+    survivors = cm.graph.paths_of_degree(dg.join(m, n))
     out = [sum((cm.mass(p) for p in survivors), cm.zero)]
     for l in range(1, max_level + 1):
-        survivors = _extend_level(cm, m, n, l, survivors, cap)
+        survivors = _extend_level(cm, m, n, l, survivors)
         out.append(sum((cm.mass(p) for p in survivors), cm.zero))
     return out
 
@@ -144,7 +137,7 @@ class AgreementReport:
     level_bound: object
 
 
-def agreement_mass(cm, mu, nu, level, group=None, cap=ENUM_CAP):
+def agreement_mass(cm, mu, nu, level, group=None):
     """Mass of {x : x = mu.y = nu.y}: the closed form (M(Z(mu)) when
     d(mu)-d(nu) is periodic and theta(mu) = nu, else 0) next to the level-L
     outer bound from finite cylinders."""
@@ -154,18 +147,17 @@ def agreement_mass(cm, mu, nu, level, group=None, cap=ENUM_CAP):
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")
     gvec = dg.sub(mu.degree, nu.degree)
-    periodic = decide_periodic(g, group, gvec, cap=cap)
+    periodic = decide_periodic(g, group, gvec)
     matched = None
     closed = cm.zero
     if periodic:
-        th = theta(g, mu.degree, nu.degree, pre_checked=True, cap=cap)
+        th = theta(g, mu.degree, nu.degree, pre_checked=True)
         matched = th(mu) == nu
         if matched:
             closed = cm.mass(mu)
     survivors = [g.compose(mu, a) for a, _ in g.lambda_min(mu, nu)]
     for l in range(1, level + 1):
-        survivors = _extend_level(cm, mu.degree, nu.degree, l, survivors,
-                                  cap)
+        survivors = _extend_level(cm, mu.degree, nu.degree, l, survivors)
     bound = sum((cm.mass(p) for p in survivors), cm.zero)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
@@ -180,7 +172,7 @@ class DecayWitness:
     K: object         # Fraction or float, 0 <= K < 1
 
 
-def find_decay_witness(cm, gvec, a_max=6, cap=ENUM_CAP):
+def find_decay_witness(cm, gvec, a_max=6):
     """Search for separating tails: a degree a and one tail lambda_v per
     vertex such that mu.lambda_v and nu.lambda_v never share an extension
     for mu in Lambda^{g+}v, nu in Lambda^{g-}v.  Candidates are tried in
@@ -195,10 +187,10 @@ def find_decay_witness(cm, gvec, a_max=6, cap=ENUM_CAP):
     for a in cands:
         tails = {}
         for v in g.vertices:
-            mus = g.paths_of_degree(pos, source=v, cap=cap)
-            nus = g.paths_of_degree(neg, source=v, cap=cap)
+            mus = g.paths_of_degree(pos, source=v)
+            nus = g.paths_of_degree(neg, source=v)
             pick = None
-            for lam in g.paths_of_degree(a, range=v, cap=cap):
+            for lam in g.paths_of_degree(a, range=v):
                 separated = all(
                     not g.lambda_min(g.compose(mu, lam), g.compose(nu, lam))
                     for mu in mus for nu in nus)
@@ -228,7 +220,7 @@ class DecayReport:
     passed: bool
 
 
-def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
+def decay_check(cm, witness, mu, nu, j_max):
     """Verify m_j <= K^j M(Z(mu)) where m_j is the mass still shared by mu
     and nu after j rounds of witness-degree extensions.
 
@@ -252,7 +244,7 @@ def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
         ja = dg.scale(j, witness.a)
         mj = cm.zero
         shared = []
-        for lam in g.paths_of_degree(ja, range=mu.source, cap=cap):
+        for lam in g.paths_of_degree(ja, range=mu.source):
             if alive is not None and lam.edges not in alive:
                 continue
             mu_lam = g.compose(mu, lam)
@@ -260,8 +252,7 @@ def decay_check(cm, witness, mu, nu, j_max, cap=ENUM_CAP):
                 mj += cm.mass(mu_lam)
                 shared.append(lam)
         alive = {g.compose(lam, t).edges for lam in shared
-                 for t in g.paths_of_degree(witness.a, range=lam.source,
-                                            cap=cap)}
+                 for t in g.paths_of_degree(witness.a, range=lam.source)}
         masses.append(mj)
         bounds.append(kpow * base)
         kpow = kpow * witness.K

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      PeriodicityUndecidedError)
-from .graphs import ENUM_CAP
 from .perron import MatrixFamily
 
 
-def check_pair(graph, m, n, cap=ENUM_CAP):
+def check_pair(graph, m, n):
     """Exact decision: do the degree-m and degree-n shifts agree everywhere?
 
     Requires a strongly connected graph (so finite paths extend to infinite
@@ -38,7 +37,7 @@ def check_pair(graph, m, n, cap=ENUM_CAP):
     jn = dg.join(m, n)
     for color in range(1, graph.k + 1):
         e_i = dg.unit(graph.k, color)
-        for lam in graph.paths_of_degree(dg.add(jn, e_i), cap=cap):
+        for lam in graph.paths_of_degree(dg.add(jn, e_i)):
             left = graph.segment(lam, m, dg.add(m, e_i))
             right = graph.segment(lam, n, dg.add(n, e_i))
             if left != right:
@@ -67,21 +66,19 @@ class ThetaMap:
                         {v: k for k, v in self.table.items()})
 
 
-def theta(graph, m, n, pre_checked=False, cap=ENUM_CAP):
+def theta(graph, m, n, pre_checked=False):
     """Build theta_{m,n}; raises NotPeriodicError when m - n is not a
     confirmed periodicity."""
     m, n = tuple(m), tuple(n)
-    if not pre_checked and not check_pair(graph, m, n, cap=cap):
+    if not pre_checked and not check_pair(graph, m, n):
         raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                f"{dg.sub(m, n)} is not periodic")
-    table = {}
     if m == n:
-        for mu in graph.paths_of_degree(m, cap=cap):
-            table[mu] = mu
-        return ThetaMap(m, n, table)
-    for mu in graph.paths_of_degree(m, cap=cap):
+        return ThetaMap(m, n, {mu: mu for mu in graph.paths_of_degree(m)})
+    table = {}
+    for mu in graph.paths_of_degree(m):
         # any degree-n path into r(mu) works; take the canonically first
-        alpha = graph.paths_of_degree(n, source=mu.range, cap=cap)[0]
+        alpha = graph.paths_of_degree(n, source=mu.range)[0]
         image = graph.segment(graph.compose(alpha, mu), m, dg.add(m, n))
         table[mu] = image
     images = set(table.values())
@@ -153,24 +150,24 @@ def hnf_basis(vectors, k):
     return tuple(tuple(row) for row in mat[:r])
 
 
-def periodicity_group(graph, bound=4, cap=ENUM_CAP):
+def periodicity_group(graph, bound=4):
     """Detect the periodicity subgroup inside the box [-bound, bound]^k.
 
     Candidates are prefiltered by the exact necessary condition
     A^{g+} = A^{g-} before running the segment decision procedure.
     Completeness is claimed only within the box.  Raises
     InputFormatError for a negative bound and EnumerationCapError when the
-    box holds more than cap vectors.
+    box holds more than graph.cap vectors.
     """
     if bound < 0:
         raise InputFormatError(f"periodicity search bound {bound} is "
                                f"negative")
     graph.require_strongly_connected()
     k = graph.k
-    if cap is not None and (2 * bound + 1) ** k > cap:
+    if (2 * bound + 1) ** k > graph.cap:
         raise EnumerationCapError(
             f"periodicity search box [-{bound}, {bound}]^{k} holds "
-            f"{(2 * bound + 1) ** k} vectors, exceeds cap {cap}")
+            f"{(2 * bound + 1) ** k} vectors, exceeds cap {graph.cap}")
     family = MatrixFamily.from_graph(graph)
     cands = [v for v in dg.box((-bound,) * k, (bound,) * k)
              if any(v) and next(a for a in v if a != 0) > 0]
@@ -180,34 +177,33 @@ def periodicity_group(graph, bound=4, cap=ENUM_CAP):
         pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
         if family.power(pos) != family.power(neg):
             continue
-        if check_pair(graph, pos, neg, cap=cap):
+        if check_pair(graph, pos, neg):
             confirmed.append(gvec)
     basis = hnf_basis(confirmed, k)
     for b in basis:
         # basis rows are integer combinations of confirmed elements, hence
         # periodic; re-verify so a reduction bug cannot slip through
-        if not check_pair(graph, dg.pos_part(b), dg.neg_part(b), cap=cap):
+        if not check_pair(graph, dg.pos_part(b), dg.neg_part(b)):
             raise NotPeriodicError(
                 f"internal error: HNF basis element {b} fails the pair check")
     return PeriodicityGroup(k=k, basis=basis, search_bound=bound,
                             confirmed=tuple(confirmed))
 
 
-def decide_periodic(graph, group, gvec, cap=ENUM_CAP):
+def decide_periodic(graph, group, gvec):
     """Exact periodicity of a specific difference vector.
 
     Lattice membership in the detected group settles most queries; otherwise
     the pair decision procedure runs directly, so the answer is exact even
     outside the search box.  Raises PeriodicityUndecidedError only when that
-    enumeration would blow past the cap."""
+    enumeration would blow past the graph's cap."""
     gvec = tuple(gvec)
     if not any(gvec):
         return True
     if group is not None and group.contains(gvec):
         return True
     try:
-        return check_pair(graph, dg.pos_part(gvec), dg.neg_part(gvec),
-                          cap=cap)
+        return check_pair(graph, dg.pos_part(gvec), dg.neg_part(gvec))
     except EnumerationCapError as exc:
         raise PeriodicityUndecidedError(
             f"periodicity of {gvec} undecided: {exc}") from exc

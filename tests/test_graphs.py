@@ -6,7 +6,7 @@ import json
 import pytest
 
 from kgraphs import degrees as dg
-from kgraphs.builders import make_single_vertex
+from kgraphs.builders import FIXTURES, make_single_vertex
 from kgraphs.errors import (CompositionError, EnumerationCapError,
                             GraphValidationError, InputFormatError,
                             SegmentRangeError)
@@ -198,9 +198,23 @@ def test_constructor_checks_types(args):
         KGraph(*args)
 
 
-def test_enumeration_cap(b2g):
+def test_enumeration_cap():
+    g = FIXTURES["b2"]()
+    g.cap = 1000
     with pytest.raises(EnumerationCapError):
-        b2g.paths_of_degree((30,), cap=1000)
+        g.paths_of_degree((30,))
+
+
+def test_foreign_paths_raise_composition_error(pb2g, prodg):
+    # product-b2-c2's edge ids are unknown to pullback-b2
+    p = prodg.parse_path("e1:w1.v:g1")
+    mu, nu = prodg.factorize(p, (1, 0))
+    for op in (lambda: pb2g.factorize(p, (1, 0)),
+               lambda: pb2g.factorize(p, (0, 0)),
+               lambda: pb2g.segment(p, (0, 0), (1, 0)),
+               lambda: pb2g.compose(mu, nu)):
+        with pytest.raises(CompositionError):
+            op()
 
 
 def test_paths_sorted_and_filtered(prodg):

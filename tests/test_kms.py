@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgraphs import degrees as dg
+from kgraphs import builders, degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
@@ -362,10 +362,10 @@ def test_cached_masses_match_the_formula(graphs, perron, measures, name):
                 assert cm.mass_at(p.degree, p.source) == want
 
 
-def test_support_is_capped(graphs, perron, groups, states):
-    g = graphs["pullback-b2"]
-    capped = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"],
-                       cap=100_000)
+def test_support_is_capped(perron, groups, states):
+    g = builders.FIXTURES["pullback-b2"]()
+    g.cap = 100_000
+    capped = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"])
     # the theta-blind support at (2,2) has 228,093 keys
     with pytest.raises(EnumerationCapError):
         capped.kms_check(StateSpec.haar(), (2, 2), theta_blind=True)
@@ -398,7 +398,7 @@ def reference_sweep(st, D, theta_blind):
     swap is visited on its own, its paths and grade read from the box, and
     its difference taken unscaled, as a Fraction when the data is exact."""
     S, _ = st._scales(D)
-    box = _BoxIndex(st.graph, D, st.cap)
+    box = _BoxIndex(st.graph, D)
     contributions = st._support_contributions(box, theta_blind, S)
     unit = F(1, S)
     nn = len(box.paths) ** 2

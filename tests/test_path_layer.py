@@ -5,19 +5,22 @@ a bubble-sort normal form, `_split_first` moving one head edge at a time to
 the front, and `segment` as two factorizations.  KGraph's one-pass
 `compose`, `factorize`, `segment`, `path_from_edges` and `lambda_min` must
 give equal results on the four fixtures, on generated single-vertex
-2-graphs, on pullbacks of generated 1-graphs and at rank 3.  The
-factorization property is checked along the way: a factorization and the
-three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration must
-come out in canonical (range, edges) order.
+2-graphs, on pullbacks and products of generated 1-graphs and at rank 3.
+The factorization property is checked along the way: a factorization and
+the three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration
+must come out in canonical (range, edges) order, and stop at the graph's
+cap whatever was enumerated before.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
 from kgraphs import degrees as dg
-from kgraphs.graphs import Path
+from kgraphs.errors import EnumerationCapError
+from kgraphs.graphs import KGraph, Path
 
 
 class OldLayer:
@@ -181,9 +184,9 @@ def test_single_vertex_2graphs(g):
 
 
 @st.composite
-def pullbacks(draw):
-    """The pullback of a strongly connected 1-graph on 1-3 vertices: a
-    cycle through every vertex plus 0-2 further edges."""
+def one_graphs(draw):
+    """A strongly connected 1-graph on 1-3 vertices: a cycle through every
+    vertex plus 0-2 further edges."""
     n = draw(st.integers(1, 3))
     vs = [f"v{i}" for i in range(n)]
     edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
@@ -192,10 +195,64 @@ def pullbacks(draw):
     base = builders.one_graph(vs, [(f"x{i}", r, s)
                                    for i, (r, s) in enumerate(edges)])
     assert base.validate().strongly_connected
-    return builders.make_pullback(base)
+    return base
+
+
+pullbacks = one_graphs().map(builders.make_pullback)
+products = st.tuples(one_graphs(), one_graphs()).map(
+    lambda pair: builders.make_product(*pair))
 
 
 @settings(max_examples=15)
-@given(pullbacks())
+@given(pullbacks)
 def test_pullbacks(g):
     check_layer(g, (2, 2), (1, 1))
+
+
+@settings(max_examples=10)
+@given(products)
+def test_products(g):
+    check_layer(g, (2, 2), (1, 1))
+
+
+def check_cap(g, top):
+    """For every degree n <= top and cap |Lambda^n| - 1 or |Lambda^n|,
+    paths_of_degree(n) raises EnumerationCapError exactly when |Lambda^n|
+    exceeds the cap: on a fresh graph, and on one that enumerated every
+    degree <= top under the default cap before its cap was lowered.
+    lambda_min stops at the cap too."""
+    doc = g.to_json_dict()
+    warm = KGraph.from_json_dict(doc)
+    degrees = dg.degrees_below(top)
+    for n in degrees:
+        warm.paths_of_degree(n)
+    for n in degrees:
+        size = g.count_paths(n)
+        for cap in (size - 1, size):
+            for h in (KGraph.from_json_dict(doc), warm):
+                h.cap = cap
+                if size > cap:
+                    with pytest.raises(EnumerationCapError):
+                        h.paths_of_degree(n)
+                else:
+                    assert h.paths_of_degree(n) == g.paths_of_degree(n)
+    mu = g.paths_of_degree(dg.unit(g.k, 1))[0]
+    nu = g.paths_of_degree(dg.unit(g.k, g.k), range=mu.range)[0]
+    jn = dg.join(mu.degree, nu.degree)
+    warm.cap = max(g.count_paths(dg.sub(jn, mu.degree)),
+                   g.count_paths(dg.sub(jn, nu.degree))) - 1
+    with pytest.raises(EnumerationCapError):
+        warm.lambda_min(mu, nu)
+    warm.cap += 1
+    assert warm.lambda_min(mu, nu) == g.lambda_min(mu, nu)
+
+
+def test_cap_fixtures(graphs):
+    for g in graphs.values():
+        check_cap(g, (4,) if g.k == 1 else (2, 2))
+
+
+@settings(max_examples=15)
+@given(st.one_of(single_vertex_2graphs(), pullbacks, products))
+def test_cap_generated(g):
+    check_cap(g, (2, 2))

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgraphs import degrees as dg
+from kgraphs import builders, degrees as dg
 from kgraphs.errors import NotPeriodicError, PeriodicityUndecidedError
 from kgraphs.periodicity import (check_pair, decide_periodic, hnf_basis,
                                  periodicity_group, theta)
@@ -100,12 +100,15 @@ def test_group_closure(graphs, groups):
     for name in ("pullback-b2", "product-b2-c2"):
         g, grp = graphs[name], groups[name]
         confirmed = list(grp.confirmed)
+        # check_pair, not decide_periodic: the latter answers from
+        # grp.contains, so it could not catch a wrong lattice
         for a, b in itertools.product(confirmed, repeat=2):
             s = dg.add(a, b)
             assert grp.contains(s)
-            assert decide_periodic(g, grp, s)
+            assert check_pair(g, dg.pos_part(s), dg.neg_part(s))
         for a in confirmed:
-            assert decide_periodic(g, grp, dg.neg(a))
+            s = dg.neg(a)
+            assert check_pair(g, dg.pos_part(s), dg.neg_part(s))
 
 
 def test_decide_periodic_outside_box(graphs, groups):
@@ -116,9 +119,11 @@ def test_decide_periodic_outside_box(graphs, groups):
     assert decide_periodic(g, None, (1, -1))
 
 
-def test_decide_periodic_cap(graphs):
+def test_decide_periodic_cap():
+    g = builders.FIXTURES["b2"]()
+    g.cap = 100
     with pytest.raises(PeriodicityUndecidedError):
-        decide_periodic(graphs["b2"], None, (25,), cap=100)
+        decide_periodic(g, None, (25,))
 
 
 def test_group_membership(groups):
