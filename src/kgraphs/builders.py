@@ -51,6 +51,10 @@ def make_single_vertex(k, loops, squares=None):
              for c in range(1, k + 1)
              for i in range(1, loops[c - 1] + 1)]
     squares = dict(squares or {})
+    for i, j in squares:
+        if not 1 <= i < j <= k:
+            raise InputFormatError(f"squares for color pair ({i}, {j}) "
+                                   f"outside 1 <= i < j <= {k}")
     out_squares = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):

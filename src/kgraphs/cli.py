@@ -6,18 +6,21 @@ when the argument is "-") and writes a canonical JSON report to stdout:
 keys sorted, two-space indent, trailing newline, no timestamps, so equal
 inputs give byte-identical outputs.
 
-Exit codes: 0 success, 1 validation or precondition failure (including a
-check command whose verdict is negative), 2 an enumeration or search bound
-was exceeded, 3 malformed input (bad JSON, bad literals, bad flags).
+Exit codes: 0 success, 1 a negative verdict, else the ``exit_code`` of
+the error's class (see ``errors``): 1 validation or precondition failure,
+2 an enumeration or search bound exceeded, 3 malformed input (bad JSON,
+bad literals, bad flags).
 
-Numbers are emitted in dual format: exact rationals as fraction strings
-("1/2", "1"), inexact values as JSON floats.  An optional ``--config``
-file supplies defaults for tolerances and bounds in ``key = value`` lines;
+Reports hold library values; ``jsonable`` is the one place that gives
+numbers their dual format: exact rationals as fraction strings ("1/2",
+"1"), inexact values as JSON floats.  An optional ``--config`` file
+supplies defaults for tolerances and bounds in ``key = value`` lines;
 explicit flags win.
 
 Each analysis command is a row of ``COMMANDS``: one runner does the steps
-they share, and the parser is generated from the table.  Commands import
-the analysis modules they use (periodicity, measure, kms) when they run.
+they share, and the parser is generated from the table, with exactly the
+options each row lists.  Commands import the analysis modules they use
+(periodicity, measure, kms) when they run.
 """
 
 from __future__ import annotations
@@ -25,20 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from . import builders
 from . import degrees as dg
-from .errors import (CompositionError, ConvergenceError, EnumerationCapError,
-                     GraphValidationError, InputFormatError,
-                     NonConstantRatioError, NotIrreducibleError,
-                     NotPeriodicError, NotStronglyConnectedError,
-                     PeriodicityUndecidedError, SegmentRangeError,
-                     WitnessSearchError)
-from .graphs import ENUM_CAP, KGraph
+from .errors import InputFormatError, KGraphError
+from .graphs import ENUM_CAP, KGraph, Path
 from .perron import MatrixFamily, perron_data
 from .scalars import (CONSISTENCY_TOL, KMS_TOL, TOEPLITZ_TOL, QQi,
                       check_tol, format_fraction, parse_number)
@@ -58,28 +55,21 @@ OPTIONS = {
 
 
 # ----------------------------------------------------------------------
-# serialization helpers
+# serialization
 
-def jnum(value):
-    """Fractions as "p/q" strings (integers as "n"), floats as floats."""
-    if isinstance(value, (int, Fraction)):
+def jsonable(value):
+    """json.dumps's fallback for the values it cannot write: a Fraction as
+    "p/q" ("n" when integral), a Gaussian rational or complex value as
+    {"re": ..., "im": ...}, a path as its literal."""
+    if isinstance(value, Fraction):
         return format_fraction(value)
-    return float(value)
-
-
-def jrho(value):
-    """Spectral radii: plain ints when integral, else the dual format."""
-    if isinstance(value, (int, Fraction)) and Fraction(value).denominator == 1:
-        return int(value)
-    return jnum(value)
-
-
-def jscalar(value):
-    """A complex algebra value as {"re": ..., "im": ...}."""
     if isinstance(value, QQi):
-        return {"re": jnum(value.re), "im": jnum(value.im)}
-    z = complex(value)
-    return {"re": z.real, "im": z.imag}
+        return {"re": value.re, "im": value.im}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, Path):
+        return value.literal()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 # ----------------------------------------------------------------------
@@ -125,9 +115,10 @@ def resolve(name, given, config, default):
 
 def parse_squares(text):
     """The --squares table {"i,j": [[s,t,u,v], ...]} as builders takes it."""
-    table, squares = json.loads(text), {}
+    squares = {}
     try:
-        for pair, quads in table.items():
+        # a JSONDecodeError is a ValueError
+        for pair, quads in json.loads(text).items():
             i, j = (int(p) for p in pair.split(","))
             squares[(i, j)] = {(s, t): (u, v) for s, t, u, v in quads}
     except (AttributeError, TypeError, ValueError) as exc:
@@ -195,15 +186,17 @@ class Context:
 
 def report_validate(ctx, args):
     report = ctx.graph.validate()
-    return asdict(report), report.valid
+    return vars(report), report.valid
 
 
 def report_info(ctx, args):
     pd, group = ctx.perron, ctx.group
     return {
-        "rho": [jrho(v) for v in pd.rho_values()],
-        "x": {lab: jnum(v) for lab, v in zip(pd.labels, pd.x_values())},
-        "per_basis": [list(b) for b in group.basis],
+        # an integral spectral radius is a JSON int
+        "rho": [v.numerator if isinstance(v, Fraction) and v.denominator == 1
+                else v for v in pd.rho_values()],
+        "x": dict(zip(pd.labels, pd.x_values())),
+        "per_basis": group.basis,
         "per_rank": group.rank,
         "exact": pd.exact,
         "F_bound": pd.F_bound,
@@ -213,7 +206,7 @@ def report_info(ctx, args):
 def report_periodicity(ctx, args):
     group = ctx.group
     return {
-        "basis": [list(b) for b in group.basis],
+        "basis": group.basis,
         "rank": group.rank,
         "aperiodic": group.rank == 0,
         "bound": group.search_bound,
@@ -224,49 +217,30 @@ def report_periodicity(ctx, args):
 def report_mass(ctx, args):
     cm = ctx.measure
     path = ctx.graph.parse_path(args.path)
-    return {
-        "path": path.literal(),
-        "degree": list(path.degree),
-        "mass": jnum(cm.mass(path)),
-        "exact": cm.exact,
-    }, True
+    return {"path": path, "degree": path.degree, "mass": cm.mass(path),
+            "exact": cm.exact}, True
 
 
 def report_consistency(ctx, args):
     from .measure import consistency_check
     report = consistency_check(ctx.measure, ctx.degree(args.m),
-                               ctx.degree(args.n),
-                               tol=ctx.opts["tol"])
-    return asdict(report), report.passed
+                               ctx.degree(args.n), tol=ctx.opts["tol"])
+    return vars(report), report.passed
 
 
 def report_shift(ctx, args):
     from .measure import periodicity_mass_profile
-    cm = ctx.measure
     m, n = ctx.degree(args.m), ctx.degree(args.n)
-    profile = periodicity_mass_profile(cm, m, n, ctx.opts["level"])
-    return {
-        "m": list(m),
-        "n": list(n),
-        "levels": [jnum(v) for v in profile],
-        "final": jnum(profile[-1]),
-    }, True
+    profile = periodicity_mass_profile(ctx.measure, m, n, ctx.opts["level"])
+    return {"m": m, "n": n, "levels": profile, "final": profile[-1]}, True
 
 
 def report_agreement(ctx, args):
     from .measure import agreement_mass
     cm, group = ctx.measure, ctx.group
-    mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
-    report = agreement_mass(cm, mu, nu, ctx.opts["level"], group=group)
-    return {
-        "mu": mu.literal(),
-        "nu": nu.literal(),
-        "periodic": report.periodic,
-        "theta_matched": report.theta_matched,
-        "closed_form": jnum(report.closed_form),
-        "level": report.level,
-        "level_bound": jnum(report.level_bound),
-    }, True
+    return vars(agreement_mass(cm, ctx.graph.parse_path(args.mu),
+                               ctx.graph.parse_path(args.nu),
+                               ctx.opts["level"], group=group)), True
 
 
 def report_decay(ctx, args):
@@ -276,18 +250,8 @@ def report_decay(ctx, args):
     witness = find_decay_witness(cm, dg.sub(mu.degree, nu.degree),
                                  a_max=ctx.opts["a_max"])
     report = decay_check(cm, witness, mu, nu, ctx.opts["j_max"])
-    return {
-        "mu": mu.literal(),
-        "nu": nu.literal(),
-        "g": list(witness.g),
-        "a": list(witness.a),
-        "tails": {v: p.literal() for v, p in sorted(witness.tails.items())},
-        "K": jnum(witness.K),
-        "masses": [jnum(v) for v in report.masses],
-        "bounds": [jnum(v) for v in report.bounds],
-        "exact": report.exact,
-        "passed": report.passed,
-    }, report.passed
+    return dict(vars(report), mu=mu, nu=nu,
+                tails=witness.tails), report.passed
 
 
 def report_kms_eval(ctx, args):
@@ -296,14 +260,9 @@ def report_kms_eval(ctx, args):
     state = parse_state(args.state)
     mu, nu = ctx.graph.parse_path(args.mu), ctx.graph.parse_path(args.nu)
     value = states.phi_eval(state, mu, nu, theta_blind=args.theta_blind)
-    return {
-        "state": state.describe(),
-        "mu": mu.literal(),
-        "nu": nu.literal(),
-        "grade": list(dg.sub(mu.degree, nu.degree)),
-        "value": jscalar(value),
-        "exact": ctx.measure.exact and state.is_exact,
-    }, True
+    return {"state": state.describe(), "mu": mu, "nu": nu,
+            "grade": dg.sub(mu.degree, nu.degree), "value": value,
+            "exact": ctx.measure.exact and state.is_exact}, True
 
 
 def report_kms_check(ctx, args):
@@ -312,7 +271,7 @@ def report_kms_check(ctx, args):
                                   ctx.degree(args.max_degree),
                                   tol=ctx.opts["tol"],
                                   theta_blind=args.theta_blind)
-    return asdict(report), report.passed
+    return vars(report), report.passed
 
 
 def report_phase(ctx, args):
@@ -323,10 +282,9 @@ def report_toeplitz(ctx, args):
     from .kms import KMSStates
     # the existence test reads no periodicity group, so none is built
     states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure)
-    report = states.toeplitz_kms_exists(
+    return vars(states.toeplitz_kms_exists(
         parse_number(args.beta), [parse_number(p) for p in args.r.split(",")],
-        tol=ctx.opts["tol"])
-    return asdict(report), True
+        tol=ctx.opts["tol"])), True
 
 
 class Command(NamedTuple):
@@ -392,9 +350,10 @@ def run_command(name, args):
     graph.cap = opts.get("cap", ENUM_CAP)
     doc, passed = row.report(Context(graph, opts), args)
     shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
-    doc["provenance"] = {"graph_sha256": graph.sha256(), "command": name,
-                         "options": dict(sorted(shown.items()))}
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    doc = dict(doc, provenance={"graph_sha256": graph.sha256(),
+                                "command": name, "options": shown})
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2,
+                                default=jsonable) + "\n")
     return 0 if passed else 1
 
 
@@ -443,7 +402,7 @@ def build_parser():
         p.add_argument("graph", help="graph JSON file, or - for stdin")
         p.add_argument("--config",
                        help="key = value file with option defaults")
-        for key in ["cap"] + [k for k in row.options if k != "cap"]:
+        for key in row.options:
             kind, text = OPTIONS[key]
             p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
         for flag in row.flags.split():
@@ -458,13 +417,6 @@ def build_parser():
 # ----------------------------------------------------------------------
 # entry point
 
-VALIDATION_ERRORS = (GraphValidationError, NotStronglyConnectedError,
-                     NotIrreducibleError, CompositionError,
-                     SegmentRangeError, NotPeriodicError)
-BOUND_ERRORS = (EnumerationCapError, PeriodicityUndecidedError,
-                ConvergenceError, NonConstantRatioError, WitnessSearchError)
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -472,16 +424,13 @@ def main(argv=None):
         # argparse exits 2 on usage errors; those are malformed input here
         return 3 if exc.code not in (0, None) else 0
     try:
+        if [] in vars(args).values():
+            # argparse before 3.13 reads --flag=-- as an empty list
+            raise InputFormatError("a flag's value is a bare '--'")
         return args.func(args)
-    except (InputFormatError, json.JSONDecodeError) as exc:
-        print(f"kgraph: input error: {exc}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as exc:
-        print(f"kgraph: validation failure: {exc}", file=sys.stderr)
-        return 1
-    except BOUND_ERRORS as exc:
-        print(f"kgraph: bound exceeded: {exc}", file=sys.stderr)
-        return 2
+    except KGraphError as exc:
+        print(f"kgraph: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -231,10 +231,6 @@ class KGraph:
                 for key in sorted(missing):
                     square_failures.append(
                         f"no square for colors ({i},{j}) pair {key}")
-                extra = set(table) - set(pairs_ij)
-                for key in sorted(extra):
-                    square_failures.append(
-                        f"square for non-composable pair {key}")
                 uncovered = set(pairs_ji) - set(values)
                 for val in sorted(uncovered):
                     square_failures.append(

@@ -917,6 +917,9 @@ class KMSStates:
             raise InputFormatError(f"r has {len(r)} entries for a "
                                    f"{self.graph.k}-color graph")
         beta = float(beta)
+        if not all(math.isfinite(beta * ri) for ri in r):
+            raise InputFormatError(f"beta * r_i is not a finite float for "
+                                   f"beta = {beta}, r = {r}")
         gaps = tuple(beta * ri - math.log(float(rho_i))
                      for ri, rho_i in zip(r, self.measure.rho))
         exists = all(gap >= -tol for gap in gaps)

@@ -150,7 +150,7 @@ def hnf_basis(vectors, k):
     return tuple(tuple(row) for row in mat[:r])
 
 
-def periodicity_group(graph, bound=4):
+def periodicity_group(graph, bound):
     """Detect the periodicity subgroup inside the box [-bound, bound]^k.
 
     Candidates are prefiltered by the exact necessary condition

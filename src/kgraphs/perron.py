@@ -122,9 +122,10 @@ def identity(n):
 
 
 def find_positive_F(fam):
-    """Smallest N < max(size, 1) with sum_{0 <= n <= N*1} A^n entrywise
-    positive, returned as (N, F, A_F); None if no such N works."""
-    for N in range(max(fam.size, 1)):
+    """Smallest N < size with sum_{0 <= n <= N*1} A^n entrywise positive,
+    returned as (N, F, A_F); None if no such N works (always for an empty
+    family)."""
+    for N in range(fam.size):
         a_f, F = fam.box_sum(N)
         if all(entry > 0 for row in a_f for entry in row):
             return N, F, a_f

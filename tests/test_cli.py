@@ -1,5 +1,6 @@
 """The kgraph command: pipelines, report shapes, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kgraphs import errors
 from kgraphs.cli import main
 from kgraphs.graphs import KGraph
 
@@ -221,6 +224,14 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     ("measure", "agreement", "GRAPH", "--mu", "a1", "--nu", "b1",
      "--level", "-1"),
     ("info", "GRAPH", "--cap", "-1"),
+    # beta * r_1 overflows to inf, which is not JSON
+    ("toeplitz", "GRAPH", "--beta", "1e308", "--r", "1e308,1"),
+    # squares for a color pair outside 1 <= i < j <= k
+    ("gen", "single-vertex", "--loops", "2,2", "--squares",
+     '{"2,1": [[1, 1, 1, 1]]}'),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares",
+     '{"1,5": [[1, 1, 1, 1]]}'),
+    ("gen", "single-vertex", "--loops", "2,2", "--squares", '{"1,2": ['),
 ], ids=" ".join)
 def test_malformed_literals_exit_3(capsys, pb2_file, argv):
     code = main([pb2_file if a == "GRAPH" else a for a in argv])
@@ -332,3 +343,165 @@ def test_config_file(capsys, tmp_path, pb2_file):
         out, err = capsys.readouterr()
         assert code == 3 and out == "", key
         assert err.startswith("kgraph: input error")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "GRAPH", "--cap", "5"),
+    ("measure", "mass", "GRAPH", "--path", "a1", "--cap", "5"),
+], ids=" ".join)
+def test_options_only_where_listed(capsys, pb2_file, argv):
+    # a command refuses the options its COMMANDS row does not list
+    code = main([pb2_file if a == "GRAPH" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "kgraph: error: unrecognized arguments: --cap 5" in err
+
+
+EMPTY_GRAPH = '{"k": 1, "vertices": [], "edges": [], "squares": []}'
+
+
+def test_empty_graph(capsys, tmp_path):
+    # valid, but no box sum of its (empty) matrices is entrywise positive
+    empty = tmp_path / "empty.json"
+    empty.write_text(EMPTY_GRAPH)
+    code, doc = run_json(capsys, "validate", str(empty))
+    assert code == 0 and doc["valid"] is True
+    code = main(["info", str(empty)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("kgraph: validation failure: no box sum")
+
+
+# every KGraphError class, the base included, with its exit code: a class
+# added without an entry here fails the test below
+EXIT_CODES = {
+    "KGraphError": 1, "GraphValidationError": 1, "CompositionError": 1,
+    "SegmentRangeError": 1, "NotStronglyConnectedError": 1,
+    "NotIrreducibleError": 1, "NotPeriodicError": 1,
+    "BoundError": 2, "ConvergenceError": 2, "NonConstantRatioError": 2,
+    "PeriodicityUndecidedError": 2, "EnumerationCapError": 2,
+    "WitnessSearchError": 2,
+    "InputFormatError": 3,
+}
+KINDS = {1: "validation failure", 2: "bound exceeded", 3: "input error"}
+
+
+def error_classes(cls=errors.KGraphError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+def test_every_error_class_has_its_exit_code():
+    classes = set(error_classes())
+    assert {c.__name__: c.exit_code for c in classes} == EXIT_CODES
+    assert all(c.kind == KINDS[c.exit_code] for c in classes)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("info", "EMPTY"), 1),
+    (("periodicity", "GRAPH", "--bound", "99999"), 2),
+    (("validate", "NOT_JSON"), 3),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_error_exit_code_and_kind(capsys, tmp_path, pb2_file, argv, code):
+    files = {"GRAPH": pb2_file, "EMPTY": tmp_path / "empty.json",
+             "NOT_JSON": tmp_path / "bad.json"}
+    files["EMPTY"].write_text(EMPTY_GRAPH)
+    files["NOT_JSON"].write_text("not json")
+    assert main([str(files.get(a, a)) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"kgraph: {KINDS[code]}: ")
+
+
+# ----------------------------------------------------------------------
+# fuzzing the boundary: no input ends in a traceback
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    """main raises nothing and returns 0-3; a nonzero exit is a negative
+    verdict reported on stdout or comes with a kgraph line on stderr."""
+    code, out, err = run_quiet(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code and out:
+        assert code == 1 and json.loads(out)["provenance"], argv
+    elif code:
+        assert any(line.startswith("kgraph") for line in err.splitlines()), \
+            (argv, err)
+
+
+# a value of some JSON type other than the field's
+WRONG = st.one_of(st.none(), st.booleans(), st.floats(-2, 2),
+                  st.text(max_size=2), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(0, 1),
+                                  max_size=1))
+
+
+def field(good):
+    """Mostly a value of the right type, sometimes one of the wrong type."""
+    return st.one_of(good, good, good, WRONG)
+
+
+VERTEX = st.sampled_from(["u", "v", "w"])
+EDGE_ID = st.sampled_from(["a", "b", "c", "d"])
+EDGE = field(st.fixed_dictionaries({
+    "id": field(EDGE_ID), "color": field(st.integers(-1, 3)),
+    "range": field(VERTEX), "source": field(VERTEX)}))
+SQUARE = field(st.fixed_dictionaries(
+    {key: field(EDGE_ID) for key in ("blue", "red", "red2", "blue2")}))
+# k stays tiny: KGraph builds per-color tables for every color up to k
+DOCUMENTS = st.fixed_dictionaries({
+    "k": field(st.integers(-1, 3)),
+    "vertices": field(st.lists(VERTEX, max_size=3)),
+    "edges": field(st.lists(EDGE, max_size=4)),
+    "squares": field(st.lists(SQUARE, max_size=4))})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60)
+@given(DOCUMENTS)
+def test_fuzz_graph_documents(fuzz_dir, doc):
+    path = fuzz_dir / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert_clean_exit(["validate", str(path)])
+    assert_clean_exit(["info", str(path), "--bound", "1"])
+
+
+LITERAL_ARGV = [
+    ("kms", "eval", "GRAPH", "--state={}", "--mu", "a1", "--nu", "b1"),
+    ("kms", "eval", "GRAPH", "--state", "z=1/4,0", "--mu={}", "--nu", "b1"),
+    ("kms", "eval", "GRAPH", "--state", "haar", "--mu", "a1", "--nu={}"),
+    ("measure", "mass", "GRAPH", "--path={}"),
+    ("toeplitz", "GRAPH", "--beta={}", "--r", "1,1"),
+    ("toeplitz", "GRAPH", "--beta", "1", "--r={}"),
+    ("phase", "GRAPH", "--beta={}"),
+]
+LITERALS = st.one_of(
+    st.text(st.sampled_from("0123456789-+./,=eEinfazhrb "), max_size=8),
+    st.sampled_from(["haar", "z=1/4,0", "z=0.1,1/3", "a1.b2", "v", "inf",
+                     "nan", "1e308", "1e308,1e308", "1/0", "-0"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_graph(fuzz_dir):
+    path = fuzz_dir / "pullback-b2.json"
+    code, out, _ = run_quiet(["gen", "pullback-b2"])
+    path.write_text(out)
+    return str(path)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(LITERAL_ARGV), LITERALS)
+def test_fuzz_literals(fuzz_graph, argv, text):
+    assert_clean_exit([fuzz_graph if a == "GRAPH" else a.format(text)
+                       for a in argv])
