@@ -8,16 +8,18 @@ that e.f = f'.e' as morphisms.  Paths are kept in color-ordered normal form
 pass over a list of edge ids through two flat square dicts: composition is an
 insertion merge, factorization carries each head edge left past the tail.
 
-Validation checks that the square tables are total bijections with matched
-endpoints and, for rank >= 3, that the two ways of reversing a tricolored
-triple through squares agree (the cubical condition).  Together these make the
-degree-indexed factorization unique, which every other module relies on.
+Validation walks only what the graph holds: a squares pass fills the square
+tables, a pairs pass finds the composable pairs of distinct colors that no
+square covers, and for rank >= 3 a walk of the chains e.f.g of ascending
+colors checks the cubical condition.  Together these make the degree-indexed
+factorization unique, which every other module relies on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import degrees as dg
@@ -26,7 +28,7 @@ from .errors import (CompositionError, EnumerationCapError, GraphValidationError
                      SegmentRangeError)
 from .perron import MatrixFamily
 
-ENUM_CAP = 10 ** 6  # default KGraph.cap
+ENUM_CAP = 10 ** 6  # default KGraph.cap, and the largest rank k
 
 PATH_SEP = "."
 
@@ -97,6 +99,9 @@ class KGraph:
         # type(x) is int refuses bools
         if type(k) is not int or k < 1:
             raise InputFormatError("rank k must be a positive integer")
+        if k > ENUM_CAP:
+            raise InputFormatError(f"rank k = {k} exceeds the maximum rank "
+                                   f"{ENUM_CAP}")
         if not (isinstance(vertices, (list, tuple))
                 and all(isinstance(v, str) for v in vertices)):
             raise InputFormatError("vertices must be a list of strings")
@@ -138,13 +143,9 @@ class KGraph:
                     raise InputFormatError(f"square refers to unknown edge "
                                            f"{eid!r}")
         # Derived lookups.
-        self._edges_of_color = {i: tuple(e for e in self.edges if e.color == i)
-                                for i in range(1, k + 1)}
-        self._by_range = {}
+        self._by_range = {}   # (color, vertex) -> ids, sorted as edges are
         for e in self.edges:
             self._by_range.setdefault((e.color, e.range), []).append(e.id)
-        for key in self._by_range:
-            self._by_range[key] = tuple(sorted(self._by_range[key]))
         self._fwd = {}   # (blue, red) -> (red2, blue2), all color pairs
         self._inv = {}   # (red2, blue2) -> (blue, red)
         self._report = None
@@ -177,126 +178,103 @@ class KGraph:
         """Check the square and cubical axioms; cache and return the report."""
         if self._report is not None:
             return self._report
-        square_failures = []
-        buckets = {}
+        edge, fwd, inv = self._edge, self._fwd, self._inv
+        roles = []
+        # (i, j) -> square faults, missing squares, uncovered reversed pairs
+        blocks = defaultdict(lambda: ([], [], []))
         for sq in self.squares:
-            b, r = self.edge(sq.blue), self.edge(sq.red)
-            r2, b2 = self.edge(sq.red2), self.edge(sq.blue2)
+            b, r = edge[sq.blue], edge[sq.red]
+            r2, b2 = edge[sq.red2], edge[sq.blue2]
             if not (b.color == b2.color and r.color == r2.color
                     and b.color < r.color):
-                square_failures.append(
-                    f"square {sq} has inconsistent color roles")
+                roles.append(f"square {sq} has inconsistent color roles")
                 continue
-            buckets.setdefault((b.color, r.color), []).append(sq)
-        for i in range(1, self.k + 1):
-            for j in range(i + 1, self.k + 1):
-                pairs_ij = [(e.id, f.id)
-                            for e in self._edges_of_color[i]
-                            for f in self._edges_of_color[j]
-                            if e.source == f.range]
-                pairs_ji = [(f.id, e.id)
-                            for f in self._edges_of_color[j]
-                            for e in self._edges_of_color[i]
-                            if f.source == e.range]
-                table = {}
-                values = {}
-                for sq in buckets.get((i, j), []):
-                    key = (sq.blue, sq.red)
-                    val = (sq.red2, sq.blue2)
-                    if key in table:
-                        square_failures.append(
-                            f"duplicate square for pair {key}")
-                        continue
-                    b, r = self.edge(sq.blue), self.edge(sq.red)
-                    r2, b2 = self.edge(sq.red2), self.edge(sq.blue2)
-                    if b.source != r.range:
-                        square_failures.append(
-                            f"square {sq}: blue.red not composable")
-                        continue
-                    if r2.source != b2.range:
-                        square_failures.append(
-                            f"square {sq}: red2.blue2 not composable")
-                        continue
-                    if r2.range != b.range or b2.source != r.source:
-                        square_failures.append(
-                            f"square {sq}: endpoints do not match")
-                        continue
-                    if val in values:
-                        square_failures.append(
-                            f"squares map two pairs to {val}")
-                        continue
-                    table[key] = val
-                    values[val] = key
-                missing = set(pairs_ij) - set(table)
-                for key in sorted(missing):
-                    square_failures.append(
-                        f"no square for colors ({i},{j}) pair {key}")
-                uncovered = set(pairs_ji) - set(values)
-                for val in sorted(uncovered):
-                    square_failures.append(
-                        f"squares miss reversed pair {val} "
-                        f"for colors ({i},{j})")
-                self._fwd.update(table)
-                self._inv.update(values)
-        cubical_failures = []
-        cubical_checked = False
-        if self.k >= 3 and not square_failures:
-            cubical_checked = True
-            cubical_failures = self._check_cubical()
-        strongly_connected = self._strongly_connected()
-        no_sources = all((i, v) in self._by_range
-                         for v in self.vertices
-                         for i in range(1, self.k + 1))
-        out = {(e.color, e.source) for e in self.edges}
-        no_sinks = all((i, v) in out
-                       for v in self.vertices
-                       for i in range(1, self.k + 1))
-        valid = not square_failures and not cubical_failures
+            key, val = (sq.blue, sq.red), (sq.red2, sq.blue2)
+            if key in fwd:
+                fault = f"duplicate square for pair {key}"
+            elif b.source != r.range:
+                fault = f"square {sq}: blue.red not composable"
+            elif r2.source != b2.range:
+                fault = f"square {sq}: red2.blue2 not composable"
+            elif r2.range != b.range or b2.source != r.source:
+                fault = f"square {sq}: endpoints do not match"
+            elif val in inv:
+                fault = f"squares map two pairs to {val}"
+            else:
+                fwd[key] = val
+                inv[val] = key
+                continue
+            blocks[b.color, r.color][0].append(fault)
+        # Every composable pair e.f of distinct colors needs a square:
+        # e.f = blue.red when e's color is lower, red2.blue2 when higher.
+        # Edges and each range's ids come sorted, so each block's pairs do.
+        by_vertex = {}   # vertex -> [(color, ids of edges with that range)]
+        for (c, v), ids in sorted(self._by_range.items()):
+            by_vertex.setdefault(v, []).append((c, ids))
+        for e in self.edges:
+            for c, ids in by_vertex.get(e.source, ()):
+                if c != e.color:
+                    table, slot = (fwd, 1) if e.color < c else (inv, 2)
+                    blocks[min(e.color, c), max(e.color, c)][slot].extend(
+                        (e.id, f) for f in ids if (e.id, f) not in table)
+        square_failures = roles
+        for (i, j), (faults, missing, uncovered) in sorted(blocks.items()):
+            square_failures += faults
+            square_failures += [f"no square for colors ({i},{j}) pair {key}"
+                                for key in missing]
+            square_failures += [f"squares miss reversed pair {val} "
+                                f"for colors ({i},{j})" for val in uncovered]
+        cubical_checked = self.k >= 3 and not square_failures
+        cubical_failures = (self._check_cubical(by_vertex) if cubical_checked
+                            else [])
+        edge_counts = [0] * self.k
+        for e in self.edges:
+            edge_counts[e.color - 1] += 1
+        # (color, vertex) keys lie in 1..k x vertices: all there iff as many
+        full = self.k * len(self.vertices)
         self._report = ValidationReport(
-            valid=valid,
+            valid=not square_failures and not cubical_failures,
             k=self.k,
             vertex_count=len(self.vertices),
-            edge_counts=tuple(len(self._edges_of_color[i])
-                              for i in range(1, self.k + 1)),
+            edge_counts=tuple(edge_counts),
             square_failures=square_failures,
             cubical_checked=cubical_checked,
             cubical_failures=cubical_failures,
-            strongly_connected=strongly_connected,
-            no_sources=no_sources,
-            no_sinks=no_sinks,
+            strongly_connected=self._strongly_connected(),
+            no_sources=len(self._by_range) == full,
+            no_sinks=len({(e.color, e.source) for e in self.edges}) == full,
         )
         return self._report
 
-    def _check_cubical(self):
-        """Reverse each tricolored composable triple along both transposition
-        routes and compare.  Disagreement means factorizations of degree
-        e_i+e_j+e_l are ambiguous."""
-        failures = []
+    def _check_cubical(self, by_vertex):
+        """Reverse each composable chain e.f.g of ascending colors along
+        both transposition routes and compare.  Disagreement means
+        factorizations of degree e_i+e_j+e_l are ambiguous."""
+        found = []   # ((colors, ids), message)
 
         def fwd_swap(seq, t):
             # seq[t], seq[t+1] is an ascending color pair; push the higher
             # color left through its square.
             return seq[:t] + list(self._fwd[seq[t], seq[t + 1]]) + seq[t + 2:]
 
-        for i in range(1, self.k + 1):
-            for j in range(i + 1, self.k + 1):
-                for l in range(j + 1, self.k + 1):
-                    for e in self._edges_of_color[i]:
-                        for f in self._edges_of_color[j]:
-                            if e.source != f.range:
-                                continue
-                            for g in self._edges_of_color[l]:
-                                if f.source != g.range:
-                                    continue
-                                seq = [e.id, f.id, g.id]
-                                a = fwd_swap(fwd_swap(fwd_swap(seq, 1), 0), 1)
-                                b = fwd_swap(fwd_swap(fwd_swap(seq, 0), 1), 0)
-                                if a != b:
-                                    failures.append(
-                                        f"cubical failure on triple "
-                                        f"({e.id},{f.id},{g.id}): "
-                                        f"{a} vs {b}")
-        return failures
+        for e in self.edges:
+            for cf, fs in by_vertex.get(e.source, ()):
+                if cf <= e.color:
+                    continue
+                for f in fs:
+                    for cg, gs in by_vertex.get(self._edge[f].source, ()):
+                        if cg <= cf:
+                            continue
+                        for g in gs:
+                            seq = [e.id, f, g]
+                            a = fwd_swap(fwd_swap(fwd_swap(seq, 1), 0), 1)
+                            b = fwd_swap(fwd_swap(fwd_swap(seq, 0), 1), 0)
+                            if a != b:
+                                found.append(
+                                    ((e.color, cf, cg, e.id, f, g),
+                                     f"cubical failure on triple "
+                                     f"({e.id},{f},{g}): {a} vs {b}"))
+        return [message for _, message in sorted(found)]
 
     def _strongly_connected(self):
         """True iff vΛw is nonempty for every ordered vertex pair (trivial
@@ -529,13 +507,10 @@ class KGraph:
         with range v and source w), rows/columns in sorted vertex order."""
         if self._matrices is None:
             idx = {v: t for t, v in enumerate(self.vertices)}
-            mats = []
-            for i in range(1, self.k + 1):
-                m = [[0] * len(self.vertices) for _ in self.vertices]
-                for e in self._edges_of_color[i]:
-                    m[idx[e.range]][idx[e.source]] += 1
-                mats.append(tuple(tuple(row) for row in m))
-            self._matrices = tuple(mats)
+            mats = [[[0] * len(idx) for _ in idx] for _ in range(self.k)]
+            for e in self.edges:
+                mats[e.color - 1][idx[e.range]][idx[e.source]] += 1
+            self._matrices = tuple(tuple(map(tuple, m)) for m in mats)
         return self._matrices
 
     # ------------------------------------------------------------------

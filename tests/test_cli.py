@@ -414,15 +414,60 @@ def test_error_exit_code_and_kind(capsys, tmp_path, pb2_file, argv, code):
     assert err.startswith(f"kgraph: {KINDS[code]}: ")
 
 
-# ----------------------------------------------------------------------
-# fuzzing the boundary: no input ends in a traceback
-
 def run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
+
+def graph_doc(**fields):
+    return dict({"k": 1, "vertices": ["v"], "edges": [], "squares": []},
+                **fields)
+
+
+LOOP = {"id": "e", "color": 1, "range": "v", "source": "v"}
+# each document trips one refusal of KGraph or KGraph.from_json_dict
+REFUSED = {
+    "duplicate vertex ids": graph_doc(vertices=["v", "v"]),
+    "empty vertex id": graph_doc(vertices=["v", ""]),
+    "vertex id with a dot": graph_doc(vertices=["v", "v.w"]),
+    "bad edge id": graph_doc(edges=[dict(LOOP, id="e.f")]),
+    "id used twice": graph_doc(edges=[LOOP, LOOP]),
+    "edge id of a vertex": graph_doc(edges=[dict(LOOP, id="v")]),
+    "color outside 1..k": graph_doc(edges=[dict(LOOP, color=2)]),
+    "square names an unknown edge": graph_doc(edges=[LOOP], squares=[
+        {"blue": "e", "red": "f", "red2": "f", "blue2": "e"}]),
+    "not an object": [graph_doc()],
+    "unknown fields": graph_doc(colors=1),
+}
+
+
+@pytest.mark.parametrize("doc", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_documents_exit_3(tmp_path, doc):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_quiet(["validate", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("kgraph: input error: ")
+
+
+def test_oversized_rank_exits_3_at_once(tmp_path):
+    # refused before any per-color table is built: a process that builds
+    # them is stopped by the timeout, before it can exhaust memory
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_doc(k=99999999999)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgraphs.cli", "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=1)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("kgraph: input error: rank k")
+
+
+# ----------------------------------------------------------------------
+# fuzzing the boundary: no input ends in a traceback
 
 def assert_clean_exit(argv):
     """main raises nothing and returns 0-3; a nonzero exit is a negative
@@ -455,7 +500,7 @@ EDGE = field(st.fixed_dictionaries({
     "range": field(VERTEX), "source": field(VERTEX)}))
 SQUARE = field(st.fixed_dictionaries(
     {key: field(EDGE_ID) for key in ("blue", "red", "red2", "blue2")}))
-# k stays tiny: KGraph builds per-color tables for every color up to k
+# k stays small, so that edge colors often fall in 1..k
 DOCUMENTS = st.fixed_dictionaries({
     "k": field(st.integers(-1, 3)),
     "vertices": field(st.lists(VERTEX, max_size=3)),

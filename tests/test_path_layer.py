@@ -9,11 +9,13 @@ give equal results on the four fixtures, on generated single-vertex
 The factorization property is checked along the way: a factorization and
 the three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration
 must come out in canonical (range, edges) order, and stop at the graph's
-cap whatever was enumerated before.
+cap whatever was enumerated before.  Every generated graph passes
+validation, and its Perron radii agree with numpy's eigenvalues.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from kgraphs import builders
 from kgraphs import degrees as dg
 from kgraphs.errors import EnumerationCapError
 from kgraphs.graphs import KGraph, Path
+from kgraphs.perron import MatrixFamily, perron_data
 
 
 class OldLayer:
@@ -256,3 +259,16 @@ def test_cap_fixtures(graphs):
 @given(st.one_of(single_vertex_2graphs(), pullbacks, products))
 def test_cap_generated(g):
     check_cap(g, (2, 2))
+
+
+@settings(max_examples=30)
+@given(st.one_of(single_vertex_2graphs(), pullbacks, products))
+def test_generated_valid_with_numpy_radii(g):
+    rep = g.validate()
+    assert rep.valid and rep.strongly_connected
+    pd = perron_data(MatrixFamily.from_graph(g))
+    for mat, rho, value in zip(g.coordinate_matrices(), pd.rho,
+                               pd.rho_values()):
+        radius = max(abs(np.linalg.eigvals(np.array(mat, dtype=float))))
+        assert abs(radius - rho) <= 1e-9
+        assert abs(radius - float(value)) <= 1e-9
