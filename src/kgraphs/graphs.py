@@ -166,6 +166,10 @@ class KGraph:
     def color_of(self, eid):
         return self.edge(eid).color
 
+    def edges_into(self, color, v):
+        """The ids of the color-`color` edges with range v, sorted."""
+        return self._by_range.get((color, v), ())
+
     def vertex_path(self, v):
         if v not in self._vset:
             raise InputFormatError(f"unknown vertex {v!r}")
@@ -178,6 +182,8 @@ class KGraph:
         """Check the square and cubical axioms; cache and return the report."""
         if self._report is not None:
             return self._report
+        # afresh: a run that the cubical cap stopped filled them
+        self._fwd, self._inv = {}, {}
         edge, fwd, inv = self._edge, self._fwd, self._inv
         roles = []
         # (i, j) -> square faults, missing squares, uncovered reversed pairs
@@ -249,7 +255,19 @@ class KGraph:
     def _check_cubical(self, by_vertex):
         """Reverse each composable chain e.f.g of ascending colors along
         both transposition routes and compare.  Disagreement means
-        factorizations of degree e_i+e_j+e_l are ambiguous."""
+        factorizations of degree e_i+e_j+e_l are ambiguous.  The chains
+        are counted first, through their middle edges f, and more than
+        cap of them raise EnumerationCapError."""
+        outs = defaultdict(list)   # vertex -> colors of the edges it sources
+        for e in self.edges:
+            outs[e.source].append(e.color)
+        chains = sum(sum(c < f.color for c in outs[f.range]) * sum(
+            len(gs) for c, gs in by_vertex.get(f.source, ()) if c > f.color)
+            for f in self.edges)
+        if chains > self.cap:
+            raise EnumerationCapError(
+                f"cubical check walks {chains} chains of ascending colors, "
+                f"exceeds cap {self.cap}")
         found = []   # ((colors, ids), message)
 
         def fwd_swap(seq, t):
@@ -396,6 +414,14 @@ class KGraph:
                 h += 1
             t += 1
         return seq[:h], seq[h:]
+
+    def split_strip(self, rest, edges, e_i):
+        """Given the rest xi(a, d(xi)) of a path xi and the edges of a path
+        t, both in normal form: the id of (xi t)(a, a + e_i) and the rest
+        (xi t)(a + e_i, d(xi t)), since (xi t)(a, .) = xi(a, .) t."""
+        head, tail = self._take(self._normalize([*rest, *edges], len(rest)),
+                                e_i)
+        return head[0], tail
 
     def factorize(self, path, m):
         """The unique factorization path = head . tail with d(head) = m."""

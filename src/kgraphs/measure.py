@@ -8,6 +8,11 @@ geometric decay that forces those sets to be null for non-periodic (m, n):
 a separating-tail witness (a, {lambda_v}, K) with the mass estimate
 m_j <= K^j M(Z(mu)).
 
+The level-l bound sums the paths xi of degree (m v n) + l(1,..,1) whose
+strips xi(m, m + l e_i) and xi(n, n + l e_i) agree.  A level keeps each
+survivor's source and its rests after m + l e_i and n + l e_i, so the next
+level compares one new strip edge per color, as (xi t)(a, .) = xi(a, .) t.
+
 All masses are exact Fractions whenever the Perron data is rational; only the
 golden-ratio-type fixtures fall back to floats.
 """
@@ -89,22 +94,25 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
                              passed=max_err <= slack and total_err <= slack)
 
 
-def _extend_level(cm, m, n, l, survivors):
-    """One refinement round: grow each level-(l-1) survivor by every
-    degree-(1,..,1) tail and keep those passing the new color-strip
-    conditions segment(xi, m, m + l e_i) = segment(xi, n, n + l e_i).
-    Earlier conditions are inherited from the survivor prefix."""
-    g = cm.graph
+def _extend_level(g, l, survivors):
+    """One refinement round: a level-(l-1) survivor xi, kept as its source
+    and per color its rests after m + (l-1)e_i and n + (l-1)e_i, grows by
+    every degree-(1,..,1) tail t, and xi.t survives when each color's new
+    strip edge after m matches the one after n."""
     ones = (1,) * g.k
-    strips = [dg.scale(l, dg.unit(g.k, c)) for c in range(1, g.k + 1)]
-    ends = [(dg.add(m, s), dg.add(n, s)) for s in strips]
+    units = [dg.unit(g.k, color) for color in range(1, g.k + 1)]
     nxt = []
-    for xi in survivors:
-        for t in g.paths_of_degree(ones, range=xi.source):
-            cand = g.compose(xi, t)
-            if all(g.segment(cand, m, me) == g.segment(cand, n, ne)
-                   for me, ne in ends):
-                nxt.append(cand)
+    for source, rests in survivors:
+        for t in g.paths_of_degree(ones, range=source):
+            grown = []
+            for e_i, (rest_m, rest_n) in zip(units, rests):
+                e_m, rest_m = g.split_strip(rest_m, t.edges, e_i)
+                e_n, rest_n = g.split_strip(rest_n, t.edges, e_i)
+                if e_m != e_n:
+                    break
+                grown.append((rest_m, rest_n))
+            else:
+                nxt.append((t.source, grown))
         if len(nxt) > g.cap:
             raise EnumerationCapError(
                 f"level-{l} survivor set exceeds cap {g.cap}")
@@ -118,11 +126,16 @@ def periodicity_mass_profile(cm, m, n, max_level):
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
-    survivors = cm.graph.paths_of_degree(dg.join(m, n))
-    out = [sum((cm.mass(p) for p in survivors), cm.zero)]
-    for l in range(1, max_level + 1):
-        survivors = _extend_level(cm, m, n, l, survivors)
-        out.append(sum((cm.mass(p) for p in survivors), cm.zero))
+    g = cm.graph
+    jn = dg.join(m, n)
+    survivors = [(p.source, [(g.factorize(p, m)[1].edges,
+                              g.factorize(p, n)[1].edges)] * g.k)
+                 for p in g.paths_of_degree(jn)]
+    out = []
+    for l in range(max_level + 1):
+        survivors = _extend_level(g, l, survivors) if l else survivors
+        out.append(sum((cm.mass_at(dg.add(jn, (l,) * g.k), source)
+                        for source, _ in survivors), cm.zero))
     return out
 
 
@@ -155,10 +168,13 @@ def agreement_mass(cm, mu, nu, level, group=None):
         matched = th(mu) == nu
         if matched:
             closed = cm.mass(mu)
-    survivors = [g.compose(mu, a) for a, _ in g.lambda_min(mu, nu)]
+    # mu.a = nu.b has rest a after d(mu) and rest b after d(nu)
+    survivors = [(a.source, [(a.edges, b.edges)] * g.k)
+                 for a, b in g.lambda_min(mu, nu)]
     for l in range(1, level + 1):
-        survivors = _extend_level(cm, mu.degree, nu.degree, l, survivors)
-    bound = sum((cm.mass(p) for p in survivors), cm.zero)
+        survivors = _extend_level(g, l, survivors)
+    top = dg.add(dg.join(mu.degree, nu.degree), (level,) * g.k)
+    bound = sum((cm.mass_at(top, source) for source, _ in survivors), cm.zero)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
                            level=level, level_bound=bound)

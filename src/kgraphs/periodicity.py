@@ -2,10 +2,13 @@
 
 A pair (m, n) is periodic when the degree-m and degree-n shifts agree on every
 infinite path.  That is decidable from finite data: it holds iff for every
-color i and every path of degree (m v n) + e_i the two single-edge segments at
-offsets m and n coincide.  Confirmed differences m - n form a subgroup of Z^k;
-the detected group is returned through a Hermite-normal-form basis and always
-qualified by the search bound.
+mu in Lambda^{m v n} and every edge e of color i with r(e) = s(mu), the
+single-edge segments of mu.e at offsets m and n coincide.  Since
+(mu e)(m, .) = mu(m, .) e, both are read off the rests mu(m, m v n) and
+mu(n, m v n), taken once per mu.  Confirmed differences m - n form a subgroup
+of Z^k, so the search confirms a candidate in the lattice of those confirmed
+before it without a check; the detected group is returned through a
+Hermite-normal-form basis and always qualified by the search bound.
 
 For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n by reading
 the degree-n window of alpha.mu for any degree-n extension alpha landing at
@@ -14,7 +17,7 @@ r(mu); the choice of alpha does not matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
@@ -27,6 +30,9 @@ def check_pair(graph, m, n):
 
     Requires a strongly connected graph (so finite paths extend to infinite
     ones and the segment criterion is equivalent to pointwise agreement).
+    Returns False at the first strip edge that differs.  Past the cap it
+    raises as the per-color enumeration of Lambda^{(m v n) + e_i} did: at
+    the first color over the cap, unless a lower color disagrees.
     """
     graph.require_strongly_connected()
     m, n = tuple(m), tuple(n)
@@ -35,13 +41,28 @@ def check_pair(graph, m, n):
     if m == n:
         return True
     jn = dg.join(m, n)
-    for color in range(1, graph.k + 1):
-        e_i = dg.unit(graph.k, color)
-        for lam in graph.paths_of_degree(dg.add(jn, e_i)):
-            left = graph.segment(lam, m, dg.add(m, e_i))
-            right = graph.segment(lam, n, dg.add(n, e_i))
-            if left != right:
-                return False
+    units = [dg.unit(graph.k, color) for color in range(1, graph.k + 1)]
+    try:
+        mus = graph.paths_of_degree(jn)
+    except EnumerationCapError:
+        # then so is each Lambda^{(m v n) + e_i} with edges: the first raises
+        for e_i in units:
+            graph.paths_of_degree(dg.add(jn, e_i))
+        raise
+    # Lambda^{(m v n) + e_i} is Lambda^{m v n} followed by a color-i edge
+    sizes = [sum(len(graph.edges_into(color, mu.source)) for mu in mus)
+             for color in range(1, graph.k + 1)]
+    over = next((i for i, size in enumerate(sizes) if size > graph.cap), None)
+    reached = list(enumerate(units[:over], 1))
+    for mu in mus if reached else ():
+        rest_m, rest_n = (graph.factorize(mu, d)[1].edges for d in (m, n))
+        for color, e_i in reached:
+            for e in graph.edges_into(color, mu.source):
+                if graph.split_strip(rest_m, (e,), e_i)[0] != \
+                        graph.split_strip(rest_n, (e,), e_i)[0]:
+                    return False
+    if over is not None:   # enumerating that color raises its cap error
+        graph.paths_of_degree(dg.add(jn, units[over]))
     return True
 
 
@@ -153,8 +174,10 @@ def hnf_basis(vectors, k):
 def periodicity_group(graph, bound):
     """Detect the periodicity subgroup inside the box [-bound, bound]^k.
 
-    Candidates are prefiltered by the exact necessary condition
-    A^{g+} = A^{g-} before running the segment decision procedure.
+    Candidates are walked in order of |g|_1.  One in the lattice of the
+    vectors confirmed so far is periodic by the group law and is confirmed
+    without a check; the others are prefiltered by the exact necessary
+    condition A^{g+} = A^{g-} before running the pair decision procedure.
     Completeness is claimed only within the box.  Raises
     InputFormatError for a negative bound and EnumerationCapError when the
     box holds more than graph.cap vectors.
@@ -173,21 +196,22 @@ def periodicity_group(graph, bound):
              if any(v) and next(a for a in v if a != 0) > 0]
     cands.sort(key=lambda v: (sum(abs(a) for a in v), v))
     confirmed = []
+    found = PeriodicityGroup(k=k, basis=(), search_bound=bound, confirmed=())
     for gvec in cands:
         pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
-        if family.power(pos) != family.power(neg):
-            continue
-        if check_pair(graph, pos, neg):
+        if found.contains(gvec):
             confirmed.append(gvec)
-    basis = hnf_basis(confirmed, k)
-    for b in basis:
+        elif family.power(pos) == family.power(neg) and \
+                check_pair(graph, pos, neg):
+            confirmed.append(gvec)
+            found = replace(found, basis=hnf_basis(confirmed, k))
+    for b in found.basis:
         # basis rows are integer combinations of confirmed elements, hence
         # periodic; re-verify so a reduction bug cannot slip through
         if not check_pair(graph, dg.pos_part(b), dg.neg_part(b)):
             raise NotPeriodicError(
                 f"internal error: HNF basis element {b} fails the pair check")
-    return PeriodicityGroup(k=k, basis=basis, search_bound=bound,
-                            confirmed=tuple(confirmed))
+    return replace(found, confirmed=tuple(confirmed))
 
 
 def decide_periodic(graph, group, gvec):

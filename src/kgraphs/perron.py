@@ -124,7 +124,10 @@ def identity(n):
 def find_positive_F(fam):
     """Smallest N < size with sum_{0 <= n <= N*1} A^n entrywise positive,
     returned as (N, F, A_F); None if no such N works (always for an empty
-    family)."""
+    family) or some A_i is zero.  A zero A_i has no positive eigenvalue,
+    yet A_F = A^0 = I is positive at N = 0 for one vertex."""
+    if any(not any(map(any, mat)) for mat in fam.matrices):
+        return None
     for N in range(fam.size):
         a_f, F = fam.box_sum(N)
         if all(entry > 0 for row in a_f for entry in row):
@@ -216,8 +219,8 @@ def perron_data(fam):
     found = find_positive_F(fam)
     if found is None:
         raise NotIrreducibleError(
-            "no box sum of powers is entrywise positive within the bound; "
-            "family is not irreducible")
+            "no box sum of powers is entrywise positive within the bound, "
+            "or a coordinate matrix is zero; family is not irreducible")
     N, F, a_f = found
     x = power_iteration(a_f)
     rho = _rayleigh(fam, x)

@@ -76,7 +76,9 @@ def command_cases(command):
         "periodicity": [("pullback-b2-config", "pullback-b2",
                          ["--config", CFG]),
                         ("pullback-b2-flag-beats-config", "pullback-b2",
-                         ["--config", CFG, "--bound", "2"])],
+                         ["--config", CFG, "--bound", "2"]),
+                        ("pullback-b2-bound-6", "pullback-b2",
+                         ["--bound", "6"])],
         "measure consistency": [("b2-over-cap", "b2",
                                  ["--m", "0", "--n", "12", "--cap", "100"])],
         "measure shift": [("b2-default-level", "b2",

@@ -400,13 +400,17 @@ def test_every_error_class_has_its_exit_code():
 
 @pytest.mark.parametrize("argv, code", [
     (("info", "EMPTY"), 1),
+    # A^0 = I is positive on one vertex, but the zero A_1 has no Perron data
+    (("info", "NO_EDGES"), 1),
     (("periodicity", "GRAPH", "--bound", "99999"), 2),
     (("validate", "NOT_JSON"), 3),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_error_exit_code_and_kind(capsys, tmp_path, pb2_file, argv, code):
     files = {"GRAPH": pb2_file, "EMPTY": tmp_path / "empty.json",
+             "NO_EDGES": tmp_path / "no-edges.json",
              "NOT_JSON": tmp_path / "bad.json"}
     files["EMPTY"].write_text(EMPTY_GRAPH)
+    files["NO_EDGES"].write_text(json.dumps(graph_doc()))
     files["NOT_JSON"].write_text("not json")
     assert main([str(files.get(a, a)) for a in argv]) == code
     out, err = capsys.readouterr()
@@ -464,6 +468,26 @@ def test_oversized_rank_exits_3_at_once(tmp_path):
         text=True, timeout=1)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("kgraph: input error: rank k")
+
+
+def test_cubical_walk_exits_2(tmp_path):
+    # every color the 2-cycle u <-> w: a valid graph with 2 C(k, 3) chains
+    # of ascending colors, 1,102,600 at k = 150, past the default cap
+    k = 150
+    edges = [{"id": f"{v}{c}", "color": c, "range": v,
+              "source": "w" if v == "u" else "u"}
+             for c in range(1, k + 1) for v in "uw"]
+    squares = [{"blue": f"{v}{i}", "red": f"{o}{j}", "red2": f"{v}{j}",
+                "blue2": f"{o}{i}"}
+               for i in range(1, k + 1) for j in range(i + 1, k + 1)
+               for v, o in ("uw", "wu")]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph_doc(k=k, vertices=["u", "w"],
+                                         edges=edges, squares=squares)))
+    code, out, err = run_quiet(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("kgraph: bound exceeded: cubical check walks 1102600 "
+                   "chains of ascending colors, exceeds cap 1000000\n")
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,11 @@ same entries.
 import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
+from kgraphs.errors import EnumerationCapError
 from kgraphs.graphs import KGraph, ValidationReport
 
 
@@ -190,6 +192,35 @@ def test_cubical_faults():
         cubical(("e2:w2:u", "v:g2:u", "v:w1:euv"),
                 ["v:w2:euv", "v:g2:v", "e2:w1:v"],
                 ["v:w2:euv", "v:g2:v", "e1:w1:v"])]
+
+
+def ascending_chains(g):
+    """Brute force: the composable chains e.f.g of ascending colors."""
+    return sum(e.color < f.color < h.color and e.source == f.range
+               and f.source == h.range
+               for e, f, h in itertools.product(g.edges, repeat=3))
+
+
+def test_cubical_walk_is_capped():
+    # the walk stops before it starts when its chains exceed the cap, and a
+    # later validate under a larger cap reports as a fresh graph does
+    sigma, tau = {1: 2, 2: 1, 3: 3}, {1: 1, 2: 3, 3: 2}
+    docs = [builders.make_single_vertex(
+                4, [3, 1, 1, 1], perm_tables(4, [sigma, tau, sigma])
+            ).to_json_dict(),
+            product3(builders.b2(), builders.c2(), builders.fib()),
+            twisted_product3()]
+    for doc in docs:
+        g = KGraph.from_json_dict(doc)
+        count = ascending_chains(g)
+        assert count > 0
+        g.cap = count - 1
+        with pytest.raises(EnumerationCapError,
+                           match=f"walks {count} chains"):
+            g.validate()
+        g.cap = count
+        assert dataclasses.asdict(g.validate()) == \
+            dataclasses.asdict(KGraph.from_json_dict(doc).validate())
 
 
 # ----------------------------------------------------------------------
