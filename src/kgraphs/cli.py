@@ -336,18 +336,18 @@ COMMANDS = {
 
 
 def run_command(name, args):
-    """Load, validate, resolve options, report, record provenance, emit."""
+    """Load, set options and cap, validate, report, emit with provenance."""
     row = COMMANDS[name]
     config = read_config(args.config) if args.config else {}
     graph = KGraph.from_json(sys.stdin.read() if args.graph == "-"
                              else read_text(args.graph, "graph"))
-    if name != "validate":
-        graph.require_valid()
     opts = {key: resolve(key, getattr(args, key), config, default)
             for key, default in row.options.items()}
     for key, value in opts.items():
         check_tol(value, key)
     graph.cap = opts.get("cap", ENUM_CAP)
+    if name != "validate":
+        graph.require_valid()
     doc, passed = row.report(Context(graph, opts), args)
     shown = dict(opts, **{key: getattr(args, key) for key in row.shown})
     doc = dict(doc, provenance={"graph_sha256": graph.sha256(),

@@ -566,91 +566,96 @@ class KMSStates:
         of the equilibrium identity.  More than graph.cap keys raise
         EnumerationCapError, tested after each w.
 
+        A split fixes nu, alpha, eta and beta; its keys take every mu with
+        s(mu) = r(alpha).  p = mu.alpha has degree d(mu) + d(alpha) and
+        source s(alpha), so the mu go by degree class (_BoxIndex.classes),
+        and the mass of p and the plan -- the degrees d(zeta.beta') at which
+        d(p) - d(zeta.beta') is periodic -- are read once per class.  Blind
+        mode pairs a class with every zeta of a planned degree and source
+        s(eta); the honest walk files the heads zeta of theta(p) by their
+        tails beta' and keeps the file of beta' = beta.  A split's keys
+        depend on nu and eta only through their high digits, so what it adds
+        is built once per (alpha, d(beta)), and per s(eta) in blind mode,
+        and replayed by every split that shares it.
+
         All four paths of a key lie in the box [0, D], so the key is their
-        box indices packed into one int (_BoxIndex.key); keys are inserted
-        in walk order and map to their mass.  Masses are multiplied by
-        `scale`, which makes them ints when the Perron data is rational (see
-        _scales).
+        box indices packed into one int, base n: (mu, nu) in the high digits
+        and (eta, zeta) in the low ones.  Keys are inserted in walk order,
+        with mu in box order and zeta in plan order within a split, and map
+        to their mass times `scale`, which makes it an int when the Perron
+        data is rational (see _scales).
         """
         g = self.graph
         n = len(box.paths)
         contributions = {}
-        extended = {}   # mu * n + alpha -> (d(p), scaled mass, p)
-        plans = {}      # degrees -> the periodic g over d(zeta), or the zetas
-        resolved = {}   # (mu, alpha, d(q), d(zeta)) -> q = zeta.beta'
+        plans = {}      # (d(p), d(beta), s(eta)) -> plan
+        batches = {}    # blind (alpha, d(beta), s(eta)) -> {None: batch},
+        #                 honest (alpha, d(beta), None) -> {beta: batch}
 
-        def extension(mu, alpha):
-            # p = mu.alpha; blind mode needs only its degree and mass
-            hit = extended.get(mu * n + alpha)
-            if hit is None:
-                dp = dg.add(box.degree[mu], box.degree[alpha])
-                mass = _scaled(self.measure.mass_at(dp, box.source[alpha]),
-                               scale)
-                p = None if theta_blind else g.compose(box.paths[mu],
-                                                       box.paths[alpha])
-                hit = extended[mu * n + alpha] = (dp, mass, p)
-            return hit
-
-        def honest(base, mu, beta, alpha):
-            # zeta runs over the heads of theta(p) that end in beta
-            dp, mass, p = extension(mu, alpha)
-            dbeta = box.degree[beta]
-            plan = plans.get((dp, dbeta))
+        def plan_of(dp, dbeta, v):
+            # honest: (g != 0, d(zeta.beta'), d(zeta)) for each periodic g =
+            # d(p) - d(zeta.beta'); blind: every zeta with source v there
+            plan = plans.get((dp, dbeta, v))
             if plan is None:
-                plan = plans[dp, dbeta] = []
+                plan = plans[dp, dbeta, v] = []
                 for nzeta in box.degrees:
                     nprime = dg.add(nzeta, dbeta)
                     gvec = dg.sub(dp, nprime)
                     if self.periodic(gvec):
-                        plan.append((gvec, nprime, nzeta))
-            for gvec, nprime, nzeta in plan:
-                hit = resolved.get((mu, alpha, nprime, nzeta))
-                if hit is None:
-                    q = self.theta_map(dp, nprime)(p) if any(gvec) else p
-                    hit = resolved[mu, alpha, nprime, nzeta] = box.indices(
-                        g.factorize(q, nzeta))
-                zeta, beta_q = hit
-                if beta_q != beta:
+                        plan.extend(box.classes[v].get(nzeta, ())
+                                    if theta_blind
+                                    else [(any(gvec), nprime, nzeta)])
+            return plan
+
+        def batch(alpha, dbeta, v):
+            # [(mus, zetas, mass)]: the mu with s(mu) = r(alpha), by class
+            out = {}
+            for dmu, mus in box.classes[box.paths[alpha].range].items():
+                dp = dg.add(dmu, box.degree[alpha])
+                plan = plan_of(dp, dbeta, v)
+                if not plan:
                     continue
-                key = base + zeta
-                contributions[key] = contributions.get(key, 0) + mass
+                mass = _scaled(self.measure.mass_at(dp, box.source[alpha]),
+                               scale)
+                if theta_blind:
+                    out.setdefault(None, []).append((mus, plan, mass))
+                    continue
+                for mu in mus:
+                    p = g.compose(box.paths[mu], box.paths[alpha])
+                    filed = {}  # the heads zeta of theta(p) by their tails
+                    for shift, nprime, nzeta in plan:
+                        q = self.theta_map(dp, nprime)(p) if shift else p
+                        zeta, tail = box.indices(g.factorize(q, nzeta))
+                        filed.setdefault(tail, []).append(zeta)
+                    for tail, zetas in filed.items():
+                        out.setdefault(tail, []).append(((mu,), zetas, mass))
+            return out
 
-        def blind(base, mu, eta, beta, alpha):
-            # every zeta with s(zeta) = s(eta) and a periodic difference
-            dp, mass, _ = extension(mu, alpha)
-            dbeta = box.degree[beta]
-            source = box.source[eta]
-            plan = plans.get((dp, dbeta, source))
-            if plan is None:
-                plan = plans[dp, dbeta, source] = [
-                    zeta for nzeta in box.degrees
-                    if self.periodic(dg.sub(dp, dg.add(nzeta, dbeta)))
-                    for zeta in box.by_degree_source.get((nzeta, source), ())]
-            for zeta in plan:
-                key = base + zeta
-                contributions[key] = contributions.get(key, 0) + mass
-
-        splits_of = {}  # d(w) -> (degrees below it, pairs that join to it)
+        u = None
         for w in box.paths:
-            u = w.degree
-            hit = splits_of.get(u)
-            if hit is None:
+            if w.degree != u:   # the box lists its paths degree by degree
+                u = w.degree
                 splits = dg.box(dg.zero(g.k), u)
                 pairs = [(j1, j2) for j2, m2 in enumerate(splits)
                          for j1, m1 in enumerate(splits)
                          if dg.join(m1, m2) == u]
-                hit = splits_of[u] = (splits, pairs)
-            splits, pairs = hit
             facs = [box.indices(g.factorize(w, m)) for m in splits]
             for j1, j2 in pairs:
                 eta, beta = facs[j2]
                 nu, alpha = facs[j1]
-                for mu in box.by_source[box.source[nu]]:
-                    base = box.key(mu, nu, eta, 0)
-                    if theta_blind:
-                        blind(base, mu, eta, beta, alpha)
-                    else:
-                        honest(base, mu, beta, alpha)
+                at = (alpha, box.degree[beta],
+                      box.source[eta] if theta_blind else None)
+                hit = batches.get(at)
+                if hit is None:
+                    hit = batches[at] = batch(*at)
+                for mus, zetas, mass in hit.get(
+                        None if theta_blind else beta, ()):
+                    for mu in mus:
+                        base = ((mu * n + nu) * n + eta) * n
+                        for zeta in zetas:
+                            key = base + zeta
+                            contributions[key] = contributions.get(key, 0) \
+                                + mass
             if len(contributions) > g.cap:
                 raise EnumerationCapError(
                     f"KMS support exceeds cap {g.cap} keys")
@@ -734,13 +739,16 @@ class KMSStates:
         two masses; a zero difference means the key passes for every state.
 
         Keys are the packed box indices of _support_contributions, so key
-        = high * n^2 + low has the swap low * n^2 + high.  Each pair is
-        visited once: one read of both masses and of both packed pairs'
-        cached (code, rho^{-gamma}, gamma) gives L - rho^{-gamma} R and
+        = high * n^2 + low has the swap low * n^2 + high.  Before the
+        sweep, every source-matched packed pair (mu, nu) is given the
+        (code, T rho^{-gamma}, gamma) of its two degrees.  Then each key
+        and swap pair is visited once, with no call: one read of both
+        masses and two reads of that table give L - rho^{-gamma} R and
         R - rho^{-gamma'} L.  A code is gamma as an int in radix
         4 max(D) + 1, so the codes of (mu, nu) and (eta, zeta) add up to
         the grade's code; profiles are keyed by it, and only supported
-        swaps, which come up again as keys, are marked seen.  With
+        swaps, which come up again as keys, are marked seen.  A bucket
+        keeps a sample while its count is under 20.  With
         rational Perron data the differences are summed as ints, S * T
         times their value (see _scales); one common multiplier leaves the
         deduplication unchanged.  The table holds the profiles at their
@@ -759,52 +767,53 @@ class KMSStates:
         nn = n * n
         rho = self.measure.rho
         radix = 4 * max(D) + 1
-        factors = {}    # gamma -> T * rho^{-gamma}
-        pairs = {}      # packed (mu, nu) -> (code of gamma, factor, gamma)
-
-        def graded(pair):
-            mu, nu = divmod(pair, n)
-            gamma = dg.sub(box.degree[mu], box.degree[nu])
-            factor = factors.get(gamma)
-            if factor is None:
-                factor = factors[gamma] = _scaled(
-                    dg.rho_power(rho, dg.neg(gamma)), T)
-            code = sum(c * radix ** i for i, c in enumerate(gamma))
-            hit = pairs[pair] = (code, factor, gamma)
-            return hit
-
+        by_gamma = {gamma: (sum(c * radix ** i for i, c in enumerate(gamma)),
+                            _scaled(dg.rho_power(rho, dg.neg(gamma)), T),
+                            gamma)
+                    for gamma in dg.box(dg.neg(D), D)}
+        graded = {(dmu, dnu): by_gamma[dg.sub(dmu, dnu)]
+                  for dmu in box.degrees for dnu in box.degrees}
+        # packed (mu, nu) -> (code of gamma, T * rho^{-gamma}, gamma)
+        pairs = {mu * n + nu: graded[box.degree[mu], box.degree[nu]]
+                 for here in box.by_source.values()
+                 for mu in here for nu in here}
         profiles = {}   # (code of g, diff) -> [count, samples, g]
         seen = set()    # supported swaps already visited
-        checked = 0
-
-        def tally(code, diff, sample, ghigh, glow):
-            bucket = profiles.get((code, diff))
-            if bucket is None:
-                bucket = profiles[code, diff] = [0, [], dg.add(ghigh, glow)]
-            bucket[0] += 1
-            if len(bucket[1]) < 20:
-                bucket[1].append(sample)
-
+        selfswaps = 0
         for key, left in contributions.items():
             if key in seen:
                 continue
             high, low = divmod(key, nn)
             swap = low * nn + high
             right = contributions.get(swap, 0)
-            chigh, fhigh, ghigh = pairs.get(high) or graded(high)
-            clow, flow, glow = pairs.get(low) or graded(low)
-            code = chigh + clow
+            chigh, fhigh, ghigh = pairs[high]
+            clow, flow, glow = pairs[low]
             diff = T * left - fhigh * right
             if diff:
-                tally(code, diff, (key, left, right), ghigh, glow)
-            checked += 1
-            if swap != key:
-                checked += 1
-                if right:   # a supported swap; masses are positive
-                    seen.add(swap)
-                diff = T * right - flow * left
-                if diff:
-                    tally(code, diff, (swap, right, left), ghigh, glow)
+                bucket = profiles.get((chigh + clow, diff))
+                if bucket is None:
+                    bucket = profiles[chigh + clow, diff] = [
+                        0, [], dg.add(ghigh, glow)]
+                if bucket[0] < 20:
+                    bucket[1].append((key, left, right))
+                bucket[0] += 1
+            if swap == key:
+                selfswaps += 1
+                continue
+            if right:   # a supported swap; masses are positive
+                seen.add(swap)
+            diff = T * right - flow * left
+            if diff:
+                bucket = profiles.get((chigh + clow, diff))
+                if bucket is None:
+                    bucket = profiles[chigh + clow, diff] = [
+                        0, [], dg.add(ghigh, glow)]
+                if bucket[0] < 20:
+                    bucket[1].append((swap, right, left))
+                bucket[0] += 1
+        # each visited key is checked with its swap, skipped keys are the
+        # seen swaps, and a key that is its own swap counts once
+        checked = 2 * (len(contributions) - len(seen)) - selfswaps
         unit = Fraction(1, S * T)
         table = {
             "box": box,
@@ -1003,28 +1012,19 @@ class _BoxIndex:
         self.degree = [p.degree for p in self.paths]
         self.source = [p.source for p in self.paths]
         self.by_source = {}            # vertex -> indices
-        self.by_degree_source = {}     # (degree, vertex) -> indices
+        self.classes = {}              # vertex -> {degree: indices}
         for i, p in enumerate(self.paths):
             self.by_source.setdefault(p.source, []).append(i)
-            self.by_degree_source.setdefault((p.degree, p.source),
-                                             []).append(i)
+            self.classes.setdefault(p.source, {}).setdefault(
+                p.degree, []).append(i)
 
     def indices(self, paths):
         return tuple(self.index[p] for p in paths)
 
-    def key(self, mu, nu, eta, zeta):
-        """The quadruple of indices packed into one int, base n: the pair
-        (mu, nu) in the high digits and (eta, zeta) in the low ones."""
-        n = len(self.paths)
-        return ((mu * n + nu) * n + eta) * n + zeta
-
     def paths_of(self, key):
         """The quadruple of paths behind a key."""
-        out = []
-        for _ in range(4):
-            key, i = divmod(key, len(self.paths))
-            out.append(self.paths[i])
-        return tuple(reversed(out))
+        n = len(self.paths)
+        return tuple(self.paths[key // n ** e % n] for e in (3, 2, 1, 0))
 
 
 def _add_turns(ta, tb):

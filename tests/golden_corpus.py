@@ -87,7 +87,13 @@ def command_cases(command):
                            ["--m", "1,0", "--n", "0,0", "--config", CFG])],
         "kms check": [("b2-config", "b2",
                        ["--state", "z=1/4", "--max-degree", "1",
-                        "--config", CFG])],
+                        "--config", CFG]),
+                      ("pullback-b2-box-2,2-theta-blind", "pullback-b2",
+                       ["--state", "z=1/4,0", "--max-degree", "2,2",
+                        "--theta-blind"]),
+                      ("product-b2-c2-box-2,2-theta-blind", "product-b2-c2",
+                       ["--state", "haar", "--max-degree", "2,2",
+                        "--theta-blind"])],
         "phase": [("pullback-b2-beta-fraction", "pullback-b2",
                    ["--beta", "3/2"]),
                   ("fib-beta-float", "fib", ["--beta", "2.5"])],

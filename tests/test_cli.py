@@ -470,10 +470,9 @@ def test_oversized_rank_exits_3_at_once(tmp_path):
     assert proc.stderr.startswith("kgraph: input error: rank k")
 
 
-def test_cubical_walk_exits_2(tmp_path):
-    # every color the 2-cycle u <-> w: a valid graph with 2 C(k, 3) chains
-    # of ascending colors, 1,102,600 at k = 150, past the default cap
-    k = 150
+def two_cycle_graph(tmp_path, k):
+    """Every color the 2-cycle u <-> w: a valid graph with 2 C(k, 3)
+    chains of ascending colors."""
     edges = [{"id": f"{v}{c}", "color": c, "range": v,
               "source": "w" if v == "u" else "u"}
              for c in range(1, k + 1) for v in "uw"]
@@ -484,10 +483,27 @@ def test_cubical_walk_exits_2(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_doc(k=k, vertices=["u", "w"],
                                          edges=edges, squares=squares)))
-    code, out, err = run_quiet(["validate", str(path)])
+    return str(path)
+
+
+def test_cubical_walk_exits_2(tmp_path):
+    # 1,102,600 chains at k = 150, past the default cap
+    code, out, err = run_quiet(["validate", two_cycle_graph(tmp_path, 150)])
     assert code == 2 and out == ""
     assert err == ("kgraph: bound exceeded: cubical check walks 1102600 "
                    "chains of ascending colors, exceeds cap 1000000\n")
+
+
+def test_cap_flag_bounds_the_cubical_walk(tmp_path):
+    # --cap reaches the graph before it is validated: 2,280 chains at
+    # k = 20 are under the default cap but past 100
+    path = two_cycle_graph(tmp_path, 20)
+    code, out, err = run_quiet(["periodicity", path, "--cap", "100",
+                                "--bound", "0"])
+    assert code == 2 and out == ""
+    assert err == ("kgraph: bound exceeded: cubical check walks 2280 "
+                   "chains of ascending colors, exceeds cap 100\n")
+    assert run_quiet(["periodicity", path, "--bound", "0"])[0] == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from kgraphs import builders, degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
-                         parse_state)
+                         _scaled, parse_state)
+from kgraphs.periodicity import periodicity_group
+from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import QQi
+from test_path_layer import pullbacks, single_vertex_2graphs
 
 F = Fraction
 
@@ -393,13 +397,100 @@ def test_cached_sweep_table_retains_little(graphs, perron, groups):
     assert retained < 2 ** 20
 
 
+def old_support_contributions(st, box, theta_blind, scale):
+    """A test-only reference for KMSStates._support_contributions that
+    walks mu by mu over box.by_source, extends each (mu, alpha) on its own
+    and resolves each plan entry to (zeta, beta'), skipping it when beta'
+    is not beta."""
+    g = st.graph
+    n = len(box.paths)
+    contributions = {}
+    extended = {}   # mu * n + alpha -> (d(p), scaled mass, p)
+    plans = {}      # degrees -> the periodic g over d(zeta), or the zetas
+    resolved = {}   # (mu, alpha, d(q), d(zeta)) -> q = zeta.beta'
+
+    def extension(mu, alpha):
+        hit = extended.get(mu * n + alpha)
+        if hit is None:
+            dp = dg.add(box.degree[mu], box.degree[alpha])
+            mass = _scaled(st.measure.mass_at(dp, box.source[alpha]), scale)
+            p = None if theta_blind else g.compose(box.paths[mu],
+                                                   box.paths[alpha])
+            hit = extended[mu * n + alpha] = (dp, mass, p)
+        return hit
+
+    def honest(base, mu, beta, alpha):
+        dp, mass, p = extension(mu, alpha)
+        dbeta = box.degree[beta]
+        plan = plans.get((dp, dbeta))
+        if plan is None:
+            plan = plans[dp, dbeta] = []
+            for nzeta in box.degrees:
+                nprime = dg.add(nzeta, dbeta)
+                gvec = dg.sub(dp, nprime)
+                if st.periodic(gvec):
+                    plan.append((gvec, nprime, nzeta))
+        for gvec, nprime, nzeta in plan:
+            hit = resolved.get((mu, alpha, nprime, nzeta))
+            if hit is None:
+                q = st.theta_map(dp, nprime)(p) if any(gvec) else p
+                hit = resolved[mu, alpha, nprime, nzeta] = box.indices(
+                    g.factorize(q, nzeta))
+            zeta, beta_q = hit
+            if beta_q != beta:
+                continue
+            key = base + zeta
+            contributions[key] = contributions.get(key, 0) + mass
+
+    def blind(base, mu, eta, beta, alpha):
+        dp, mass, _ = extension(mu, alpha)
+        dbeta = box.degree[beta]
+        source = box.source[eta]
+        plan = plans.get((dp, dbeta, source))
+        if plan is None:
+            plan = plans[dp, dbeta, source] = [
+                zeta for nzeta in box.degrees
+                if st.periodic(dg.sub(dp, dg.add(nzeta, dbeta)))
+                for zeta in box.classes[source].get(nzeta, ())]
+        for zeta in plan:
+            key = base + zeta
+            contributions[key] = contributions.get(key, 0) + mass
+
+    splits_of = {}
+    for w in box.paths:
+        u = w.degree
+        hit = splits_of.get(u)
+        if hit is None:
+            splits = dg.box(dg.zero(g.k), u)
+            pairs = [(j1, j2) for j2, m2 in enumerate(splits)
+                     for j1, m1 in enumerate(splits)
+                     if dg.join(m1, m2) == u]
+            hit = splits_of[u] = (splits, pairs)
+        splits, pairs = hit
+        facs = [box.indices(g.factorize(w, m)) for m in splits]
+        for j1, j2 in pairs:
+            eta, beta = facs[j2]
+            nu, alpha = facs[j1]
+            for mu in box.by_source[box.source[nu]]:
+                base = ((mu * n + nu) * n + eta) * n
+                if theta_blind:
+                    blind(base, mu, eta, beta, alpha)
+                else:
+                    honest(base, mu, beta, alpha)
+        if len(contributions) > g.cap:
+            raise EnumerationCapError(
+                f"KMS support exceeds cap {g.cap} keys")
+    return contributions
+
+
 def reference_sweep(st, D, theta_blind):
     """The sweep as a slow per-key loop: each key of the support and each
     swap is visited on its own, its paths and grade read from the box, and
-    its difference taken unscaled, as a Fraction when the data is exact."""
+    its difference taken unscaled, as a Fraction when the data is exact.
+    The support comes from the reference walk."""
     S, _ = st._scales(D)
     box = _BoxIndex(st.graph, D)
-    contributions = st._support_contributions(box, theta_blind, S)
+    contributions = old_support_contributions(st, box, theta_blind, S)
     unit = F(1, S)
     nn = len(box.paths) ** 2
 
@@ -443,3 +534,35 @@ def test_sweep_matches_per_key_reference(graphs, perron, groups, name, D,
     assert (table["checked"], table["support"]) == (checked, support)
     if theta_blind:
         assert profiles
+
+
+def check_walk(st, D, theta_blind):
+    """The support walk against the reference: the same keys with the same
+    masses, inserted in the same order."""
+    S, _ = st._scales(D)
+    box = _BoxIndex(st.graph, D)
+    new = st._support_contributions(box, theta_blind, S)
+    old = old_support_contributions(st, box, theta_blind, S)
+    assert list(new.items()) == list(old.items())
+    return new
+
+
+@pytest.mark.parametrize("name, D, theta_blind", [
+    *[(name, (3,) if name in ("b2", "fib") else (2, 1), blind)
+      for name in ("b2", "fib", "pullback-b2", "product-b2-c2")
+      for blind in (False, True)],
+    ("pullback-b2", (2, 2), False), ("product-b2-c2", (2, 2), False)])
+def test_support_walk_matches_reference(graphs, perron, groups, name, D,
+                                        theta_blind):
+    st = KMSStates(graphs[name], perron[name], group=groups[name])
+    assert check_walk(st, D, theta_blind)
+
+
+@settings(max_examples=8)
+@given(hst.one_of(single_vertex_2graphs(), pullbacks))
+def test_support_walk_matches_reference_generated(g):
+    st = KMSStates(g, perron_data(MatrixFamily.from_graph(g)),
+                   group=periodicity_group(g, bound=2))
+    for D in ((1, 1), (2, 1)):
+        for theta_blind in (False, True):
+            check_walk(st, D, theta_blind)
