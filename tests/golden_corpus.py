@@ -80,7 +80,14 @@ def command_cases(command):
                         ("pullback-b2-bound-6", "pullback-b2",
                          ["--bound", "6"])],
         "measure consistency": [("b2-over-cap", "b2",
-                                 ["--m", "0", "--n", "12", "--cap", "100"])],
+                                 ["--m", "0", "--n", "12", "--cap", "100"]),
+                                ("fib-deep", "fib", ["--m", "1", "--n", "5"]),
+                                ("product-b2-c2-deep", "product-b2-c2",
+                                 ["--m", "0,1", "--n", "2,3"])],
+        "measure decay": [("pullback-b2-periodic", "pullback-b2",
+                           ["--mu", "a1", "--nu", "b1", "--a-max", "2"]),
+                          ("fib-j-max-6", "fib",
+                           ["--mu", "euu", "--nu", "u", "--j-max", "6"])],
         "measure shift": [("b2-default-level", "b2",
                            ["--m", "1", "--n", "0"]),
                           ("pullback-b2-config", "pullback-b2",
