@@ -163,9 +163,6 @@ class KGraph:
             raise CompositionError(f"edge id {eid!r} not in this graph")
         return e
 
-    def color_of(self, eid):
-        return self.edge(eid).color
-
     def edges_into(self, color, v):
         """The ids of the color-`color` edges with range v, sorted."""
         return self._by_range.get((color, v), ())
@@ -505,17 +502,23 @@ class KGraph:
                      for stem in self.paths_of_degree(stem_deg)
                      for eid in self._by_range.get((color, stem.source), ()))
 
+    def extensions(self, path, degree):
+        """{edges of compose(path, a): a} for every a in s(path)Lambda^m,
+        m = degree - d(path), in paths_of_degree order.  The key is the
+        normal form of path.a, built without a Path for it."""
+        start = len(path.edges)
+        return {tuple(self._normalize(path.edges + a.edges, start)): a
+                for a in self.paths_of_degree(dg.sub(degree, path.degree),
+                                              range=path.source)}
+
     def lambda_min(self, mu, nu):
         """All (alpha, beta) with mu.alpha = nu.beta of degree d(mu) v d(nu),
-        sorted canonically."""
+        sorted canonically; each nu.beta is looked up in mu's extensions."""
         self.require_valid()
         if mu.range != nu.range:
             return []
         jn = dg.join(mu.degree, nu.degree)
-        table = {}   # compose(mu, a).edges -> a, with no Path built
-        start = len(mu.edges)
-        for a in self.paths_of_degree(dg.sub(jn, mu.degree), range=mu.source):
-            table[tuple(self._normalize(mu.edges + a.edges, start))] = a
+        table = self.extensions(mu, jn)
         out = []
         start = len(nu.edges)
         for b in self.paths_of_degree(dg.sub(jn, nu.degree), range=nu.source):

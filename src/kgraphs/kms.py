@@ -635,7 +635,7 @@ class KMSStates:
         for w in box.paths:
             if w.degree != u:   # the box lists its paths degree by degree
                 u = w.degree
-                splits = dg.box(dg.zero(g.k), u)
+                splits = dg.degrees_below(u)
                 pairs = [(j1, j2) for j2, m2 in enumerate(splits)
                          for j1, m1 in enumerate(splits)
                          if dg.join(m1, m2) == u]
@@ -687,19 +687,16 @@ class KMSStates:
         other becomes its profile (d(mu) - d(nu), mass(mu), bound), counted.
 
         mu.lam and nu.lam share an extension exactly when their extensions
-        to the joined degree meet, so those extension sets are built once
-        per (path, tail, degree) and intersected per pair."""
+        to the joined degree meet, so KGraph.extensions builds those sets
+        once per (path, tail, degree) and they are intersected per pair."""
         g = self.graph
         ones = (1,) * g.k
         reach = {}      # (mu, tail, degree) -> edges of the extensions
 
-        def extensions(mu, t, ml, degree):
-            key = (mu, t, degree)
-            hit = reach.get(key)
+        def reached(mu, t, ml, degree):
+            hit = reach.get((mu, t, degree))
             if hit is None:
-                hit = reach[key] = {
-                    g.compose(ml, a).edges for a in g.paths_of_degree(
-                        dg.sub(degree, ml.degree), range=ml.source)}
+                hit = reach[mu, t, degree] = g.extensions(ml, degree).keys()
             return hit
 
         profiles = {}
@@ -718,8 +715,8 @@ class KMSStates:
                     bound = self.measure.zero
                     for t, (ml, nl) in enumerate(zip(extended[mu],
                                                      extended[nu])):
-                        if not extensions(mu, t, ml, joined).isdisjoint(
-                                extensions(nu, t, nl, joined)):
+                        if not reached(mu, t, ml, joined).isdisjoint(
+                                reached(nu, t, nl, joined)):
                             bound += self.measure.mass(ml)
                     profile = (dg.sub(box.degree[mu], box.degree[nu]), mass,
                                bound)
@@ -977,22 +974,21 @@ class KMSStates:
         return StateSpec.mixture(
             [(w, _add_turns(chi.turns, ts)) for w, ts in state.components])
 
-    def states_equal(self, sa, sb, tol=KMS_TOL):
+    def states_equal(self, sa, sb):
         """Whether two state specifications induce the same state.
 
         A state at the critical inverse temperature is fixed by its psi on
-        the periodicity group, so the two psi are compared, within tol, on
-        the multiples t b of each basis vector b with |t| <= search_bound.
-        That decides every kind: a character never vanishes while the
-        averaging state vanishes off 0, and on the trivial group (no basis)
-        every specification gives the same state.
+        the periodicity group, so the two psi are compared, within KMS_TOL,
+        on the multiples t b of each basis vector b with |t| <=
+        search_bound.  That decides every kind: a character never vanishes
+        while the averaging state vanishes off 0, and on the trivial group
+        (no basis) every specification gives the same state.
         """
-        check_tol(tol)
         if self.group is None:
             raise InputFormatError("state comparison needs a computed "
                                    "periodicity group")
         bound = self.group.search_bound
-        return all(is_zero(sa.psi(gv) - sb.psi(gv), tol)
+        return all(is_zero(sa.psi(gv) - sb.psi(gv), KMS_TOL)
                    for gv in (dg.scale(t, b) for b in self.group.basis
                               for t in range(-bound, bound + 1)))
 
@@ -1004,7 +1000,7 @@ class _BoxIndex:
     indices and turns them back into paths only for its report."""
 
     def __init__(self, graph, D):
-        self.degrees = dg.box(dg.zero(graph.k), D)
+        self.degrees = dg.degrees_below(D)
         self.paths = []
         for m in self.degrees:
             self.paths.extend(graph.paths_of_degree(m))

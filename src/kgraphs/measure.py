@@ -84,7 +84,7 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     slack = 0 if cm.exact else tol
     max_err = cm.zero
     for lam in g.paths_of_degree(m):
-        refined = sum(cm.mass(g.compose(lam, t))
+        refined = sum(cm.mass_at(n, t.source)   # the mass of lam.t
                       for t in g.paths_of_degree(step, range=lam.source))
         max_err = max(max_err, abs(refined - cm.mass(lam)))
     total_err = abs(cm.total_mass(n) - 1)
@@ -198,7 +198,7 @@ def find_decay_witness(cm, gvec, a_max=6):
     if not any(gvec):
         raise InputFormatError("witness search needs a nonzero difference")
     pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
-    cands = [a for a in dg.box(dg.zero(g.k), (a_max,) * g.k) if any(a)]
+    cands = [a for a in dg.degrees_below((a_max,) * g.k) if any(a)]
     cands.sort(key=lambda a: (sum(a), a))
     for a in cands:
         tails = {}
@@ -241,7 +241,7 @@ def decay_check(cm, witness, mu, nu, j_max):
     and nu after j rounds of witness-degree extensions.
 
     A common extension of mu.lam.t and nu.lam.t is one of mu.lam and
-    nu.lam, so round j tests only the extensions of round j - 1's shared
+    nu.lam, so round j tests only KGraph.extensions of round j - 1's shared
     tails; the others add nothing to m_j.  The shared tails are still
     summed in canonical path order, so float masses come out the same."""
     g = cm.graph
@@ -267,8 +267,8 @@ def decay_check(cm, witness, mu, nu, j_max):
             if g.lambda_min(mu_lam, g.compose(nu, lam)):
                 mj += cm.mass(mu_lam)
                 shared.append(lam)
-        alive = {g.compose(lam, t).edges for lam in shared
-                 for t in g.paths_of_degree(witness.a, range=lam.source)}
+        alive = set().union(*(g.extensions(lam, dg.add(ja, witness.a))
+                              for lam in shared))
         masses.append(mj)
         bounds.append(kpow * base)
         kpow = kpow * witness.K

@@ -78,7 +78,7 @@ class MatrixFamily:
 
     def box_sum(self, bound):
         """A_F for F = {0..bound}^k, together with F as a degree list."""
-        F = dg.box(dg.zero(self.k), (bound,) * self.k)
+        F = dg.degrees_below((bound,) * self.k)
         acc = [[0] * self.size for _ in range(self.size)]
         for n in F:
             p = self.power(n)
@@ -110,6 +110,11 @@ class PerronData:
         return self.x_exact if self.exact else self.x
 
 
+def mat_vec(a, x):
+    """The product a x as a list, each row's sum taken left to right."""
+    return [sum(c * v for c, v in zip(row, x)) for row in a]
+
+
 def mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n))
@@ -135,38 +140,28 @@ def find_positive_F(fam):
     return None
 
 
-def power_iteration(matrix, start=None, max_iter=POWER_MAX_ITER):
-    """1-norm-normalized power iteration on an entrywise-positive matrix,
-    run until no entry moves by POWER_TOL.  Deterministic: the default
-    start is uniform."""
+def power_iteration(matrix):
+    """1-norm-normalized power iteration on an entrywise-positive matrix
+    from the uniform vector, run until no entry moves by POWER_TOL;
+    ConvergenceError after POWER_MAX_ITER steps."""
     a = [[float(c) for c in row] for row in matrix]
-    n = len(a)
-    if start is None:
-        x = [1.0 / n] * n
-    else:
-        x = [float(v) for v in start]
-        total = sum(x)
-        if len(x) != n or min(x) < 0 or total <= 0:
-            raise InputFormatError("start vector must be nonnegative, nonzero")
-        x = [v / total for v in x]
-    for _ in range(max_iter):
-        y = [sum(c * v for c, v in zip(row, x)) for row in a]
+    x = [1.0 / len(a)] * len(a)
+    for _ in range(POWER_MAX_ITER):
+        y = mat_vec(a, x)
         total = sum(y)
         y = [v / total for v in y]
         if max(abs(s - t) for s, t in zip(y, x)) < POWER_TOL:
             return tuple(y)
         x = y
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations")
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations")
 
 
 def _rayleigh(fam, x):
     """rho_i as (A_i x)_s / x_s, requiring the ratios constant across s."""
     rho = []
     for i in range(fam.k):
-        ax = [sum(float(fam.matrices[i][r][c]) * x[c]
-                  for c in range(fam.size)) for r in range(fam.size)]
-        ratios = [ax[r] / x[r] for r in range(fam.size)]
+        ratios = [a / v for a, v in zip(mat_vec(fam.matrices[i], x), x)]
         mean = sum(ratios) / len(ratios)
         spread = max(ratios) - min(ratios)
         if mean <= 0 or spread > RAYLEIGH_REL_TOL * mean:
@@ -205,12 +200,9 @@ def _reconstruct_exact(fam, rho):
     sol = solve_exact(rows, rhs)
     if sol is None or any(v <= 0 for v in sol):
         return None
-    for i in range(fam.k):
-        for r in range(n):
-            lhs = sum(Fraction(fam.matrices[i][r][c]) * sol[c]
-                      for c in range(n))
-            if lhs != cand[i] * sol[r]:
-                return None
+    if any(mat_vec(m, sol) != [c * v for v in sol]
+           for m, c in zip(fam.matrices, cand)):
+        return None
     return tuple(cand), tuple(sol)
 
 
@@ -253,8 +245,7 @@ def verify_subinvariance(fam, y, lam, pd):
     slack = 0 if exact_in else SUBINVARIANCE_TOL
     violations = []
     for i in range(fam.k):
-        for r in range(fam.size):
-            lhs = sum(fam.matrices[i][r][c] * y[c] for c in range(fam.size))
+        for r, lhs in enumerate(mat_vec(fam.matrices[i], y)):
             rhs = lam[i] * y[r]
             if lhs > rhs + slack:
                 violations.append((i + 1, fam.labels[r], float(lhs),

@@ -93,6 +93,9 @@ class QQi:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

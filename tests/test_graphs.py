@@ -116,7 +116,7 @@ def test_normal_form_color_order(pb2g):
     # whatever mixed-color word comes in, the stored word is blue-first
     p = pb2g.path_from_edges(["b1", "a2"])
     assert p.degree == (1, 1)
-    assert [pb2g.color_of(e) for e in p.edges] == [1, 2]
+    assert [pb2g.edge(e).color for e in p.edges] == [1, 2]
     # and it equals the square-mate spelled blue-first
     assert p == pb2g.path_from_edges(["a1", "b2"])
 

@@ -248,8 +248,6 @@ def test_bad_tol_is_refused(states, tol):
     with pytest.raises(InputFormatError):
         st.kms_check(haar, (2,), tol=tol)
     with pytest.raises(InputFormatError):
-        st.states_equal(haar, haar, tol=tol)
-    with pytest.raises(InputFormatError):
         st.toeplitz_kms_exists(1, (1,), tol=tol)
 
 

@@ -8,17 +8,25 @@ as in test_kms_oracle.py, and kms_check must agree with that walk on the
 failure count, on every reported failure and on the size of the support:
 honest and theta-blind, for the averaging state and a quarter-turn
 character.  The honest check must pass.
+
+On those graphs and on the generators of test_shift_agreement.py, every
+basis vector b of Per(Lambda) found at bound 1 obeys the theta laws of
+acceptance criterion 04 (bijection, composition, translation), and two
+quarter-turn characters give the same state exactly when they agree on
+that basis (criterion 11).
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders, degrees as dg
 from kgraphs.kms import AlgebraElement, KMSStates, StateSpec
-from kgraphs.periodicity import periodicity_group
+from kgraphs.periodicity import periodicity_group, theta
 from kgraphs.perron import MatrixFamily, perron_data
 from test_kms_oracle import brute_values
+from test_shift_agreement import GRAPHS
 
 F = Fraction
 D = (1, 1)
@@ -88,3 +96,49 @@ def test_kms_check_matches_brute_force(g):
                 pv = state.psi(grades[ab])
                 assert (f["lhs"], f["rhs_scaled"]) == (
                     repr(pv * value[ab]), repr(pv * scaled[ab]))
+
+
+def check_theta_laws(g, b):
+    """Criterion 04 for the periodic pair (b+, b-)."""
+    pos, neg = dg.pos_part(b), dg.neg_part(b)
+    th = theta(g, pos, neg)
+    inv = th.inverse()
+    # a bijection Lambda^{b+} -> Lambda^{b-} keeping both ends
+    assert set(th.table) == set(g.paths_of_degree(pos))
+    assert set(th.table.values()) == set(g.paths_of_degree(neg))
+    for p, q in th.table.items():
+        assert inv(q) == p and (q.range, q.source) == (p.range, p.source)
+    # composition: 2b+ -> b+ + b- -> 2b- is 2b+ -> 2b-
+    top, mid, low = dg.scale(2, pos), dg.add(pos, neg), dg.scale(2, neg)
+    th1, th2, th12 = theta(g, top, mid), theta(g, mid, low), theta(g, top, low)
+    for p in g.paths_of_degree(top):
+        assert th2(th1(p)) == th12(p)
+    # translation: prepending a path commutes with the bijection
+    ones = (1,) * g.k
+    th_up = theta(g, dg.add(pos, ones), dg.add(neg, ones))
+    for alpha in g.paths_of_degree(ones):
+        for mu in g.paths_of_degree(pos, range=alpha.source):
+            assert th_up(g.compose(alpha, mu)) == g.compose(alpha, th(mu))
+
+
+def check_character_separation(g, group):
+    """Criterion 11: characters za, zb give one state exactly when
+    za - zb is an integer on every basis vector of Per(Lambda)."""
+    st_ = KMSStates(g, perron_data(MatrixFamily.from_graph(g)), group=group)
+    turns = list(itertools.product((F(0), F(1, 4), F(1, 2), F(3, 4)),
+                                   repeat=g.k))
+    for za in (turns[0], turns[-1]):
+        for zb in turns:
+            agree = all(sum((a - c) * x for a, c, x in zip(za, zb, b))
+                        .denominator == 1 for b in group.basis)
+            assert st_.states_equal(StateSpec.character(za),
+                                    StateSpec.character(zb)) == agree
+
+
+@settings(max_examples=20)
+@given(st.one_of(GRAPHS, two_loop_2graphs()))
+def test_theta_laws_and_character_separation(g):
+    group = periodicity_group(g, bound=1)
+    for b in group.basis:
+        check_theta_laws(g, b)
+    check_character_separation(g, group)

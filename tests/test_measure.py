@@ -5,14 +5,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
 from kgraphs import degrees as dg
 from kgraphs.errors import InputFormatError, WitnessSearchError
-from kgraphs.measure import (CylinderMeasure, agreement_mass,
-                             consistency_check, decay_check,
+from kgraphs.measure import (ConsistencyReport, CylinderMeasure,
+                             agreement_mass, consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
 from kgraphs.perron import MatrixFamily, perron_data
+from kgraphs.scalars import CONSISTENCY_TOL
+from test_path_layer import pullbacks, products, single_vertex_2graphs
 
 F = Fraction
 
@@ -64,6 +67,49 @@ def test_mass_refines_by_one_edge(measures, graphs):
                     else:
                         assert float(total) == pytest.approx(
                             float(cm.mass(p)), abs=1e-12)
+
+
+def old_consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
+    """consistency_check as it was: a Path composed for each refinement."""
+    g = cm.graph
+    slack = 0 if cm.exact else tol
+    max_err = cm.zero
+    for lam in g.paths_of_degree(m):
+        refined = sum(cm.mass(g.compose(lam, t))
+                      for t in g.paths_of_degree(dg.sub(n, m),
+                                                 range=lam.source))
+        max_err = max(max_err, abs(refined - cm.mass(lam)))
+    total_err = abs(cm.total_mass(n) - 1)
+    return ConsistencyReport(m=m, n=n, exact=cm.exact,
+                             max_refinement_error=float(max_err),
+                             total_mass_error=float(total_err),
+                             passed=max_err <= slack and total_err <= slack)
+
+
+def check_consistency_as_before(cm, top):
+    """The same report, float fields to the bit, for all m <= n <= top."""
+    for n in dg.degrees_below(top):
+        for m in dg.degrees_below(n):
+            assert repr(consistency_check(cm, m, n)) == \
+                repr(old_consistency_check(cm, m, n)), (m, n)
+
+
+def test_consistency_as_before_on_fixtures(measures):
+    for cm in measures.values():
+        check_consistency_as_before(cm, (5,) if cm.graph.k == 1 else (2, 3))
+
+
+GENERATED = st.one_of(single_vertex_2graphs(), pullbacks, products)
+
+
+def measure_of(g):
+    return CylinderMeasure(g, perron_data(MatrixFamily.from_graph(g)))
+
+
+@settings(max_examples=15)
+@given(GENERATED)
+def test_consistency_as_before_on_generated(g):
+    check_consistency_as_before(measure_of(g), (2, 2))
 
 
 def test_consistency_reports(measures):
@@ -216,22 +262,36 @@ SHUFFLED_SQUARES = {(1, 2): {
     (3, 3): (2, 1)}}
 
 
+def check_decay_matches_every_tail(cm, w, mu, j_max):
+    nu = cm.graph.vertex_path(mu.source)
+    rep = decay_check(cm, w, mu, nu, j_max)
+    assert rep.masses == _shared_masses(cm, w, mu, nu, j_max)
+    return rep
+
+
 def test_decay_check_matches_every_tail(measures):
     shuffled = builders.make_single_vertex(2, [3, 3], SHUFFLED_SQUARES)
-    cases = [(CylinderMeasure(shuffled, perron_data(
-                 MatrixFamily.from_graph(shuffled))), (1, 0), "a1"),
+    cases = [(measure_of(shuffled), (1, 0), "a1"),
              (measures["pullback-b2"], (1, 0), "a1"),
              (measures["fib"], (1,), "euu")]
-    reports = []
-    for cm, gvec, literal in cases:
-        g = cm.graph
-        w = find_decay_witness(cm, gvec)
-        mu = g.parse_path(literal)
-        nu = g.vertex_path(mu.source)
-        reports.append(decay_check(cm, w, mu, nu, 3))
-        assert reports[-1].masses == _shared_masses(cm, w, mu, nu, 3)
+    reports = [check_decay_matches_every_tail(
+                   cm, find_decay_witness(cm, gvec),
+                   cm.graph.parse_path(literal), 3)
+               for cm, gvec, literal in cases]
     assert reports[0].a == (0, 2)
     assert reports[0].masses == (F(1, 3), F(4, 27), F(11, 243), F(29, 2187))
+
+
+@settings(max_examples=15)
+@given(GENERATED)
+def test_decay_check_matches_every_tail_generated(g):
+    # e1 has a separating-tail witness unless it is periodic
+    cm = measure_of(g)
+    try:
+        w = find_decay_witness(cm, (1, 0), a_max=2)
+    except WitnessSearchError:
+        return
+    check_decay_matches_every_tail(cm, w, g.paths_of_degree((1, 0))[0], 2)
 
 
 def test_decay_check_requires_matching_difference(measures, b2g):

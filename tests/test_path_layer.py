@@ -4,8 +4,10 @@
 a bubble-sort normal form, `_split_first` moving one head edge at a time to
 the front, and `segment` as two factorizations.  KGraph's one-pass
 `compose`, `factorize`, `segment`, `path_from_edges` and `lambda_min` must
-give equal results on the four fixtures, on generated single-vertex
-2-graphs, on pullbacks and products of generated 1-graphs and at rank 3.
+give equal results, and `extensions` the table that `compose` builds, in
+the same key order and for vertex paths too.  They are compared on the
+four fixtures, on generated single-vertex 2-graphs, on pullbacks and
+products of generated 1-graphs and at rank 3.
 The factorization property is checked along the way: a factorization and
 the three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration
 must come out in canonical (range, edges) order, and stop at the graph's
@@ -40,7 +42,7 @@ class OldLayer:
         while moved:
             moved = False
             for t in range(len(seq) - 1):
-                if self.g.color_of(seq[t]) > self.g.color_of(seq[t + 1]):
+                if self.g.edge(seq[t]).color > self.g.edge(seq[t + 1]).color:
                     seq[t], seq[t + 1] = self.inv[(seq[t], seq[t + 1])]
                     moved = True
         return seq
@@ -48,7 +50,7 @@ class OldLayer:
     def path(self, seq):
         deg = [0] * self.g.k
         for eid in seq:
-            deg[self.g.color_of(eid) - 1] += 1
+            deg[self.g.edge(eid).color - 1] += 1
         return Path(tuple(deg), tuple(seq), self.g.edge(seq[0]).range,
                     self.g.edge(seq[-1]).source)
 
@@ -65,7 +67,7 @@ class OldLayer:
 
     def split_first(self, seq, color):
         t = next(i for i, eid in enumerate(seq)
-                 if self.g.color_of(eid) == color)
+                 if self.g.edge(eid).color == color)
         seq = list(seq)
         for j in range(t, 0, -1):
             seq[j - 1], seq[j] = self.fwd[(seq[j - 1], seq[j])]
@@ -143,6 +145,12 @@ def check_layer(g, top, pair_top):
         if mu.source == nu.range:
             assert g.compose(mu, nu) == old.compose(mu, nu)
         assert g.lambda_min(mu, nu) == old.lambda_min(mu, nu)
+    for x in small:
+        for d in dg.degrees_below(pair_top):
+            want = {g.compose(x, a).edges: a
+                    for a in g.paths_of_degree(d, range=x.source)}
+            got = g.extensions(x, dg.add(x.degree, d))
+            assert list(got.items()) == list(want.items())
     for seq in walks(g, sum(top)):
         assert g.path_from_edges(seq) == old.path_from_edges(seq)
 

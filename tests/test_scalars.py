@@ -78,6 +78,16 @@ def test_abs2_is_norm(a):
     assert (a.abs2() == 0) == a.is_zero()
 
 
+def test_qqi_zero_is_falsy():
+    assert not QQi.of(0) and not QQi(Fraction(0), Fraction(0))
+    assert QQi(Fraction(0), Fraction(1)) and QQi.of(Fraction(-1, 3))
+
+
+@given(qqis)
+def test_qqi_truth_agrees_with_equality_to_zero(z):
+    assert bool(z) == (z != 0) == (not z.is_zero())
+
+
 @given(qqis, exact_reals)
 def test_exact_real_operands_stay_exact(a, r):
     q = QQi.of(r)
