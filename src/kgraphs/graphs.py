@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
                      InputFormatError, NotStronglyConnectedError,
                      SegmentRangeError)
-from .perron import MatrixFamily
+from .perron import MatrixFamily, mat_vec
 
 ENUM_CAP = 10 ** 6  # default KGraph.cap, and the largest rank k
 
@@ -150,8 +151,9 @@ class KGraph:
         self._inv = {}   # (red2, blue2) -> (blue, red)
         self._report = None
         self.cap = ENUM_CAP
-        self._path_cache = {}       # degree -> tuple[Path]
-        self._paths_by_range = {}   # degree -> {vertex: tuple[Path]}
+        self._path_cache = {}       # asked degree -> tuple[Path]
+        self._paths_by_range = {}   # built on a degree's first range filter
+        self._checked = set()   # degrees whose cap chain passed
         self._matrices = None
 
     # ------------------------------------------------------------------
@@ -230,16 +232,14 @@ class KGraph:
         cubical_checked = self.k >= 3 and not square_failures
         cubical_failures = (self._check_cubical(by_vertex) if cubical_checked
                             else [])
-        edge_counts = [0] * self.k
-        for e in self.edges:
-            edge_counts[e.color - 1] += 1
+        edge_counts = Counter(e.color for e in self.edges)
         # (color, vertex) keys lie in 1..k x vertices: all there iff as many
         full = self.k * len(self.vertices)
         self._report = ValidationReport(
             valid=not square_failures and not cubical_failures,
             k=self.k,
             vertex_count=len(self.vertices),
-            edge_counts=tuple(edge_counts),
+            edge_counts=tuple(edge_counts[c] for c in range(1, self.k + 1)),
             square_failures=square_failures,
             cubical_checked=cubical_checked,
             cubical_failures=cubical_failures,
@@ -292,20 +292,17 @@ class KGraph:
         return [message for _, message in sorted(found)]
 
     def _strongly_connected(self):
-        """True iff vΛw is nonempty for every ordered vertex pair (trivial
-        identity paths make the diagonal automatic)."""
-        succ = {v: set() for v in self.vertices}
-        for e in self.edges:
-            succ[e.source].add(e.range)  # an edge is a path from source to range
-        for v in self.vertices:
-            seen = {v}
-            stack = [v]
+        """True iff vΛw is nonempty for every ordered vertex pair: one
+        search along the edges and one against them, from one vertex."""
+        for ends in (("source", "range"), ("range", "source")):
+            succ = defaultdict(set)   # an edge is a path from source to range
+            for e in self.edges:
+                succ[getattr(e, ends[0])].add(getattr(e, ends[1]))
+            seen, stack = set(self.vertices[:1]), list(self.vertices[:1])
             while stack:
-                u = stack.pop()
-                for w in succ[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                new = succ[stack.pop()] - seen
+                seen |= new
+                stack.extend(new)
             if len(seen) != len(self.vertices):
                 return False
         return True
@@ -458,49 +455,65 @@ class KGraph:
 
     def count_paths(self, n):
         """|Λ^n| from coordinate-matrix powers (cheap, exact)."""
-        mat = MatrixFamily.from_graph(self).power(n)
-        return sum(sum(row) for row in mat)
+        return sum(map(sum, MatrixFamily.from_graph(self).power(n)))
 
     def paths_of_degree(self, n, range=None, source=None):
-        """All paths of degree n, optionally filtered by range/source vertex,
-        in canonical sorted order.  EnumerationCapError when |Lambda^n|
-        exceeds self.cap, whether or not Lambda^n is cached."""
+        """All paths of degree n in canonical sorted order, optionally filtered
+        by range/source vertex; only the degrees asked for are cached."""
         self.require_valid()
-        n = tuple(n)
-        if not dg.is_nonneg(n):
-            raise InputFormatError(f"degree {n} must be nonnegative")
+        if not (type(n) is tuple and len(n) == self.k
+                and all(type(c) is int and c >= 0 for c in n)):
+            raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
         paths = self._path_cache.get(n)
-        size = self.count_paths(n) if paths is None else len(paths)
-        if size > self.cap:
-            raise EnumerationCapError(
-                f"|paths of degree {n}| = {size} exceeds cap {self.cap}")
-        if paths is None:
+        if paths is None or len(paths) > self.cap:   # if cached, raises
+            self._check_cap(n)
             paths = self._path_cache[n] = self._enumerate(n)
-            by_range = {}
-            for p in paths:
-                by_range.setdefault(p.range, []).append(p)
-            self._paths_by_range[n] = {v: tuple(ps)
-                                       for v, ps in by_range.items()}
-        if range is not None and source is None:
-            return list(self._paths_by_range[n].get(range, ()))
-        return [p for p in paths
-                if (range is None or p.range == range)
-                and (source is None or p.source == source)]
+        if source is not None:
+            return [p for p in paths if p.source == source
+                    and (range is None or p.range == range)]
+        if range is None:
+            return list(paths)
+        if n not in self._paths_by_range:
+            self._paths_by_range[n] = {v: tuple(ps) for v, ps in groupby(
+                paths, key=lambda p: p.range)}
+        return list(self._paths_by_range[n].get(range, ()))
+
+    def _check_cap(self, n):
+        """The cap on each stem that a build from cached stems would make:
+        n, n - e_c, ... (c the highest color left) down to 0 or a degree
+        checked before.  Each |vLambda^d| is A_c times the stem's counts."""
+        x, d = [1] * len(self.vertices), [0] * self.k
+        chain = [(tuple(d), len(x))]   # bottom up, with |Lambda^d|
+        for c, mat in enumerate(self.coordinate_matrices()):
+            for d[c] in range(1, n[c] + 1):
+                x = mat_vec(mat, x)
+                chain.append((tuple(d), sum(x)))
+        for d, size in reversed(chain):
+            if size > self.cap:
+                raise EnumerationCapError(
+                    f"|paths of degree {d}| = {size} exceeds cap {self.cap}")
+            if d in self._checked:
+                break
+        self._checked.update(d for d, _ in chain)
 
     def _enumerate(self, n):
-        if not any(n):
-            return tuple(self.vertex_path(v) for v in self.vertices)
-        # Append one edge of the highest used color at the source end; the
-        # result is already in normal form, and by uniqueness of the
-        # degree-(n - e_i) | e_i factorization each path arises exactly once.
-        # Stems come sorted by (range, edges) and edge ids sorted, so the
-        # paths come out in that canonical order.
-        color = max(i + 1 for i, c in enumerate(n) if c > 0)
-        stem_deg = dg.sub(n, dg.unit(self.k, color))
-        return tuple(Path(n, stem.edges + (eid,), stem.range,
-                          self._edge[eid].source)
-                     for stem in self.paths_of_degree(stem_deg)
-                     for eid in self._by_range.get((color, stem.source), ()))
+        """Lambda^n in (range, edges) order, as its normal form reads: each
+        color's runs grow edge by edge from where the lower colors' paths
+        end and are joined to them there; only the last join makes Paths."""
+        edge, by_range = self._edge, self._by_range
+        level = [((), v, v) for v in self.vertices]
+        runs = {v: [((), v)] for v in self.vertices}   # not yet joined
+        for c, length in enumerate(n, 1):
+            if length:
+                level = [(pe + es, r, s) for pe, r, ps in level
+                         for es, s in runs[ps]]
+                runs = {s: [((), s)] for _, _, s in level}
+                for _ in range(length):
+                    runs = {v: [(es + (e,), edge[e].source) for es, s in rs
+                                for e in by_range.get((c, s), ())]
+                            for v, rs in runs.items()}
+        return tuple([Path(n, pe + es, r, s) for pe, r, ps in level
+                      for es, s in runs[ps]])
 
     def extensions(self, path, degree):
         """{edges of compose(path, a): a} for every a in s(path)Lambda^m,

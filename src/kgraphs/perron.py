@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
@@ -59,12 +60,8 @@ class MatrixFamily:
     def check_commuting(self):
         """True iff all pairs commute, compared exactly (the entries are
         ints or Fractions)."""
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                if mat_mul(self.matrices[i], self.matrices[j]) != \
-                        mat_mul(self.matrices[j], self.matrices[i]):
-                    return False
-        return True
+        return all(mat_mul(a, b) == mat_mul(b, a)
+                   for a, b in combinations(self.matrices, 2))
 
     def power(self, n):
         """A^n = prod A_i^{n_i} (n in N^k)."""
@@ -79,13 +76,9 @@ class MatrixFamily:
     def box_sum(self, bound):
         """A_F for F = {0..bound}^k, together with F as a degree list."""
         F = dg.degrees_below((bound,) * self.k)
-        acc = [[0] * self.size for _ in range(self.size)]
-        for n in F:
-            p = self.power(n)
-            for r in range(self.size):
-                for c in range(self.size):
-                    acc[r][c] += p[r][c]
-        return tuple(tuple(row) for row in acc), tuple(F)
+        # entrywise sums over the powers, each taken in F's order
+        rows = zip(*(self.power(n) for n in F))
+        return tuple(tuple(map(sum, zip(*row))) for row in rows), tuple(F)
 
 
 @dataclass(frozen=True)
@@ -186,18 +179,11 @@ def _reconstruct_exact(fam, rho):
         cand = [Fraction(round(L * r), L) for r in rho]
     except (OverflowError, ValueError):
         return None
-    rows = []
-    rhs = []
-    n = fam.size
-    for i in range(fam.k):
-        for r in range(n):
-            row = [Fraction(fam.matrices[i][r][c]) for c in range(n)]
-            row[r] -= cand[i]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    sol = solve_exact(rows, rhs)
+    rows = [[Fraction(a) - c * d for a, d in zip(row, id_row)]
+            for m, c in zip(fam.matrices, cand)
+            for row, id_row in zip(m, identity(fam.size))]
+    rhs = [Fraction(0)] * len(rows) + [Fraction(1)]
+    sol = solve_exact(rows + [[Fraction(1)] * fam.size], rhs)
     if sol is None or any(v <= 0 for v in sol):
         return None
     if any(mat_vec(m, sol) != [c * v for v in sol]

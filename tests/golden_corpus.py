@@ -83,7 +83,9 @@ def command_cases(command):
                                  ["--m", "0", "--n", "12", "--cap", "100"]),
                                 ("fib-deep", "fib", ["--m", "1", "--n", "5"]),
                                 ("product-b2-c2-deep", "product-b2-c2",
-                                 ["--m", "0,1", "--n", "2,3"])],
+                                 ["--m", "0,1", "--n", "2,3"]),
+                                ("pullback-b2-deep", "pullback-b2",
+                                 ["--m", "3,1", "--n", "6,7"])],
         "measure decay": [("pullback-b2-periodic", "pullback-b2",
                            ["--mu", "a1", "--nu", "b1", "--a-max", "2"]),
                           ("fib-j-max-6", "fib",

@@ -205,6 +205,16 @@ def test_enumeration_cap():
         g.paths_of_degree((30,))
 
 
+@pytest.mark.parametrize("n", [(1.5, 0), (True, 0), (1,), (1, 0, 0),
+                               (-1, 0), [1, 0], 2, "1,0", None])
+def test_malformed_degree_is_refused(pb2g, n):
+    # a float once reached the matrix power as a bare TypeError, a bool
+    # was read as an int, and a short tuple failed as a "bad exponent"
+    with pytest.raises(InputFormatError) as err:
+        pb2g.paths_of_degree(n)
+    assert str(err.value) == f"degree {n!r} is not in N^2"
+
+
 def test_foreign_paths_raise_composition_error(pb2g, prodg):
     # product-b2-c2's edge ids are unknown to pullback-b2
     p = prodg.parse_path("e1:w1.v:g1")

@@ -13,7 +13,8 @@ On those graphs and on the generators of test_shift_agreement.py, every
 basis vector b of Per(Lambda) found at bound 1 obeys the theta laws of
 acceptance criterion 04 (bijection, composition, translation), and two
 quarter-turn characters give the same state exactly when they agree on
-that basis (criterion 11).
+that basis (criterion 11), and the central unitaries pass the identities
+of criterion 05 over the box [-1, 1]^k whenever Per(Lambda) != 0.
 """
 
 import itertools
@@ -121,12 +122,11 @@ def check_theta_laws(g, b):
             assert th_up(g.compose(alpha, mu)) == g.compose(alpha, th(mu))
 
 
-def check_character_separation(g, group):
+def check_character_separation(st_, group):
     """Criterion 11: characters za, zb give one state exactly when
     za - zb is an integer on every basis vector of Per(Lambda)."""
-    st_ = KMSStates(g, perron_data(MatrixFamily.from_graph(g)), group=group)
     turns = list(itertools.product((F(0), F(1, 4), F(1, 2), F(3, 4)),
-                                   repeat=g.k))
+                                   repeat=st_.graph.k))
     for za in (turns[0], turns[-1]):
         for zb in turns:
             agree = all(sum((a - c) * x for a, c, x in zip(za, zb, b))
@@ -139,6 +139,11 @@ def check_character_separation(g, group):
 @given(st.one_of(GRAPHS, two_loop_2graphs()))
 def test_theta_laws_and_character_separation(g):
     group = periodicity_group(g, bound=1)
+    st_ = KMSStates(g, perron_data(MatrixFamily.from_graph(g)), group=group)
     for b in group.basis:
         check_theta_laws(g, b)
-    check_character_separation(g, group)
+    check_character_separation(st_, group)
+    if group.basis:
+        rep = st_.unitary_identities((1,) * g.k)
+        assert rep.passed, [c for c in rep.checks if not c[1]]
+        assert len(rep.group_elements) > 1

@@ -13,9 +13,16 @@ the three segments at 0 <= m <= n <= d(p) compose back to p.  Enumeration
 must come out in canonical (range, edges) order, and stop at the graph's
 cap whatever was enumerated before.  Every generated graph passes
 validation, and its Perron radii agree with numpy's eigenvalues.
+
+`OldPaths` is a test-only copy of the recursive `paths_of_degree`, which
+built Lambda^n from its cached stem Lambda^{n - e_c} and checked the cap on
+every stem it built.  The run-joining enumeration must give the same paths
+in the same order, filtered or not, whichever degree is asked first, and
+raise EnumerationCapError with the same message on the same calls.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +110,39 @@ class OldLayer:
         return sorted(out, key=lambda ab: (ab[0].edges, ab[1].edges))
 
 
+class OldPaths:
+    """paths_of_degree as it was, on one graph: Lambda^n is its stem
+    Lambda^{n - e_c} (c the highest used color) followed by one more
+    color-c edge, every stem is cached, and the cap is checked on each
+    degree before it is built."""
+
+    def __init__(self, g):
+        self.g = g
+        self.cache = {}
+
+    def __call__(self, n, range=None, source=None):
+        g = self.g
+        paths = self.cache.get(n)
+        size = g.count_paths(n) if paths is None else len(paths)
+        if size > g.cap:
+            raise EnumerationCapError(
+                f"|paths of degree {n}| = {size} exceeds cap {g.cap}")
+        if paths is None:
+            paths = self.cache[n] = self.enumerate(n)
+        return [p for p in paths if (range is None or p.range == range)
+                and (source is None or p.source == source)]
+
+    def enumerate(self, n):
+        g = self.g
+        if not any(n):
+            return tuple(g.vertex_path(v) for v in g.vertices)
+        color = max(i + 1 for i, c in enumerate(n) if c > 0)
+        return tuple(Path(n, stem.edges + (eid,), stem.range,
+                          g.edge(eid).source)
+                     for stem in self(dg.sub(n, dg.unit(g.k, color)))
+                     for eid in g.edges_into(color, stem.source))
+
+
 def paths_up_to(g, top):
     return [p for d in dg.degrees_below(top) for p in g.paths_of_degree(d)]
 
@@ -155,24 +195,57 @@ def check_layer(g, top, pair_top):
         assert g.path_from_edges(seq) == old.path_from_edges(seq)
 
 
+def check_enumeration(g, top):
+    """paths_of_degree against OldPaths for every degree <= top, asked in
+    ascending and in descending order on fresh copies of g: unfiltered, by
+    each range, by each source and by both.  A returned list is the
+    caller's own: changing it changes no later result."""
+    degrees = dg.degrees_below(top)
+    for order in (degrees, degrees[::-1]):
+        h = KGraph.from_json_dict(g.to_json_dict())
+        old = OldPaths(h)
+        for n in order:
+            assert tuple(h.paths_of_degree(n)) == tuple(old(n))
+            for v in h.vertices:
+                assert tuple(h.paths_of_degree(n, range=v)) == \
+                    tuple(old(n, range=v))
+                assert tuple(h.paths_of_degree(n, source=v)) == \
+                    tuple(old(n, source=v))
+                for w in h.vertices:
+                    assert tuple(h.paths_of_degree(n, range=v, source=w)) \
+                        == tuple(old(n, range=v, source=w))
+        assert set(h._path_cache) == set(degrees)
+        for got in (h.paths_of_degree(top),
+                    h.paths_of_degree(top, range=h.vertices[0])):
+            got.reverse()
+            got.append(h.vertex_path(h.vertices[0]))
+        assert h.paths_of_degree(top) == old(top)
+        assert h.paths_of_degree(top, range=h.vertices[0]) == \
+            old(top, range=h.vertices[0])
+
+
 def test_fixtures(graphs):
     for g in graphs.values():
         if g.k == 1:
             check_layer(g, (4,), (2,))
+            check_enumeration(g, (4,))
         else:
             check_layer(g, (2, 2), (1, 1))
+            check_enumeration(g, (3, 3))
 
 
 def test_rank_three():
-    check_layer(builders.make_single_vertex(3, [2, 2, 2]), (1, 1, 1),
-                (1, 1, 0))
+    flips = builders.make_single_vertex(3, [2, 2, 2])
+    check_layer(flips, (1, 1, 1), (1, 1, 0))
     # x_s y = y x_sigma(s) and x_s z = z x_sigma(s): commuting, so cubical
     sigma = {1: 2, 2: 1, 3: 3}
     tables = {(1, 2): {(s, 1): (1, sigma[s]) for s in sigma},
               (1, 3): {(s, 1): (1, sigma[s]) for s in sigma},
               (2, 3): {(1, 1): (1, 1)}}
-    check_layer(builders.make_single_vertex(3, [3, 1, 1], tables),
-                (2, 1, 1), (1, 1, 1))
+    swaps = builders.make_single_vertex(3, [3, 1, 1], tables)
+    check_layer(swaps, (2, 1, 1), (1, 1, 1))
+    for g in (flips, swaps):
+        check_enumeration(g, (2, 2, 2))
 
 
 @st.composite
@@ -192,6 +265,7 @@ def single_vertex_2graphs(draw):
 @given(single_vertex_2graphs())
 def test_single_vertex_2graphs(g):
     check_layer(g, (2, 2), (1, 1))
+    check_enumeration(g, (3, 3))
 
 
 @st.composite
@@ -218,12 +292,14 @@ products = st.tuples(one_graphs(), one_graphs()).map(
 @given(pullbacks)
 def test_pullbacks(g):
     check_layer(g, (2, 2), (1, 1))
+    check_enumeration(g, (3, 3))
 
 
 @settings(max_examples=10)
 @given(products)
 def test_products(g):
     check_layer(g, (2, 2), (1, 1))
+    check_enumeration(g, (3, 3))
 
 
 def check_cap(g, top):
@@ -280,3 +356,82 @@ def test_generated_valid_with_numpy_radii(g):
         radius = max(abs(np.linalg.eigvals(np.array(mat, dtype=float))))
         assert abs(radius - rho) <= 1e-9
         assert abs(radius - float(value)) <= 1e-9
+
+
+def source_graph():
+    """A valid 1-graph with a source y: |Lambda^2| = 100 < |Lambda^1| = 101."""
+    return builders.one_graph(
+        ["v", "x", "y"],
+        [(f"h{i}", "v", "x") for i in range(100)] + [("k", "x", "y")])
+
+
+def test_cap_counts_the_stems_below():
+    """Lambda^2 is under the cap, but building it from Lambda^1 was not."""
+    g = source_graph()
+    assert g.validate().valid
+    assert (g.count_paths((2,)), g.count_paths((1,))) == (100, 101)
+    g.cap = 100
+    with pytest.raises(EnumerationCapError) as err:
+        g.paths_of_degree((2,))
+    assert str(err.value) == "|paths of degree (1,)| = 101 exceeds cap 100"
+    g.cap = 101
+    assert len(g.paths_of_degree((2,))) == 100
+    # under a lowered cap, a new degree's chain stops at the checked (2,),
+    # as the old build stopped at its cached stem, and (1,) still raises
+    g.cap = 100
+    assert g.paths_of_degree((3,)) == []
+    with pytest.raises(EnumerationCapError) as err:
+        g.paths_of_degree((1,))
+    assert str(err.value) == "|paths of degree (1,)| = 101 exceeds cap 100"
+
+
+def outcome(call):
+    try:
+        return tuple(call())
+    except EnumerationCapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40)
+@given(st.one_of(single_vertex_2graphs(), pullbacks, products,
+                 st.builds(source_graph),
+                 st.sampled_from(sorted(builders.FIXTURES)).map(
+                     lambda name: builders.FIXTURES[name]())),
+       st.data())
+def test_cap_parity(g, data):
+    """A drawn run of (degree, cap) calls on one graph: the same paths, or
+    the same EnumerationCapError message, as OldPaths on a twin graph,
+    whatever each earlier call cached."""
+    twin = KGraph.from_json_dict(g.to_json_dict())
+    old = OldPaths(twin)
+    degrees = dg.degrees_below((3,) if g.k == 1 else (2, 2))
+    caps = sorted({g.count_paths(n) + d for n in degrees for d in (-1, 0)})
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(degrees),
+                                         st.sampled_from(caps)),
+                               min_size=1, max_size=12))
+    for n, cap in calls:
+        g.cap = twin.cap = cap
+        assert outcome(lambda: g.paths_of_degree(n)) == \
+            outcome(lambda: old(n))
+
+
+def test_enumeration_keeps_only_the_asked_degree():
+    """Lambda^(8,8) of pullback-b2 is cached without its 16 stems, and the
+    graph then holds under 20 MiB (30 MiB when the stems were cached)."""
+    tracemalloc.start()
+    try:
+        g = builders.pullback_b2()
+        assert len(g.paths_of_degree((8, 8))) == 2 ** 16
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(g._path_cache) == [(8, 8)]
+    assert current < 20 * 2 ** 20
+
+
+def test_long_degree_needs_no_deep_recursion():
+    """Building each stem through paths_of_degree recursed twice per edge
+    and overflowed the stack at about degree (490,) of the one-loop graph;
+    growing runs does not recurse."""
+    g = builders.make_single_vertex(1, [1])
+    assert [p.edges for p in g.paths_of_degree((600,))] == [("e1",) * 600]

@@ -8,7 +8,8 @@ cubical loop over every color triple.  On mutated documents (squares
 dropped, duplicated, re-pointed, with fields swapped or with their
 right-hand sides exchanged; edges recolored or re-sourced) KGraph.validate
 must give the same report, and its square tables `_fwd` and `_inv` the
-same entries.
+same entries.  Strong connectivity, now two searches from one vertex, must
+agree with the search from every vertex on small drawn directed graphs.
 """
 
 import dataclasses
@@ -226,6 +227,22 @@ def test_cubical_walk_is_capped():
 # ----------------------------------------------------------------------
 # differential test against the rank-driven validation
 
+def old_strongly_connected(g):
+    """The search from every vertex that validation once ran."""
+    succ = {v: set() for v in g.vertices}
+    for e in g.edges:
+        succ[e.source].add(e.range)
+    for v in g.vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) != len(g.vertices):
+            return False
+    return True
+
+
 def old_validate(g):
     """The report, square table and inverse table of the validation that
     walked every color pair and triple of 1..k."""
@@ -316,7 +333,7 @@ def old_validate(g):
         square_failures=square_failures,
         cubical_checked=cubical_checked,
         cubical_failures=cubical_failures,
-        strongly_connected=g._strongly_connected(),
+        strongly_connected=old_strongly_connected(g),
         no_sources=all((i, v) in ins for v in g.vertices for i in colors),
         no_sinks=all((i, v) in outs for v in g.vertices for i in colors))
     return report, fwd, inv
@@ -398,3 +415,19 @@ def test_matches_rank_driven_validation(doc):
     report, fwd, inv = old_validate(g)
     assert dataclasses.asdict(g.validate()) == dataclasses.asdict(report)
     assert g._fwd == fwd and g._inv == inv
+
+
+@st.composite
+def directed_graphs(draw):
+    """0-4 vertices and up to 6 edges between them, any direction."""
+    vs = [f"v{i}" for i in range(draw(st.integers(0, 4)))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          max_size=6)) if vs else []
+    return builders.one_graph(vs, [(f"x{i}", r, s)
+                                   for i, (r, s) in enumerate(edges)])
+
+
+@settings(max_examples=150)
+@given(directed_graphs())
+def test_strong_connectivity_matches_search_from_every_vertex(g):
+    assert g._strongly_connected() == old_strongly_connected(g)
