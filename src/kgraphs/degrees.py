@@ -55,6 +55,12 @@ def is_nonneg(m):
     return all(a >= 0 for a in m)
 
 
+def is_degree(n, k):
+    """Whether n is in N^k: a k-tuple of ints >= 0, bools refused."""
+    return type(n) is tuple and len(n) == k and all(
+        type(c) is int and c >= 0 for c in n)
+
+
 def pos_part(g):
     return tuple(max(a, 0) for a in g)
 

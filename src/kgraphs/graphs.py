@@ -27,7 +27,7 @@ from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
                      InputFormatError, NotStronglyConnectedError,
                      SegmentRangeError)
-from .perron import MatrixFamily, mat_vec
+from .perron import mat_vec
 
 ENUM_CAP = 10 ** 6  # default KGraph.cap, and the largest rank k
 
@@ -454,23 +454,25 @@ class KGraph:
     # enumeration
 
     def count_paths(self, n):
-        """|Λ^n| from coordinate-matrix powers (cheap, exact)."""
-        return sum(map(sum, MatrixFamily.from_graph(self).power(n)))
+        """|Λ^n| = 1^T A_1^{n_1} ... A_k^{n_k} 1, one product at a time."""
+        if not dg.is_degree(n, self.k):
+            raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
+        x = [1] * len(self.vertices)
+        for mat, reps in reversed(list(zip(self.coordinate_matrices(), n))):
+            for _ in range(reps):
+                x = mat_vec(mat, x)
+        return sum(x)
 
-    def paths_of_degree(self, n, range=None, source=None):
-        """All paths of degree n in canonical sorted order, optionally filtered
-        by range/source vertex; only the degrees asked for are cached."""
+    def paths_of_degree(self, n, range=None):
+        """All paths of degree n in canonical sorted order, or only those
+        with range vertex `range`; only the degrees asked for are cached."""
         self.require_valid()
-        if not (type(n) is tuple and len(n) == self.k
-                and all(type(c) is int and c >= 0 for c in n)):
+        if not dg.is_degree(n, self.k):
             raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
         paths = self._path_cache.get(n)
         if paths is None or len(paths) > self.cap:   # if cached, raises
             self._check_cap(n)
             paths = self._path_cache[n] = self._enumerate(n)
-        if source is not None:
-            return [p for p in paths if p.source == source
-                    and (range is None or p.range == range)]
         if range is None:
             return list(paths)
         if n not in self._paths_by_range:

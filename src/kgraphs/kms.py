@@ -43,8 +43,8 @@ from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
-from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, check_tol, coerce_scalar,
-                      format_fraction, is_zero, parse_number)
+from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, add_up, check_tol,
+                      coerce_scalar, format_fraction, is_zero, parse_number)
 
 FLOAT_PRUNE = 1e-14
 
@@ -114,10 +114,8 @@ class AlgebraElement:
 
     @classmethod
     def identity(cls, graph):
-        out = cls.zero(graph)
-        for v in graph.vertices:
-            out = out + cls.vertex_projection(graph, v)
-        return out
+        return cls(graph, {SpanTerm(p, p): 1 for p in
+                           map(graph.vertex_path, graph.vertices)})
 
     # -- ring operations ------------------------------------------------
 
@@ -255,7 +253,7 @@ class StateSpec:
         pairs = tuple((w, tuple(ts)) for w, ts in pairs)
         if not pairs:
             raise InputFormatError("a mixture needs at least one component")
-        total = sum(w for w, _ in pairs)
+        total = add_up(w for w, _ in pairs)
         slack = 0 if isinstance(total, (int, Fraction)) else 1e-9
         if abs(total - 1) > slack or any(w <= 0 for w, _ in pairs):
             raise InputFormatError("mixture weights must be positive and "
@@ -290,8 +288,8 @@ class StateSpec:
         if exact:
             q = sum(int(4 * Fraction(t)) * gi for t, gi in zip(turns, gvec))
             return QQi.quarter_turn(q)
-        angle = 2.0 * math.pi * sum(float(t) * gi
-                                    for t, gi in zip(turns, gvec))
+        angle = 2.0 * math.pi * add_up(float(t) * gi
+                                       for t, gi in zip(turns, gvec))
         return cmath.exp(1j * angle)
 
     def psi(self, gvec):
@@ -310,7 +308,7 @@ class StateSpec:
                 raise InputFormatError("mixture component dimension "
                                        "mismatch")
             terms.append(self._char_psi(ts, gvec, self.is_exact) * w)
-        return sum(terms[1:], terms[0])
+        return add_up(terms[1:], terms[0])
 
     def describe(self):
         if self.kind == "haar":
@@ -479,12 +477,10 @@ class KMSStates:
 
     def phi_apply(self, state, elem, theta_blind=False):
         """Linear extension of phi_eval to algebra elements."""
-        total = self._zero(state)
-        for term, coeff in elem.terms.items():
-            value = self.phi_eval(state, term.mu, term.nu,
-                                  theta_blind=theta_blind)
-            total = total + coeff * value
-        return total
+        return add_up((coeff * self.phi_eval(state, term.mu, term.nu,
+                                             theta_blind=theta_blind)
+                       for term, coeff in elem.terms.items()),
+                      self._zero(state))
 
     # -- central unitaries ----------------------------------------------
 
@@ -494,12 +490,9 @@ class KMSStates:
         if not self.periodic(gvec):
             raise NotPeriodicError(f"{gvec} was not detected as a "
                                    f"periodicity vector")
-        m, n = dg.pos_part(gvec), dg.neg_part(gvec)
-        th = self.theta_map(m, n)
-        out = {}
-        for mu in self.graph.paths_of_degree(m):
-            out[SpanTerm(mu, th(mu))] = QQi.of(1)
-        return AlgebraElement(self.graph, out)
+        table = self.theta_map(dg.pos_part(gvec), dg.neg_part(gvec)).table
+        return AlgebraElement(self.graph, {SpanTerm(mu, nu): 1
+                                           for mu, nu in table.items()})
 
     def unitary_identities(self, max_degree):
         """Exact element-level checks for the unitaries indexed by the
@@ -510,8 +503,11 @@ class KMSStates:
         g = self.graph
         D = _degree_box(max_degree, g.k)
         elements = [v for v in dg.box(dg.neg(D), D) if self.periodic(v)]
+        # the box is symmetric, and so is periodicity: -v is an element too
         unitaries = {v: self.unitary(v) for v in elements}
         ident = AlgebraElement.identity(g)
+        generators = [(e.id, AlgebraElement.edge_generator(g, e.id))
+                      for e in g.edges]
         checks = []
 
         def record(label, ok):
@@ -519,27 +515,25 @@ class KMSStates:
 
         record("U_0 = 1", unitaries[dg.zero(g.k)].equals(ident))
         for v in elements:
-            u = unitaries[v]
-            record(f"U{v}* = U{dg.neg(v)}",
-                   u.adjoint().equals(self.unitary(dg.neg(v))))
-            record(f"U{v} U{dg.neg(v)} = 1",
-                   (u * self.unitary(dg.neg(v))).equals(ident))
-            for e in g.edges:
-                s_e = AlgebraElement.edge_generator(g, e.id)
-                record(f"U{v} commutes with s[{e.id}]",
+            u, u_neg = unitaries[v], unitaries[dg.neg(v)]
+            record(f"U{v}* = U{dg.neg(v)}", u.adjoint().equals(u_neg))
+            record(f"U{v} U{dg.neg(v)} = 1", (u * u_neg).equals(ident))
+            for eid, s_e in generators:
+                record(f"U{v} commutes with s[{eid}]",
                        (u * s_e).equals(s_e * u))
             if any(v):
                 th = self.theta_map(dg.pos_part(v), dg.neg_part(v))
-                for mu in g.paths_of_degree(dg.pos_part(v)):
-                    lhs = AlgebraElement.span(g, mu, mu)
-                    rhs = AlgebraElement.span(g, th(mu), th(mu))
+                for mu, nu in th.table.items():
                     record(f"range projection transport {v} at "
-                           f"{mu.literal()}", lhs.equals(rhs))
+                           f"{mu.literal()}", AlgebraElement.span(g, mu, mu)
+                           .equals(AlgebraElement.span(g, nu, nu)))
         for va in elements:
             for vb in elements:
-                record(f"U{va} U{vb} = U{dg.add(va, vb)}",
-                       (unitaries[va] * unitaries[vb]).equals(
-                           self.unitary(dg.add(va, vb))))
+                w = dg.add(va, vb)   # may lie outside the box
+                if w not in unitaries:
+                    unitaries[w] = self.unitary(w)
+                record(f"U{va} U{vb} = U{w}",
+                       (unitaries[va] * unitaries[vb]).equals(unitaries[w]))
         return UnitaryIdentitiesReport(
             group_elements=tuple(elements), checks=tuple(checks),
             passed=all(ok for _, ok in checks))
@@ -1036,9 +1030,8 @@ def _add_turns(ta, tb):
 
 
 def _degree_box(max_degree, k):
-    D = (max_degree,) * k if isinstance(max_degree, int) \
-        else tuple(int(v) for v in max_degree)
-    if len(D) != k or not dg.is_nonneg(D):
+    D = (max_degree,) * k if type(max_degree) is int else max_degree
+    if not dg.is_degree(D, k):
         raise InputFormatError(f"bad degree box {max_degree!r}")
     return D
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
-from .scalars import CONSISTENCY_TOL, check_tol
+from .scalars import CONSISTENCY_TOL, add_up, check_tol
 
 FLOAT_SLACK = 1e-12
 
@@ -59,7 +59,7 @@ class CylinderMeasure:
         return hit
 
     def total_mass(self, n):
-        return sum(self.mass(p) for p in self.graph.paths_of_degree(n))
+        return add_up(self.mass(p) for p in self.graph.paths_of_degree(n))
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class ConsistencyReport:
 
 def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     """Refining every degree-m cylinder into its degree-n extensions must
-    preserve mass, and Lambda^n must carry total mass 1."""
+    preserve mass, and Lambda^n must carry total mass 1.  Both masses depend
+    on a cylinder Z(lam) only through s(lam): refined once per source."""
     check_tol(tol)
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.leq(m, n)):
@@ -83,10 +84,10 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     step = dg.sub(n, m)
     slack = 0 if cm.exact else tol
     max_err = cm.zero
-    for lam in g.paths_of_degree(m):
-        refined = sum(cm.mass_at(n, t.source)   # the mass of lam.t
-                      for t in g.paths_of_degree(step, range=lam.source))
-        max_err = max(max_err, abs(refined - cm.mass(lam)))
+    for v in dict.fromkeys(lam.source for lam in g.paths_of_degree(m)):
+        refined = add_up(cm.mass_at(n, t.source)   # the mass of lam.t
+                         for t in g.paths_of_degree(step, range=v))
+        max_err = max(max_err, abs(refined - cm.mass_at(m, v)))
     total_err = abs(cm.total_mass(n) - 1)
     return ConsistencyReport(m=m, n=n, exact=cm.exact,
                              max_refinement_error=float(max_err),
@@ -134,8 +135,8 @@ def periodicity_mass_profile(cm, m, n, max_level):
     out = []
     for l in range(max_level + 1):
         survivors = _extend_level(g, l, survivors) if l else survivors
-        out.append(sum((cm.mass_at(dg.add(jn, (l,) * g.k), source)
-                        for source, _ in survivors), cm.zero))
+        out.append(add_up((cm.mass_at(dg.add(jn, (l,) * g.k), source)
+                           for source, _ in survivors), cm.zero))
     return out
 
 
@@ -174,7 +175,7 @@ def agreement_mass(cm, mu, nu, level, group=None):
     for l in range(1, level + 1):
         survivors = _extend_level(g, l, survivors)
     top = dg.add(dg.join(mu.degree, nu.degree), (level,) * g.k)
-    bound = sum((cm.mass_at(top, source) for source, _ in survivors), cm.zero)
+    bound = add_up((cm.mass_at(top, s) for s, _ in survivors), cm.zero)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
                            level=level, level_bound=bound)
@@ -200,19 +201,17 @@ def find_decay_witness(cm, gvec, a_max=6):
     pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
     cands = [a for a in dg.degrees_below((a_max,) * g.k) if any(a)]
     cands.sort(key=lambda a: (sum(a), a))
+    ends = {}   # (degree, vertex) -> the paths of that degree and source
+    for p in g.paths_of_degree(pos) + g.paths_of_degree(neg) if cands else ():
+        ends.setdefault((p.degree, p.source), []).append(p)
     for a in cands:
         tails = {}
         for v in g.vertices:
-            mus = g.paths_of_degree(pos, source=v)
-            nus = g.paths_of_degree(neg, source=v)
-            pick = None
-            for lam in g.paths_of_degree(a, range=v):
-                separated = all(
-                    not g.lambda_min(g.compose(mu, lam), g.compose(nu, lam))
-                    for mu in mus for nu in nus)
-                if separated:
-                    pick = lam
-                    break
+            mus, nus = (ends.get((d, v), ()) for d in (pos, neg))
+            pick = next((lam for lam in g.paths_of_degree(a, range=v)
+                         if not any(g.lambda_min(g.compose(mu, lam),
+                                                 g.compose(nu, lam))
+                                    for mu in mus for nu in nus)), None)
             if pick is None:
                 break
             tails[v] = pick

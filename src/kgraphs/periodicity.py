@@ -42,26 +42,19 @@ def check_pair(graph, m, n):
         return True
     jn = dg.join(m, n)
     units = [dg.unit(graph.k, color) for color in range(1, graph.k + 1)]
-    try:
-        mus = graph.paths_of_degree(jn)
-    except EnumerationCapError:
-        # then so is each Lambda^{(m v n) + e_i} with edges: the first raises
-        for e_i in units:
-            graph.paths_of_degree(dg.add(jn, e_i))
-        raise
-    # Lambda^{(m v n) + e_i} is Lambda^{m v n} followed by a color-i edge
-    sizes = [sum(len(graph.edges_into(color, mu.source)) for mu in mus)
-             for color in range(1, graph.k + 1)]
-    over = next((i for i, size in enumerate(sizes) if size > graph.cap), None)
-    reached = list(enumerate(units[:over], 1))
-    for mu in mus if reached else ():
+    sizes = [graph.count_paths(dg.add(jn, e_i)) for e_i in units]
+    over = next((i for i, s in enumerate(sizes) if s > graph.cap), graph.k)
+    # the colors with edges below it: each has an edge into every vertex,
+    # so if Lambda^{m v n} is over the cap, none is, and it is not enumerated
+    reached = [(c, units[c - 1]) for c in range(1, over + 1) if sizes[c - 1]]
+    for mu in graph.paths_of_degree(jn) if reached else ():
         rest_m, rest_n = (graph.factorize(mu, d)[1].edges for d in (m, n))
         for color, e_i in reached:
             for e in graph.edges_into(color, mu.source):
                 if graph.split_strip(rest_m, (e,), e_i)[0] != \
                         graph.split_strip(rest_n, (e,), e_i)[0]:
                     return False
-    if over is not None:   # enumerating that color raises its cap error
+    if over < graph.k:   # enumerating that color raises its cap error
         graph.paths_of_degree(dg.add(jn, units[over]))
     return True
 
@@ -94,14 +87,12 @@ def theta(graph, m, n, pre_checked=False):
     if not pre_checked and not check_pair(graph, m, n):
         raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                f"{dg.sub(m, n)} is not periodic")
-    if m == n:
-        return ThetaMap(m, n, {mu: mu for mu in graph.paths_of_degree(m)})
-    table = {}
-    for mu in graph.paths_of_degree(m):
-        # any degree-n path into r(mu) works; take the canonically first
-        alpha = graph.paths_of_degree(n, source=mu.range)[0]
-        image = graph.segment(graph.compose(alpha, mu), m, dg.add(m, n))
-        table[mu] = image
+    mus = graph.paths_of_degree(m)
+    # any degree-n path into r(mu) works: take the canonically first with
+    # each source, in one pass over Lambda^n (reversed: the first is kept)
+    alphas = {a.source: a for a in reversed(graph.paths_of_degree(n))}
+    table = {mu: graph.segment(graph.compose(alphas[mu.range], mu), m,
+                               dg.add(m, n)) for mu in mus}
     images = set(table.values())
     preserved = all(v.range == k.range and v.source == k.source
                     for k, v in table.items())

@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
                      NotIrreducibleError)
-from .scalars import solve_exact
+from .scalars import add_up, solve_exact
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10 ** 6
@@ -105,7 +106,7 @@ class PerronData:
 
 def mat_vec(a, x):
     """The product a x as a list, each row's sum taken left to right."""
-    return [sum(c * v for c, v in zip(row, x)) for row in a]
+    return [add_up(map(mul, row, x)) for row in a]
 
 
 def mat_mul(a, b):
@@ -141,7 +142,7 @@ def power_iteration(matrix):
     x = [1.0 / len(a)] * len(a)
     for _ in range(POWER_MAX_ITER):
         y = mat_vec(a, x)
-        total = sum(y)
+        total = add_up(y)
         y = [v / total for v in y]
         if max(abs(s - t) for s, t in zip(y, x)) < POWER_TOL:
             return tuple(y)
@@ -155,7 +156,7 @@ def _rayleigh(fam, x):
     rho = []
     for i in range(fam.k):
         ratios = [a / v for a, v in zip(mat_vec(fam.matrices[i], x), x)]
-        mean = sum(ratios) / len(ratios)
+        mean = add_up(ratios) / len(ratios)
         spread = max(ratios) - min(ratios)
         if mean <= 0 or spread > RAYLEIGH_REL_TOL * mean:
             raise NonConstantRatioError(
@@ -241,7 +242,7 @@ def verify_subinvariance(fam, y, lam, pd):
     lam_dom = all(float(l) >= rho - SUBINVARIANCE_TOL
                   for l, rho in zip(lam, pd.rho))
     equals = None
-    norm = sum(float(v) for v in y)
+    norm = add_up(map(float, y))
     if subinvariant and abs(norm - 1.0) <= SUBINVARIANCE_TOL and \
             all(abs(float(l) - rho) <= SUBINVARIANCE_TOL
                 for l, rho in zip(lam, pd.rho)):
@@ -273,7 +274,7 @@ def spectral_radius_power_check(fam, n, oracle, pd):
     want_power = dg.rho_power(pd.rho, n)
     a_f, _ = fam.box_sum(pd.F_bound)
     got_box = float(oracle(a_f))
-    want_box = sum(dg.rho_power(pd.rho, m) for m in pd.F)
+    want_box = add_up(dg.rho_power(pd.rho, m) for m in pd.F)
     return SpectralCheckReport(
         n=tuple(n),
         oracle_power=got_power, predicted_power=want_power,

@@ -12,9 +12,11 @@ gives the complex result, so other modules use plain operators.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import InputFormatError
 
@@ -120,6 +122,11 @@ def coerce_scalar(c):
     if isinstance(c, (float, complex)):
         return complex(c)
     return QQi.of(c)
+
+
+def add_up(values, start=0):
+    """start + v_1 + v_2 + ...: sum() compensates floats from Python 3.12."""
+    return reduce(operator.add, values, start)
 
 
 def is_zero(value, tol):

@@ -209,10 +209,12 @@ def test_enumeration_cap():
                                (-1, 0), [1, 0], 2, "1,0", None])
 def test_malformed_degree_is_refused(pb2g, n):
     # a float once reached the matrix power as a bare TypeError, a bool
-    # was read as an int, and a short tuple failed as a "bad exponent"
-    with pytest.raises(InputFormatError) as err:
-        pb2g.paths_of_degree(n)
-    assert str(err.value) == f"degree {n!r} is not in N^2"
+    # was read as an int, and a short tuple failed as a "bad exponent";
+    # count_paths applies the same rule
+    for count in (pb2g.paths_of_degree, pb2g.count_paths):
+        with pytest.raises(InputFormatError) as err:
+            count(n)
+        assert str(err.value) == f"degree {n!r} is not in N^2"
 
 
 def test_foreign_paths_raise_composition_error(pb2g, prodg):
@@ -233,5 +235,3 @@ def test_paths_sorted_and_filtered(prodg):
     for v in prodg.vertices:
         sub = prodg.paths_of_degree((1, 1), range=v)
         assert sub == [p for p in paths if p.range == v]
-        bysrc = prodg.paths_of_degree((1, 1), source=v)
-        assert bysrc == [p for p in paths if p.source == v]

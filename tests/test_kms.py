@@ -252,12 +252,16 @@ def test_bad_tol_is_refused(states, tol):
 
 
 def test_negative_degree_box_is_refused(states):
+    # a box is a degree in N^k, as for paths_of_degree, or an int D >= 0
+    # for (D, ..., D): a float or bool entry was once truncated to an int,
+    # so (1.7, True) ran and passed the box (1, 1)
     st = states["pullback-b2"]
-    for bad in (-1, (-1, 0), (1,)):
+    for bad in (-1, (-1, 0), (1,), (1.7, True), True, (1.5, 1), ("1", 1),
+                [1, 1]):
         with pytest.raises(InputFormatError):
             st.kms_check(StateSpec.haar(), bad)
-    with pytest.raises(InputFormatError):
-        st.unitary_identities(-1)
+        with pytest.raises(InputFormatError):
+            st.unitary_identities(bad)
 
 
 def test_kms_check_fib_float(states):

@@ -11,21 +11,28 @@ character.  The honest check must pass.
 
 On those graphs and on the generators of test_shift_agreement.py, every
 basis vector b of Per(Lambda) found at bound 1 obeys the theta laws of
-acceptance criterion 04 (bijection, composition, translation), and two
-quarter-turn characters give the same state exactly when they agree on
-that basis (criterion 11), and the central unitaries pass the identities
-of criterion 05 over the box [-1, 1]^k whenever Per(Lambda) != 0.
+acceptance criterion 04 (bijection, composition, translation), and so do
+2b and, at rank >= 2, b + b' for two basis vectors; two quarter-turn
+characters give the same state exactly when they agree on that basis
+(criterion 11), and the central unitaries pass the identities of
+criterion 05 over the box [-1, 1]^k whenever Per(Lambda) != 0.
+
+On the multi-vertex graphs of those generators, the doubled-x mutant of
+test_kms_mutants.py passes the identity and fails the one-sided screen
+exactly where the proof of the screen says it must (see
+test_the_screen_sees_doubled_x).
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgraphs import builders, degrees as dg
 from kgraphs.kms import AlgebraElement, KMSStates, StateSpec
 from kgraphs.periodicity import periodicity_group, theta
 from kgraphs.perron import MatrixFamily, perron_data
+from test_kms_mutants import doubled_x
 from test_kms_oracle import brute_values
 from test_shift_agreement import GRAPHS
 
@@ -142,8 +149,44 @@ def test_theta_laws_and_character_separation(g):
     st_ = KMSStates(g, perron_data(MatrixFamily.from_graph(g)), group=group)
     for b in group.basis:
         check_theta_laws(g, b)
+        check_theta_laws(g, dg.scale(2, b))
+    for b, c in itertools.combinations(group.basis, 2):
+        check_theta_laws(g, dg.add(b, c))
     check_character_separation(st_, group)
     if group.basis:
         rep = st_.unitary_identities((1,) * g.k)
         assert rep.passed, [c for c in rep.checks if not c[1]]
         assert len(rep.group_elements) > 1
+
+
+@settings(max_examples=20)
+@given(GRAPHS.filter(lambda g: len(g.vertices) > 1))
+# every path of degree (1, 1) of the pullback of the 2-cycle is a loop, so
+# there the screen must not fire
+@example(builders.make_pullback(builders.c2()))
+def test_the_screen_sees_doubled_x(g):
+    """Masses built from y = x doubled at v0, the first vertex.  Under the
+    averaging state only the pairs (mu, mu) count: the screen compares
+    rho^{-d} y_u, u = s(mu), with the masses of the extensions of degree
+    (1,..,1), rho^{-d} (B y)_u / rho^{(1,..,1)}, where
+    B(u, w) = |u Lambda^{(1,..,1)} w|.  As B x = rho^{(1,..,1)} x, the
+    second is rho^{-d} (x_u + B(u, v0) x_v0 / rho^{(1,..,1)}): a violation
+    needs u = v0, and then happens exactly when B(v0, v0) <
+    rho^{(1,..,1)}, that is when some path of degree (1,..,1) leaves v0
+    for another vertex.  Then every box path with source v0 fails.  The
+    identity cannot tell y from x and still passes."""
+    pd = perron_data(MatrixFamily.from_graph(g))
+    group = periodicity_group(g, bound=1)
+    box = (1,) * g.k
+    honest = KMSStates(g, pd, group=group)
+    assert honest.kms_check(StateSpec.haar(), box).passed
+    st_ = KMSStates(g, pd, group=group)
+    st_.measure.mass_at = doubled_x(st_.measure)
+    rep = st_.kms_check(StateSpec.haar(), box)
+    v0 = g.vertices[0]
+    fires = any(p.source != v0 for p in g.paths_of_degree(box, range=v0))
+    at_v0 = [p for n in dg.degrees_below(box) for p in g.paths_of_degree(n)
+             if p.source == v0]
+    assert rep.failure_count == 0
+    assert rep.ck_screen_violations == (len(at_v0) if fires else 0)
+    assert rep.passed is not fires

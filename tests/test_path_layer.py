@@ -120,7 +120,7 @@ class OldPaths:
         self.g = g
         self.cache = {}
 
-    def __call__(self, n, range=None, source=None):
+    def __call__(self, n, range=None):
         g = self.g
         paths = self.cache.get(n)
         size = g.count_paths(n) if paths is None else len(paths)
@@ -129,8 +129,7 @@ class OldPaths:
                 f"|paths of degree {n}| = {size} exceeds cap {g.cap}")
         if paths is None:
             paths = self.cache[n] = self.enumerate(n)
-        return [p for p in paths if (range is None or p.range == range)
-                and (source is None or p.source == source)]
+        return [p for p in paths if range is None or p.range == range]
 
     def enumerate(self, n):
         g = self.g
@@ -197,9 +196,9 @@ def check_layer(g, top, pair_top):
 
 def check_enumeration(g, top):
     """paths_of_degree against OldPaths for every degree <= top, asked in
-    ascending and in descending order on fresh copies of g: unfiltered, by
-    each range, by each source and by both.  A returned list is the
-    caller's own: changing it changes no later result."""
+    ascending and in descending order on fresh copies of g: unfiltered and
+    by each range.  A returned list is the caller's own: changing it
+    changes no later result."""
     degrees = dg.degrees_below(top)
     for order in (degrees, degrees[::-1]):
         h = KGraph.from_json_dict(g.to_json_dict())
@@ -209,11 +208,6 @@ def check_enumeration(g, top):
             for v in h.vertices:
                 assert tuple(h.paths_of_degree(n, range=v)) == \
                     tuple(old(n, range=v))
-                assert tuple(h.paths_of_degree(n, source=v)) == \
-                    tuple(old(n, source=v))
-                for w in h.vertices:
-                    assert tuple(h.paths_of_degree(n, range=v, source=w)) \
-                        == tuple(old(n, range=v, source=w))
         assert set(h._path_cache) == set(degrees)
         for got in (h.paths_of_degree(top),
                     h.paths_of_degree(top, range=h.vertices[0])):

@@ -9,7 +9,10 @@ paths.  The strip-edge decision, the lattice-pruned search and the
 rest-carrying levels must agree with them on the fixtures, on generated
 single-vertex 2-graphs, pullbacks and products, and at rank 3: the same
 decision for every pair (m, n) in a small box, the same `basis` and
-`confirmed`, and the same profile and agreement masses.  Per(Lambda) lies
+`confirmed`, and the same profile and agreement masses.  `old_theta_table`
+is theta as it was, with alpha filtered out of Lambda^n for each mu: the
+one-pass choice of alpha must give the same table, in the same order, for
+every periodic pair of that box.  Per(Lambda) lies
 in {g : A^{g+} = A^{g-}}, which lies in {g : rho^g = 1}.  Past the cap,
 `check_pair` raises as the per-color enumeration did.
 """
@@ -27,7 +30,7 @@ from kgraphs.graphs import KGraph
 from kgraphs.measure import (CylinderMeasure, agreement_mass,
                              periodicity_mass_profile)
 from kgraphs.periodicity import (check_pair, decide_periodic, hnf_basis,
-                                 periodicity_group)
+                                 periodicity_group, theta)
 from kgraphs.perron import MatrixFamily, perron_data
 from test_path_layer import pullbacks, products, single_vertex_2graphs
 
@@ -43,6 +46,17 @@ def old_check_pair(graph, m, n):
                     graph.segment(lam, n, dg.add(n, e_i)):
                 return False
     return True
+
+
+def old_theta_table(graph, m, n):
+    if m == n:
+        return {mu: mu for mu in graph.paths_of_degree(m)}
+    table = {}
+    for mu in graph.paths_of_degree(m):
+        alpha = [a for a in graph.paths_of_degree(n)
+                 if a.source == mu.range][0]
+        table[mu] = graph.segment(graph.compose(alpha, mu), m, dg.add(m, n))
+    return table
 
 
 def old_periodicity_group(graph, bound):
@@ -110,7 +124,11 @@ GRAPHS = st.one_of(single_vertex_2graphs(), pullbacks, products,
 def check_decisions(g):
     degrees = dg.degrees_below((2,) * g.k if g.k < 3 else (1,) * g.k)
     for m, n in itertools.product(degrees, repeat=2):
-        assert check_pair(g, m, n) == old_check_pair(g, m, n), (m, n)
+        periodic = check_pair(g, m, n)
+        assert periodic == old_check_pair(g, m, n), (m, n)
+        if periodic:
+            assert list(theta(g, m, n).table.items()) == \
+                list(old_theta_table(g, m, n).items()), (m, n)
 
 
 def check_groups(g):
@@ -144,7 +162,8 @@ def check_masses(g):
             old_profile(cm, m, n, 3), (m, n)
     for dm, dn in ((e1, zero), (e1, e2), (dg.add(e1, e2), e2)):
         for mu in g.paths_of_degree(dm)[:1]:
-            for nu in g.paths_of_degree(dn, source=mu.source)[:2]:
+            nus = [p for p in g.paths_of_degree(dn) if p.source == mu.source]
+            for nu in nus[:2]:
                 rep = agreement_mass(cm, mu, nu, 3)
                 assert rep.level_bound == old_agreement_bound(cm, mu, nu, 3)
 
@@ -166,13 +185,17 @@ def test_generated(g):
     check_masses(g)
 
 
-def test_rank_three_twisted():
+def rank_three_twisted():
     # x_s y = y x_sigma(s) and x_s z = z x_sigma(s)
     sigma = {1: 2, 2: 1, 3: 3}
     tables = {(1, 2): {(s, 1): (1, sigma[s]) for s in sigma},
               (1, 3): {(s, 1): (1, sigma[s]) for s in sigma},
               (2, 3): {(1, 1): (1, 1)}}
-    g = builders.make_single_vertex(3, [3, 1, 1], tables)
+    return builders.make_single_vertex(3, [3, 1, 1], tables)
+
+
+def test_rank_three_twisted():
+    g = rank_three_twisted()
     check_decisions(g)
     check_groups(g)
     check_inclusions(g)
