@@ -55,6 +55,11 @@ def is_nonneg(m):
     return all(a >= 0 for a in m)
 
 
+def is_vector(g, k):
+    """Whether g is in Z^k: a k-tuple of ints, bools refused."""
+    return type(g) is tuple and len(g) == k and all(type(c) is int for c in g)
+
+
 def is_degree(n, k):
     """Whether n is in N^k: a k-tuple of ints >= 0, bools refused."""
     return type(n) is tuple and len(n) == k and all(

@@ -434,34 +434,20 @@ class KGraph:
             raise CompositionError(f"{exc} not in this graph") from None
 
     def segment(self, path, m, n):
-        """The subpath path(m, n) of degree n - m: one _take drops the
-        degree-m head, a second keeps the degree-(n - m) head of the rest."""
+        """path(m, n): the degree-(n - m) head of the tail after m."""
         if not (dg.is_nonneg(m) and dg.leq(m, n) and dg.leq(n, path.degree)):
             raise SegmentRangeError(
                 f"need 0 <= {m} <= {n} <= {path.degree}")
-        self.require_valid()
-        try:
-            _, rest = self._take(path.edges, m)
-            seg, _ = self._take(rest, dg.sub(n, m))
-            if seg:
-                return self._path_from_normal(seg, dg.sub(n, m))
-            return self.vertex_path(self._edge[rest[0]].range if rest
-                                    else path.source)
-        except KeyError as exc:
-            raise CompositionError(f"{exc} not in this graph") from None
+        return self.factorize(self.factorize(path, m)[1], dg.sub(n, m))[0]
 
     # ------------------------------------------------------------------
     # enumeration
 
     def count_paths(self, n):
-        """|Λ^n| = 1^T A_1^{n_1} ... A_k^{n_k} 1, one product at a time."""
+        """|Λ^n|, the top of the stem chain of n."""
         if not dg.is_degree(n, self.k):
             raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
-        x = [1] * len(self.vertices)
-        for mat, reps in reversed(list(zip(self.coordinate_matrices(), n))):
-            for _ in range(reps):
-                x = mat_vec(mat, x)
-        return sum(x)
+        return self._stem_chain(n)[-1][1]
 
     def paths_of_degree(self, n, range=None):
         """All paths of degree n in canonical sorted order, or only those
@@ -480,16 +466,21 @@ class KGraph:
                 paths, key=lambda p: p.range)}
         return list(self._paths_by_range[n].get(range, ()))
 
-    def _check_cap(self, n):
-        """The cap on each stem that a build from cached stems would make:
-        n, n - e_c, ... (c the highest color left) down to 0 or a degree
-        checked before.  Each |vLambda^d| is A_c times the stem's counts."""
+    def _stem_chain(self, n):
+        """(d, |Lambda^d|) for the stems n, n - e_c, ... of n (c the highest
+        color left), bottom up; each |vLambda^d| is A_c times the stem's."""
         x, d = [1] * len(self.vertices), [0] * self.k
-        chain = [(tuple(d), len(x))]   # bottom up, with |Lambda^d|
+        chain = [(tuple(d), len(x))]
         for c, mat in enumerate(self.coordinate_matrices()):
             for d[c] in range(1, n[c] + 1):
                 x = mat_vec(mat, x)
                 chain.append((tuple(d), sum(x)))
+        return chain
+
+    def _check_cap(self, n):
+        """The cap on each stem that a build from cached stems would make,
+        from n down to 0 or a degree checked before."""
+        chain = self._stem_chain(n)
         for d, size in reversed(chain):
             if size > self.cap:
                 raise EnumerationCapError(

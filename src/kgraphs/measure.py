@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, starmap
 
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
@@ -209,9 +210,9 @@ def find_decay_witness(cm, gvec, a_max=6):
         for v in g.vertices:
             mus, nus = (ends.get((d, v), ()) for d in (pos, neg))
             pick = next((lam for lam in g.paths_of_degree(a, range=v)
-                         if not any(g.lambda_min(g.compose(mu, lam),
-                                                 g.compose(nu, lam))
-                                    for mu in mus for nu in nus)), None)
+                         if not any(starmap(g.lambda_min, product(
+                             [g.compose(mu, lam) for mu in mus],
+                             [g.compose(nu, lam) for nu in nus])))), None)
             if pick is None:
                 break
             tails[v] = pick

@@ -6,13 +6,13 @@ mu in Lambda^{m v n} and every edge e of color i with r(e) = s(mu), the
 single-edge segments of mu.e at offsets m and n coincide.  Since
 (mu e)(m, .) = mu(m, .) e, both are read off the rests mu(m, m v n) and
 mu(n, m v n), taken once per mu.  Confirmed differences m - n form a subgroup
-of Z^k, so the search confirms a candidate in the lattice of those confirmed
-before it without a check; the detected group is returned through a
-Hermite-normal-form basis and always qualified by the search bound.
+of Z^k, so the search confirms without a check a candidate in the lattice of
+those confirmed before it.  The group, kept as a Hermite-normal-form basis,
+is complete in the search box, where it answers decide_periodic alone.
 
-For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n by reading
-the degree-n window of alpha.mu for any degree-n extension alpha landing at
-r(mu); the choice of alpha does not matter.
+For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n: theta(mu)
+is the tail after m of alpha.mu, its window (m, m + n), for any degree-n path
+alpha landing at r(mu); the choice of alpha does not matter.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def theta(graph, m, n, pre_checked=False):
     # any degree-n path into r(mu) works: take the canonically first with
     # each source, in one pass over Lambda^n (reversed: the first is kept)
     alphas = {a.source: a for a in reversed(graph.paths_of_degree(n))}
-    table = {mu: graph.segment(graph.compose(alphas[mu.range], mu), m,
-                               dg.add(m, n)) for mu in mus}
+    table = {mu: graph.factorize(graph.compose(alphas[mu.range], mu), m)[1]
+             for mu in mus}
     images = set(table.values())
     preserved = all(v.range == k.range and v.source == k.source
                     for k, v in table.items())
@@ -117,9 +117,11 @@ class PeriodicityGroup:
         return len(self.basis)
 
     def contains(self, gvec):
-        """Exact membership in the detected subgroup (valid for any vector,
-        not just ones inside the search box)."""
-        v = list(gvec)
+        """Exact membership in the detected subgroup (valid for any vector
+        of Z^k, not just ones inside the search box)."""
+        v = tuple(gvec)
+        if not dg.is_vector(v, self.k):
+            raise InputFormatError(f"difference {v!r} is not in Z^{self.k}")
         for row in self.basis:
             c = next(i for i, a in enumerate(row) if a != 0)
             if v[c] % row[c] != 0:
@@ -206,17 +208,18 @@ def periodicity_group(graph, bound):
 
 
 def decide_periodic(graph, group, gvec):
-    """Exact periodicity of a specific difference vector.
-
-    Lattice membership in the detected group settles most queries; otherwise
-    the pair decision procedure runs directly, so the answer is exact even
-    outside the search box.  Raises PeriodicityUndecidedError only when that
-    enumeration would blow past the graph's cap."""
+    """Exact periodicity of a difference vector of Z^k: yes in the group's
+    lattice, no elsewhere in the box of a group complete up to its bound (the
+    search decided every vector there), else the pair decision procedure.
+    Raises PeriodicityUndecidedError only when that passes the graph's cap."""
     gvec = tuple(gvec)
-    if not any(gvec):
+    if not dg.is_vector(gvec, graph.k):
+        raise InputFormatError(f"difference {gvec!r} is not in Z^{graph.k}")
+    if not any(gvec) or (group is not None and group.contains(gvec)):
         return True
-    if group is not None and group.contains(gvec):
-        return True
+    if group is not None and group.complete_up_to_bound and \
+            max(map(abs, gvec)) <= group.search_bound:
+        return False
     try:
         return check_pair(graph, dg.pos_part(gvec), dg.neg_part(gvec))
     except EnumerationCapError as exc:

@@ -134,6 +134,18 @@ def test_measure_agreement_cli(capsys, pb2_file):
     assert doc["closed_form"] == "1/2" and doc["level_bound"] == "1/2"
 
 
+def test_agreement_inside_the_searched_box_past_the_cap(capsys, b2_file):
+    # the pair decision for (6,) needs |Lambda^(7)| = 128 > cap; the search
+    # box [-7, 7] decided it, the box [-5, 5] did not
+    argv = ("measure", "agreement", b2_file, "--mu", "e1.e1.e1.e1.e1.e1",
+            "--nu", "v", "--cap", "100", "--bound")
+    code, doc = run_json(capsys, *argv, "7")
+    assert code == 0
+    assert doc["periodic"] is False and doc["closed_form"] == "0"
+    assert main([*argv, "5"]) == 2
+    assert "periodicity of (6,) undecided" in capsys.readouterr().err
+
+
 def test_kms_commands(capsys, pb2_file, b2_file):
     code, doc = run_json(capsys, "kms", "eval", pb2_file,
                          "--state", "z=1/4,0", "--mu", "a1", "--nu", "b1")

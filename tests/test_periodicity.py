@@ -2,12 +2,14 @@
 generate."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders, degrees as dg
-from kgraphs.errors import NotPeriodicError, PeriodicityUndecidedError
+from kgraphs.errors import (InputFormatError, NotPeriodicError,
+                            PeriodicityUndecidedError)
 from kgraphs.periodicity import (check_pair, decide_periodic, hnf_basis,
                                  periodicity_group, theta)
 
@@ -124,6 +126,33 @@ def test_decide_periodic_cap():
     g.cap = 100
     with pytest.raises(PeriodicityUndecidedError):
         decide_periodic(g, None, (25,))
+
+
+def test_the_searched_box_decides_past_the_cap():
+    # |Lambda^(8)| = 256 > cap: the pair decision for (7,) would raise, but
+    # the search already decided every vector of [-7, 7]
+    g = builders.FIXTURES["b2"]()
+    g.cap = 100
+    grp = periodicity_group(g, 7)
+    assert grp.rank == 0
+    assert decide_periodic(g, grp, (7,)) is False
+    assert decide_periodic(g, grp, (-7,)) is False
+    for outside in (replace(grp, complete_up_to_bound=False), None):
+        with pytest.raises(PeriodicityUndecidedError):
+            decide_periodic(g, outside, (7,))
+    with pytest.raises(PeriodicityUndecidedError):
+        decide_periodic(g, grp, (8,))
+
+
+@pytest.mark.parametrize("gvec", [(1,), (1, -1, 5), (1.5, -1.5),
+                                  (-1.5, 1), (True, 0), (1, False)])
+def test_difference_must_be_in_z_k(graphs, groups, gvec):
+    g, grp = graphs["pullback-b2"], groups["pullback-b2"]
+    for call in (lambda: decide_periodic(g, grp, gvec),
+                 lambda: decide_periodic(g, None, gvec),
+                 lambda: grp.contains(gvec)):
+        with pytest.raises(InputFormatError, match=r"is not in Z\^2"):
+            call()
 
 
 def test_group_membership(groups):

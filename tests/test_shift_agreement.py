@@ -14,11 +14,14 @@ is theta as it was, with alpha filtered out of Lambda^n for each mu: the
 one-pass choice of alpha must give the same table, in the same order, for
 every periodic pair of that box.  Per(Lambda) lies
 in {g : A^{g+} = A^{g-}}, which lies in {g : rho^g = 1}.  Past the cap,
-`check_pair` raises as the per-color enumeration did.
+`check_pair` raises as the per-color enumeration did.  `decide_periodic`
+with a group searched to bound B must agree with `check_pair` on
+[-B-1, B+1]^k and call it only outside [-B, B]^k.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +220,46 @@ def test_lattice_search_confirms_spanned_candidates(pb2g, monkeypatch):
     assert group.basis == ((1, -1),)
     assert group.confirmed == tuple((a, -a) for a in range(1, 6))
     assert calls == [((1, 0), (0, 1))] * 2
+
+
+def check_box_rule(g):
+    """decide_periodic agrees with check_pair on [-B-1, B+1]^k, B the
+    group's bound, and runs it only outside [-B, B]^k, unless the group is
+    not marked complete up to its bound."""
+    bound = 2 if g.k < 3 else 1
+    group = periodicity_group(g, bound)
+    wide = dg.box((-bound - 1,) * g.k, (bound + 1,) * g.k)
+    box = dg.box((-bound,) * g.k, (bound,) * g.k)
+    want = {v: check_pair(g, dg.pos_part(v), dg.neg_part(v)) for v in wide}
+    calls = []
+
+    def counted(graph, m, n):
+        calls.append(dg.sub(m, n))
+        return check_pair(graph, m, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodicity, "check_pair", counted)
+        for v in wide:
+            assert decide_periodic(g, group, v) == want[v], v
+        assert calls == [v for v in wide if v not in box
+                         and not group.contains(v)]
+        calls.clear()
+        blind = replace(group, complete_up_to_bound=False)
+        for v in box:
+            assert decide_periodic(g, blind, v) == want[v], v
+        assert calls == [v for v in box if not group.contains(v)]
+
+
+def test_box_rule_fixtures(graphs):
+    for g in (*graphs.values(), rank_three_twisted(),
+              builders.make_single_vertex(3, [2, 2, 2])):
+        check_box_rule(g)
+
+
+@settings(max_examples=30)
+@given(GRAPHS)
+def test_box_rule_generated(g):
+    check_box_rule(g)
 
 
 def cap_graph(name):
