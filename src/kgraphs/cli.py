@@ -275,7 +275,7 @@ def report_kms_check(ctx, args):
 
 
 def report_phase(ctx, args):
-    return ctx.states.phase_diagram(parse_number(args.beta)).to_dict(), True
+    return vars(ctx.states.phase_diagram(parse_number(args.beta))), True
 
 
 def report_toeplitz(ctx, args):

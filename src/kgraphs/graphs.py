@@ -425,8 +425,9 @@ class KGraph:
         self.require_valid()
         try:
             head, tail = self._take(path.edges, m)
-            mid = self.vertex_path(self._edge[tail[0]].range if tail
-                                   else path.source)
+            if not (head and tail):     # an empty factor is a vertex path
+                mid = self.vertex_path(self._edge[tail[0]].range if tail
+                                       else path.source)
             return (self._path_from_normal(head, tuple(m)) if head else mid,
                     self._path_from_normal(tail, dg.sub(path.degree, m))
                     if tail else mid)

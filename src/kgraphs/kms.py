@@ -52,28 +52,13 @@ FLOAT_PRUNE = 1e-14
 # ----------------------------------------------------------------------
 # span terms and algebra elements
 
-@dataclass(frozen=True)
-class SpanTerm:
-    """s_mu s*_nu for paths with a common source."""
-
-    mu: object
-    nu: object
-
-    @property
-    def grade(self):
-        """The joint-degree exponent d(mu) - d(nu)."""
-        return dg.sub(self.mu.degree, self.nu.degree)
-
-    def literal(self):
-        return f"{self.mu.literal()}|{self.nu.literal()}"
-
-
 class AlgebraElement:
     """A finite linear combination of span terms over one graph.
 
-    Coefficients are Gaussian rationals (QQi) when built from exact data and
-    complex floats otherwise; zero coefficients are pruned on construction
-    (exactly, or below 1e-14 in float mode).
+    The terms are keyed by (mu, nu), paths with a common source standing
+    for s_mu s*_nu.  Coefficients are Gaussian rationals (QQi) when built
+    from exact data and complex floats otherwise; zero coefficients are
+    pruned on construction (exactly, or below 1e-14 in float mode).
     """
 
     __slots__ = ("graph", "terms")
@@ -99,7 +84,7 @@ class AlgebraElement:
             raise InputFormatError(
                 f"span term needs a common source: s({mu.literal()}) = "
                 f"{mu.source} but s({nu.literal()}) = {nu.source}")
-        return cls(graph, {SpanTerm(mu, nu): coeff})
+        return cls(graph, {(mu, nu): coeff})
 
     @classmethod
     def vertex_projection(cls, graph, v):
@@ -114,7 +99,7 @@ class AlgebraElement:
 
     @classmethod
     def identity(cls, graph):
-        return cls(graph, {SpanTerm(p, p): 1 for p in
+        return cls(graph, {(p, p): 1 for p in
                            map(graph.vertex_path, graph.vertices)})
 
     # -- ring operations ------------------------------------------------
@@ -149,20 +134,19 @@ class AlgebraElement:
         self._check_same_graph(other)
         g = self.graph
         out = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
+        for (mu, nu), c1 in self.terms.items():
+            for (eta, zeta), c2 in other.terms.items():
                 c = c1 * c2
-                for alpha, beta in g.lambda_min(t1.nu, t2.mu):
-                    term = SpanTerm(g.compose(t1.mu, alpha),
-                                    g.compose(t2.nu, beta))
+                for alpha, beta in g.lambda_min(nu, eta):
+                    term = (g.compose(mu, alpha), g.compose(zeta, beta))
                     out[term] = out[term] + c if term in out else c
         return AlgebraElement(self.graph, out)
 
     def adjoint(self):
         """The star operation: (s_mu s*_nu)* = s_nu s*_mu, conjugate-linear."""
         return AlgebraElement(self.graph,
-                              {SpanTerm(t.nu, t.mu): c.conjugate()
-                               for t, c in self.terms.items()})
+                              {(nu, mu): c.conjugate()
+                               for (mu, nu), c in self.terms.items()})
 
     # -- canonical form and equality ------------------------------------
 
@@ -187,17 +171,18 @@ class AlgebraElement:
         self.graph.require_strongly_connected()
         g = self.graph
         grades = {}
-        for term, coeff in self.terms.items():
-            grades.setdefault(term.grade, []).append((term, coeff))
+        for (mu, nu), coeff in self.terms.items():
+            grades.setdefault(dg.sub(mu.degree, nu.degree), []).append(
+                (mu, nu, coeff))
         for batch in grades.values():
-            m_star = batch[0][0].mu.degree
-            for term, _ in batch[1:]:
-                m_star = dg.join(m_star, term.mu.degree)
+            m_star = batch[0][0].degree
+            for mu, _, _ in batch[1:]:
+                m_star = dg.join(m_star, mu.degree)
             refined = {}
-            for term, coeff in batch:
-                step = dg.sub(m_star, term.mu.degree)
-                for lam in g.paths_of_degree(step, range=term.mu.source):
-                    key = (g.compose(term.mu, lam), g.compose(term.nu, lam))
+            for mu, nu, coeff in batch:
+                step = dg.sub(m_star, mu.degree)
+                for lam in g.paths_of_degree(step, range=mu.source):
+                    key = (g.compose(mu, lam), g.compose(nu, lam))
                     refined[key] = refined[key] + coeff \
                         if key in refined else coeff
             for value in refined.values():
@@ -211,10 +196,11 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        terms = sorted(self.terms.items(), key=lambda tc: (
-            tc[0].mu.degree, tc[0].nu.degree, tc[0].mu.range,
-            tc[0].mu.edges, tc[0].nu.range, tc[0].nu.edges))
-        bits = [f"{coeff!r}*[{term.literal()}]" for term, coeff in terms]
+        terms = sorted(self.terms, key=lambda t: (
+            t[0].degree, t[1].degree, t[0].range, t[0].edges, t[1].range,
+            t[1].edges))
+        bits = [f"{self.terms[mu, nu]!r}*[{mu.literal()}|{nu.literal()}]"
+                for mu, nu in terms]
         return "<" + " + ".join(bits) + ">"
 
 
@@ -244,18 +230,20 @@ class StateSpec:
     def character(turns):
         turns = tuple(turns)
         for t in turns:
-            if not isinstance(t, (int, float, Fraction)):
+            if not (isinstance(t, (int, float, Fraction))
+                    and abs(t) < math.inf):
                 raise InputFormatError(f"bad rotation {t!r}")
         return StateSpec(kind="character", turns=turns)
 
     @staticmethod
     def mixture(pairs):
-        pairs = tuple((w, tuple(ts)) for w, ts in pairs)
+        pairs = tuple((w, StateSpec.character(ts).turns) for w, ts in pairs)
         if not pairs:
             raise InputFormatError("a mixture needs at least one component")
         total = add_up(w for w, _ in pairs)
         slack = 0 if isinstance(total, (int, Fraction)) else 1e-9
-        if abs(total - 1) > slack or any(w <= 0 for w, _ in pairs):
+        # NaN and infinite weights fail both tests
+        if not (abs(total - 1) <= slack and all(w > 0 for w, _ in pairs)):
             raise InputFormatError("mixture weights must be positive and "
                                    "sum to 1")
         return StateSpec(kind="mixture", components=pairs)
@@ -393,14 +381,6 @@ class PhaseReport:
     reason: str            # empty when applicable
     extreme_points: object  # int, the token "infinite", or None
 
-    def to_dict(self):
-        return {
-            "beta": _format_turn(self.beta),
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "extreme_points": self.extreme_points,
-        }
-
 
 # ----------------------------------------------------------------------
 # the state family over one graph
@@ -477,9 +457,9 @@ class KMSStates:
 
     def phi_apply(self, state, elem, theta_blind=False):
         """Linear extension of phi_eval to algebra elements."""
-        return add_up((coeff * self.phi_eval(state, term.mu, term.nu,
+        return add_up((coeff * self.phi_eval(state, mu, nu,
                                              theta_blind=theta_blind)
-                       for term, coeff in elem.terms.items()),
+                       for (mu, nu), coeff in elem.terms.items()),
                       self._zero(state))
 
     # -- central unitaries ----------------------------------------------
@@ -491,8 +471,7 @@ class KMSStates:
             raise NotPeriodicError(f"{gvec} was not detected as a "
                                    f"periodicity vector")
         table = self.theta_map(dg.pos_part(gvec), dg.neg_part(gvec)).table
-        return AlgebraElement(self.graph, {SpanTerm(mu, nu): 1
-                                           for mu, nu in table.items()})
+        return AlgebraElement(self.graph, dict.fromkeys(table.items(), 1))
 
     def unitary_identities(self, max_degree):
         """Exact element-level checks for the unitaries indexed by the
@@ -931,6 +910,8 @@ class KMSStates:
         """Extreme-point count for the equilibrium states of the Toeplitz
         extension under the preferred dynamics, as a function of the
         inverse temperature.  Applicable only when every rho_i > 1."""
+        if not abs(beta) < math.inf:
+            raise InputFormatError(f"beta must be finite, not {beta}")
         small = [i + 1 for i, rho_i in enumerate(self.measure.rho)
                  if not float(rho_i) > 1.0]
         if small:
@@ -1020,13 +1001,7 @@ class _BoxIndex:
 def _add_turns(ta, tb):
     if len(ta) != len(tb):
         raise InputFormatError("character dimension mismatch")
-    out = []
-    for a, b in zip(ta, tb):
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            out.append((Fraction(a) + Fraction(b)) % 1)
-        else:
-            out.append((float(a) + float(b)) % 1.0)
-    return tuple(out)
+    return tuple((a + b) % 1 for a, b in zip(ta, tb))
 
 
 def _degree_box(max_degree, k):

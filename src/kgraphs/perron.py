@@ -226,6 +226,8 @@ def verify_subinvariance(fam, y, lam, pd):
     eigenvector."""
     if len(y) != fam.size or len(lam) != fam.k:
         raise InputFormatError("vector/lambda shapes do not match the family")
+    if not all(abs(v) < math.inf for v in (*y, *lam)):
+        raise InputFormatError("y and lambda must be finite")
     if any(v < 0 for v in y) or not any(v > 0 for v in y):
         raise InputFormatError("y must be nonnegative and nonzero")
     exact_in = all(isinstance(v, (int, Fraction)) for v in list(y) + list(lam))

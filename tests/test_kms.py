@@ -240,6 +240,51 @@ def test_unitary_identities_reports(states):
     assert rep.group_elements == ((0,),)
 
 
+# U_g and U_g U_g* for each basis vector g, as printed: the term order and
+# the term literals are part of what the algebra reports
+UNITARY_REPRS = {
+    ("pullback-b2", (1, -1)): (
+        "<1*[a1|b1] + 1*[a2|b2]>",
+        "<1*[a1|a1] + 1*[a2|a2]>"),
+    ("product-b2-c2", (0, 2)): (
+        "<1*[v:g1.v:g2|v:w1] + 1*[v:g2.v:g1|v:w2]>",
+        "<1*[v:g1.v:g2|v:g1.v:g2] + 1*[v:g2.v:g1|v:g2.v:g1]>"),
+}
+
+
+@pytest.mark.parametrize("name", ["pullback-b2", "product-b2-c2"])
+def test_unitary_reprs_are_pinned(states, groups, name):
+    basis = groups[name].basis
+    assert basis
+    for b in basis:
+        u = states[name].unitary(b)
+        assert (repr(u), repr(u * u.adjoint())) == UNITARY_REPRS[name, b]
+
+
+# (describe(), is_exact, repr(psi((1, -1))), repr(psi((0, 2)))) of the state
+# translated by z=1/4,0: exact sums stay exact, and a float rotation
+# makes the sum a float
+MOVED_STATES = [
+    (parse_state("z=3/4,0"), ("z=0,0", True, "1", "1")),
+    (parse_state("z=0.3,0"),
+     ("z=11/20,0", False, "(-0.9510565162951535-0.30901699437494773j)",
+      "(1+0j)")),
+    (StateSpec.mixture([(F(1, 2), (F(1, 4), 0)), (F(1, 2), (0, 0.5))]),
+     ("mix:1/2@1/2,0;1/2@1/4,0.5", False,
+      "(-0.49999999999999994-0.49999999999999994j)",
+      "(1-1.2246467991473532e-16j)")),
+]
+
+
+@pytest.mark.parametrize("state, want", MOVED_STATES,
+                         ids=["quarter", "rational", "mixture"])
+def test_character_action_is_pinned(states, state, want):
+    moved = states["pullback-b2"].act_character(parse_state("z=1/4,0"),
+                                                state)
+    assert (moved.describe(), moved.is_exact, repr(moved.psi((1, -1))),
+            repr(moved.psi((0, 2)))) == want
+
+
 @pytest.mark.parametrize("tol", [-1e-9, -1, math.nan, math.inf])
 def test_bad_tol_is_refused(states, tol):
     # a negative or NaN tol would fail every float comparison in silence
@@ -249,6 +294,22 @@ def test_bad_tol_is_refused(states, tol):
         st.kms_check(haar, (2,), tol=tol)
     with pytest.raises(InputFormatError):
         st.toeplitz_kms_exists(1, (1,), tol=tol)
+
+
+@pytest.mark.parametrize("make", [
+    lambda st: StateSpec.character((math.nan, 0)),
+    lambda st: StateSpec.character((math.inf, 0)),
+    lambda st: StateSpec.mixture([(math.nan, (0, 0))]),
+    lambda st: StateSpec.mixture([(math.inf, (0, 0)), (-math.inf, (0, 0))]),
+    lambda st: StateSpec.mixture([(1, (0, math.nan))]),
+    lambda st: st.phase_diagram(math.nan),
+    lambda st: st.phase_diagram(math.inf),
+], ids=["rotation-nan", "rotation-inf", "weight-nan", "weight-inf",
+        "mixture-rotation-nan", "beta-nan", "beta-inf"])
+def test_non_finite_numbers_are_refused(states, make):
+    # NaN fails every comparison, so a check must ask for what is valid
+    with pytest.raises(InputFormatError):
+        make(states["pullback-b2"])
 
 
 def test_negative_degree_box_is_refused(states):

@@ -62,7 +62,8 @@ def box_products(g):
         for b in pairs:
             prods[a, b] = span[a] * span[b]
             grades[a, b] = grade = dg.add(shift[a], shift[b])
-            assert all(t.grade == grade for t in prods[a, b].terms)
+            assert all(dg.sub(m.degree, n.degree) == grade
+                       for m, n in prods[a, b].terms)
     return prods, grades
 
 

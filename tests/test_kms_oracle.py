@@ -58,8 +58,8 @@ def test_products_are_homogeneous(products, name):
     for ((mu, nu), (eta, zeta)), elem in products[name].items():
         grade = dg.add(dg.sub(mu.degree, nu.degree),
                        dg.sub(eta.degree, zeta.degree))
-        for term in elem.terms:
-            assert term.grade == grade
+        for m, n in elem.terms:
+            assert dg.sub(m.degree, n.degree) == grade
             seen.add(grade)
     assert len(seen) > 1
 

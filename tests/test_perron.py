@@ -195,3 +195,14 @@ def test_input_validation(graphs, perron):
         verify_subinvariance(fam, [1.0], [2.0], pd)
     with pytest.raises(InputFormatError):
         verify_subinvariance(fam, [0, 0], [2.0], pd)
+
+
+@pytest.mark.parametrize("y, lam", [
+    ((math.nan, 0.5), (2, 1)), ((0.5, 0.5), (math.nan, 1)),
+    ((math.inf, 0.5), (2, 1)), ((0.5, 0.5), (2, math.inf)),
+], ids=["y-nan", "lambda-nan", "y-inf", "lambda-inf"])
+def test_non_finite_subinvariance_input_is_refused(graphs, perron, y, lam):
+    # NaN fails lhs > rhs + slack, so only a finiteness test refuses it
+    fam = fam_of(graphs, "product-b2-c2")
+    with pytest.raises(InputFormatError):
+        verify_subinvariance(fam, y, lam, perron["product-b2-c2"])
