@@ -177,8 +177,7 @@ class Context:
     @cached_property
     def states(self):
         from .kms import KMSStates
-        return KMSStates(self.graph, self.perron, measure=self.measure,
-                         group=self.group)
+        return KMSStates(self.graph, self.perron, group=self.group)
 
     def degree(self, text):
         return dg.parse_degree(text, self.graph.k)
@@ -262,7 +261,7 @@ def report_kms_eval(ctx, args):
     value = states.phi_eval(state, mu, nu, theta_blind=args.theta_blind)
     return {"state": state.describe(), "mu": mu, "nu": nu,
             "grade": dg.sub(mu.degree, nu.degree), "value": value,
-            "exact": ctx.measure.exact and state.is_exact}, True
+            "exact": states.measure.exact and state.is_exact}, True
 
 
 def report_kms_check(ctx, args):
@@ -281,7 +280,7 @@ def report_phase(ctx, args):
 def report_toeplitz(ctx, args):
     from .kms import KMSStates
     # the existence test reads no periodicity group, so none is built
-    states = KMSStates(ctx.graph, ctx.perron, measure=ctx.measure)
+    states = KMSStates(ctx.graph, ctx.perron)
     return vars(states.toeplitz_kms_exists(
         parse_number(args.beta), [parse_number(p) for p in args.r.split(",")],
         tol=ctx.opts["tol"])), True

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import degrees as dg
 from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
@@ -211,16 +211,16 @@ class AlgebraElement:
 class StateSpec:
     """A state given by its restriction to the periodicity group.
 
-    kind "character": psi(g) = prod_i z_i^{g_i} with z_i = e^{2 pi i t_i},
-    the rotations t_i stored as fractions of a full turn (Fraction => exact
-    when a multiple of a quarter turn, float otherwise).  kind "haar":
-    psi(g) = delta_{g,0}, the averaging state.  kind "mixture": a finite
-    convex combination of characters.
+    components lists the atoms (weight, turns) of a probability measure on
+    the characters psi(g) = prod_i z_i^{g_i}, z_i = e^{2 pi i t_i}, with the
+    rotations t_i in full turns (Fraction => exact when a multiple of a
+    quarter turn, float otherwise).  kind "character" is one atom of weight
+    1, "mixture" a finite convex combination, and "haar" (psi(g) =
+    delta_{g,0}, the averaging state) has none: it is Haar measure.
     """
 
     kind: str
-    turns: tuple = None
-    components: tuple = None   # ((weight, turns), ...) for mixtures
+    components: tuple = ()
 
     @staticmethod
     def haar():
@@ -233,13 +233,15 @@ class StateSpec:
             if not (isinstance(t, (int, float, Fraction))
                     and abs(t) < math.inf):
                 raise InputFormatError(f"bad rotation {t!r}")
-        return StateSpec(kind="character", turns=turns)
+        return StateSpec(kind="character", components=((1, turns),))
 
     @staticmethod
     def mixture(pairs):
         pairs = tuple((w, StateSpec.character(ts).turns) for w, ts in pairs)
         if not pairs:
             raise InputFormatError("a mixture needs at least one component")
+        if len({len(ts) for _, ts in pairs}) > 1:
+            raise InputFormatError("mixture components differ in length")
         total = add_up(w for w, _ in pairs)
         slack = 0 if isinstance(total, (int, Fraction)) else 1e-9
         # NaN and infinite weights fail both tests
@@ -248,55 +250,41 @@ class StateSpec:
                                    "sum to 1")
         return StateSpec(kind="mixture", components=pairs)
 
-    # -- exactness ------------------------------------------------------
-
-    @staticmethod
-    def _quarter_exact(turns):
-        return all(isinstance(t, (int, Fraction))
-                   and (4 * Fraction(t)).denominator == 1 for t in turns)
+    @property
+    def turns(self):
+        """The rotations of a character; None for the other kinds."""
+        return self.components[0][1] if self.kind == "character" else None
 
     @cached_property
     def is_exact(self):
-        """True when every psi value is a Gaussian rational: the averaging
-        state always, characters and mixtures when every rotation is a
-        multiple of a quarter turn (and mixture weights are rational)."""
-        if self.kind == "haar":
-            return True
-        if self.kind == "character":
-            return self._quarter_exact(self.turns)
-        return (all(isinstance(w, (int, Fraction))
-                    for w, _ in self.components)
-                and all(self._quarter_exact(ts)
-                        for _, ts in self.components))
-
-    # -- evaluation on the periodicity group ----------------------------
-
-    @staticmethod
-    def _char_psi(turns, gvec, exact):
-        if exact:
-            q = sum(int(4 * Fraction(t)) * gi for t, gi in zip(turns, gvec))
-            return QQi.quarter_turn(q)
-        angle = 2.0 * math.pi * add_up(float(t) * gi
-                                       for t, gi in zip(turns, gvec))
-        return cmath.exp(1j * angle)
+        """True when every psi value is a Gaussian rational: every weight
+        is rational and every rotation a multiple of a quarter turn."""
+        return all(isinstance(w, (int, Fraction))
+                   and all(isinstance(t, (int, Fraction))
+                           and (4 * Fraction(t)).denominator == 1 for t in ts)
+                   for w, ts in self.components)
 
     def psi(self, gvec):
         gvec = tuple(gvec)
         if self.kind == "haar":
             return QQi.of(1 if not any(gvec) else 0)
-        if self.kind == "character":
-            if len(self.turns) != len(gvec):
-                raise InputFormatError(
-                    f"character has {len(self.turns)} rotations but the "
-                    f"graph has {len(gvec)} colors")
-            return self._char_psi(self.turns, gvec, self.is_exact)
-        terms = []
+        total = None
         for w, ts in self.components:
             if len(ts) != len(gvec):
-                raise InputFormatError("mixture component dimension "
-                                       "mismatch")
-            terms.append(self._char_psi(ts, gvec, self.is_exact) * w)
-        return add_up(terms[1:], terms[0])
+                raise InputFormatError(f"state has {len(ts)} rotations but "
+                                       f"the graph has {len(gvec)} colors")
+            if self.is_exact:
+                value = QQi.quarter_turn(sum(int(4 * Fraction(t)) * gi
+                                             for t, gi in zip(ts, gvec)))
+            else:
+                angle = 2.0 * math.pi * add_up(float(t) * gi
+                                               for t, gi in zip(ts, gvec))
+                value = cmath.exp(1j * angle)
+            # a character's weight is 1, and (-0j) * 1 is 0j: leave it out
+            if self.kind == "mixture":
+                value = value * w
+            total = value if total is None else total + value
+        return total
 
     def describe(self):
         if self.kind == "haar":
@@ -388,16 +376,15 @@ class PhaseReport:
 class KMSStates:
     """Equilibrium-state evaluation for one strongly connected graph.
 
-    Bundles the graph with the cylinder measure of its Perron data and
-    (optionally) a precomputed periodicity group; caches the periodicity
-    decisions and shift-agreement bijections that the state formulas need.
+    Builds the cylinder measure of the Perron data, keeps an optional
+    precomputed periodicity group, and caches the periodicity decisions and
+    shift-agreement bijections that the state formulas need.
     """
 
-    def __init__(self, graph, perron, measure=None, group=None):
+    def __init__(self, graph, perron, group=None):
         graph.require_strongly_connected()
         self.graph = graph
-        self.measure = measure if measure is not None \
-            else CylinderMeasure(graph, perron)
+        self.measure = CylinderMeasure(graph, perron)
         self.group = group
         self._periodic_cache = {}
         self._theta_cache = {}
@@ -937,35 +924,45 @@ class KMSStates:
     def act_character(self, chi, state):
         """Translate a state by a character of the periodicity group.
 
-        Characters translate pointwise (rotations add); the averaging state
-        is the barycenter of the simplex and is fixed.
+        Each atom of the state's measure moves (rotations add, weights
+        stay); the averaging state has no atoms and is fixed.
         """
         if chi.kind != "character":
             raise InputFormatError("the acting element must be a character")
-        if state.kind == "haar":
-            return state
-        if state.kind == "character":
-            return StateSpec.character(_add_turns(chi.turns, state.turns))
-        return StateSpec.mixture(
-            [(w, _add_turns(chi.turns, ts)) for w, ts in state.components])
+        return replace(state, components=tuple(
+            (w, _add_turns(chi.turns, ts)) for w, ts in state.components))
 
     def states_equal(self, sa, sb):
         """Whether two state specifications induce the same state.
 
         A state at the critical inverse temperature is fixed by its psi on
-        the periodicity group, so the two psi are compared, within KMS_TOL,
-        on the multiples t b of each basis vector b with |t| <=
-        search_bound.  That decides every kind: a character never vanishes
-        while the averaging state vanishes off 0, and on the trivial group
-        (no basis) every specification gives the same state.
+        the periodicity group Per = Z^r, basis b_1..b_r.  With N atoms in
+        the two states, psi_a - psi_b combines at most N characters, and it
+        vanishes everywhere once it vanishes at each sum_j m_j b_j with
+        0 <= m_j < N (Vandermonde, one axis at a time): the psi are compared
+        there, within KMS_TOL.  The averaging state is no such combination,
+        so it equals only itself, but on the trivial group (no basis) every
+        specification gives the same state.
         """
         if self.group is None:
             raise InputFormatError("state comparison needs a computed "
                                    "periodicity group")
-        bound = self.group.search_bound
+        basis = self.group.basis
+        if not basis:
+            return True
+        for state in (sa, sb):
+            state.psi(basis[0])   # refuses a wrong number of rotations
+        if "haar" in (sa.kind, sb.kind):
+            return sa.kind == sb.kind
+        n = len(sa.components) + len(sb.components)
+        if n ** len(basis) > self.graph.cap:
+            raise EnumerationCapError(
+                f"comparing {n} characters takes {n ** len(basis)} points, "
+                f"exceeds cap {self.graph.cap}")
+        points = (reduce(dg.add, map(dg.scale, ms, basis))
+                  for ms in dg.degrees_below((n - 1,) * len(basis)))
         return all(is_zero(sa.psi(gv) - sb.psi(gv), KMS_TOL)
-                   for gv in (dg.scale(t, b) for b in self.group.basis
-                              for t in range(-bound, bound + 1)))
+                   for gv in points)
 
 
 class _BoxIndex:

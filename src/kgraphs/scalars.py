@@ -160,7 +160,11 @@ def format_fraction(value):
 
 def parse_number(text):
     """Exact Fraction when the literal is one, a float otherwise; refused
-    past sys.float_info.max in magnitude, so its float() is finite."""
+    past sys.float_info.max in magnitude, so its float() is finite.  A
+    digit separator is refused: Fraction reads "1_0" from Python 3.11 on,
+    so 3.10 would turn it into a float."""
+    if "_" in text:
+        raise InputFormatError(f"bad number {text!r}")
     try:
         value = Fraction(text)
     except ValueError:

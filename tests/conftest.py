@@ -46,9 +46,8 @@ def measures(graphs, perron):
 
 
 @pytest.fixture(scope="session")
-def states(graphs, perron, measures, groups):
-    return {name: KMSStates(graphs[name], perron[name],
-                            measure=measures[name], group=groups[name])
+def states(graphs, perron, groups):
+    return {name: KMSStates(graphs[name], perron[name], group=groups[name])
             for name in NAMES}
 
 

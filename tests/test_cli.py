@@ -236,6 +236,11 @@ def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     ("measure", "agreement", "GRAPH", "--mu", "a1", "--nu", "b1",
      "--level", "-1"),
     ("info", "GRAPH", "--cap", "-1"),
+    # a digit separator reads differently across interpreters
+    ("phase", "GRAPH", "--beta", "1_0"),
+    ("kms", "eval", "GRAPH", "--state", "z=0.2_5,0", "--mu", "a1", "--nu",
+     "b1"),
+    ("toeplitz", "GRAPH", "--beta", "1", "--r", "1_0,1"),
     # beta * r_1 overflows to inf, which is not JSON
     ("toeplitz", "GRAPH", "--beta", "1e308", "--r", "1e308,1"),
     # squares for a color pair outside 1 <= i < j <= k

@@ -285,6 +285,101 @@ def test_character_action_is_pinned(states, state, want):
             repr(moved.psi((0, 2)))) == want
 
 
+# The state layer as printed: for each state, (describe(), is_exact) and
+# repr(psi(v)) at each v of PIN_VECTORS, before and after translation by
+# z=1/4,0.  The strings were generated by the code that stored a
+# character's rotations apart from a mixture's components.
+PIN_VECTORS = [(0, 0), (1, -1), (2, -2), (0, 2), (3, 1)]
+PIN_STATES = {
+    "haar": StateSpec.haar(),
+    "quarter": parse_state("z=1/4,0"),
+    "float": parse_state("z=0.3,1/12"),
+    "exact-mix": StateSpec.mixture([(F(1, 4), (F(1, 4), 0)),
+                                    (F(3, 4), (F(1, 2), F(3, 4)))]),
+    "float-mix": StateSpec.mixture([(0.25, (F(1, 4), 0)),
+                                    (0.75, (0, F(1, 2)))]),
+    "third-mix": StateSpec.mixture([(F(1, 3), (0, 0)),
+                                    (F(1, 3), (F(1, 3), 0)),
+                                    (F(1, 3), (F(2, 3), 0))]),
+}
+STATE_PINS = {
+    "haar": (
+        ("haar", True, "1", "0", "0", "0", "0"),
+        ("haar", True, "1", "0", "0", "0", "0")),
+    "quarter": (
+        ("z=1/4,0", True, "1", "(0+1i)", "-1", "1", "(0+-1i)"),
+        ("z=1/2,0", True, "1", "-1", "1", "1", "-1")),
+    "float": (
+        ("z=3/10,1/12", False, "(1+0j)",
+         "(0.20791169081775923+0.9781476007338057j)",
+         "(-0.913545457642601+0.40673664307580004j)",
+         "(0.5000000000000001+0.8660254037844386j)",
+         "(0.9945218953682733-0.1045284632676543j)"),
+        ("z=11/20,1/12", False, "(1+0j)",
+         "(-0.9781476007338057+0.20791169081775887j)",
+         "(0.9135454576426013-0.4067366430757993j)",
+         "(0.5000000000000001+0.8660254037844386j)",
+         "(-0.10452846326765272-0.9945218953682734j)")),
+    "exact-mix": (
+        ("mix:1/4@1/4,0;3/4@1/2,3/4", True, "1", "(0+-1/2i)", "-1", "-1/2",
+         "(0+1/2i)"),
+        ("mix:1/4@1/2,0;3/4@3/4,3/4", True, "1", "1/2", "1", "-1/2",
+         "1/2")),
+    "float-mix": (
+        ("mix:0.25@1/4,0;0.75@0,1/2", False, "(1+0j)",
+         "(-0.75+0.24999999999999992j)", "(0.5+2.143131898507868e-16j)",
+         "(1-1.8369701987210297e-16j)", "(-0.75-0.24999999999999992j)"),
+        ("mix:0.25@1/2,0;0.75@1/4,1/2", False, "(1+0j)",
+         "(-0.24999999999999994-0.75j)", "(-0.5-1.5308084989341913e-16j)",
+         "(1-1.8369701987210297e-16j)",
+         "(-0.24999999999999978+0.7500000000000001j)")),
+    "third-mix": (
+        ("mix:1/3@0,0;1/3@1/3,0;1/3@2/3,0", False, "(1+0j)",
+         "(-5.551115123125783e-17+1.1102230246251565e-16j)",
+         "(1.1102230246251565e-16+2.7755575615628914e-16j)", "(1+0j)",
+         "(1-2.4492935982947064e-16j)"),
+        ("mix:1/3@1/4,0;1/3@7/12,0;1/3@11/12,0", False, "(1+0j)",
+         "(-1.1102230246251565e-16-1.6653345369377348e-16j)",
+         "(-3.885780586188048e-16-5.551115123125783e-17j)", "(1+0j)",
+         "(-1.0207453261683236e-15-1j)")),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_PINS))
+def test_state_layer_is_pinned(states, name):
+    def printed(s):
+        return (s.describe(), s.is_exact) + tuple(
+            repr(s.psi(v)) for v in PIN_VECTORS)
+    state = PIN_STATES[name]
+    moved = states["pullback-b2"].act_character(parse_state("z=1/4,0"),
+                                                state)
+    assert (printed(state), printed(moved)) == STATE_PINS[name]
+
+
+def test_state_equality_and_hash():
+    chi = parse_state("z=1/4,0")
+    mix = PIN_STATES["exact-mix"]
+    same = [
+        (chi, StateSpec.character((F(1, 4), 0))),
+        (chi, StateSpec.character((F(1, 4), F(0)))),
+        (StateSpec.haar(), parse_state("haar")),
+        (mix, StateSpec.mixture([(F(1, 4), (F(1, 4), 0)),
+                                 (F(3, 4), (F(1, 2), F(3, 4)))])),
+    ]
+    for a, b in same:
+        assert a == b and hash(a) == hash(b)
+    differ = [
+        (chi, StateSpec.character((F(1, 2), 0))),
+        (chi, StateSpec.mixture([(1, (F(1, 4), 0))])),
+        (chi, StateSpec.haar()),
+        (mix, StateSpec.haar()),
+        (mix, StateSpec.mixture([(F(3, 4), (F(1, 2), F(3, 4))),
+                                 (F(1, 4), (F(1, 4), 0))])),
+    ]
+    for a, b in differ:
+        assert a != b
+
+
 @pytest.mark.parametrize("tol", [-1e-9, -1, math.nan, math.inf])
 def test_bad_tol_is_refused(states, tol):
     # a negative or NaN tol would fail every float comparison in silence
@@ -362,6 +457,59 @@ def test_states_equal(states):
     b2 = states["b2"]
     assert b2.states_equal(StateSpec.character((F(1, 4),)),
                            StateSpec.haar())
+
+
+def squares_fixed_3graph():
+    """One vertex, two loops of each of three colors, and the squares that
+    map each color pair (s, t) to (s, t); Per has basis (1, 0, -1),
+    (0, 1, -1) at bound 1."""
+    squares = {pair: {(s, t): (s, t) for s in (1, 2) for t in (1, 2)}
+               for pair in ((1, 2), (1, 3), (2, 3))}
+    g = builders.make_single_vertex(3, [2, 2, 2], squares)
+    return KMSStates(g, perron_data(MatrixFamily.from_graph(g)),
+                     group=periodicity_group(g, 1))
+
+
+def test_states_equal_tells_mixtures_apart(graphs, perron):
+    # each pair agrees on the multiples t b of each basis vector b with
+    # |t| <= search_bound, yet differs at a point of the group
+    g = graphs["pullback-b2"]
+    st = KMSStates(g, perron["pullback-b2"], group=periodicity_group(g, 2))
+    thirds = StateSpec.mixture([(F(1, 3), (0, 0)), (F(1, 3), (F(1, 3), 0)),
+                                (F(1, 3), (F(2, 3), 0))])
+    haar = StateSpec.haar()
+    assert abs(thirds.psi((3, -3)) - 1) < 1e-12 and haar.psi((3, -3)) == 0
+    assert not st.states_equal(thirds, haar)
+    assert not st.states_equal(haar, thirds)
+    assert st.states_equal(haar, haar) and st.states_equal(thirds, thirds)
+    with pytest.raises(InputFormatError):
+        st.states_equal(haar, StateSpec.character((F(1, 4),)))
+
+    st3 = squares_fixed_3graph()
+    assert st3.group.basis == ((1, 0, -1), (0, 1, -1))
+    half = F(1, 2)
+    a = StateSpec.mixture([(half, (0, 0, 0)), (half, (half, half, 0))])
+    b = StateSpec.mixture([(half, (0, half, 0)), (half, (half, 0, 0))])
+    assert (a.psi((1, -1, 0)), b.psi((1, -1, 0))) == (1, -1)
+    assert not st3.states_equal(a, b)
+    # the same two atoms in the other order are the same state
+    assert st3.states_equal(a, StateSpec.mixture(reversed(a.components)))
+
+
+def test_states_equal_respects_the_cap():
+    # 2 + 2 atoms on a rank-2 group take 4^2 = 16 points
+    st = squares_fixed_3graph()
+    mix = StateSpec.mixture([(F(1, 2), (0, 0, 0)), (F(1, 2), (0, 0, F(1, 2)))])
+    st.graph.cap = 16
+    assert st.states_equal(mix, mix)
+    st.graph.cap = 15
+    with pytest.raises(EnumerationCapError):
+        st.states_equal(mix, mix)
+
+
+def test_mixture_components_share_their_length():
+    with pytest.raises(InputFormatError):
+        StateSpec.mixture([(F(1, 2), (0,)), (F(1, 2), (0, 0))])
 
 
 def test_toeplitz_existence(states):

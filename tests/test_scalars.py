@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from kgraphs.errors import InputFormatError
+from kgraphs.kms import parse_state
 from kgraphs.scalars import (QQi, coerce_scalar, format_fraction, is_zero,
-                             solve_exact)
+                             parse_number, solve_exact)
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 qqis = st.builds(QQi, small_fracs, small_fracs)
@@ -112,3 +114,13 @@ def test_is_zero_is_exact_on_qqi_and_tolerant_on_complex():
     assert is_zero(QQi.of(0), 1e-12) and not is_zero(tiny, 1e-12)
     assert is_zero(complex(tiny), 1e-12) and is_zero(0j, 0.0)
     assert not is_zero(1e-11j, 1e-12) and not is_zero(complex(tiny), 0.0)
+
+
+@pytest.mark.parametrize("text", ["1_0", "0.2_5", "1_000/3", "1e1_0"])
+def test_digit_separators_are_refused(text):
+    # Fraction reads "1_0" from Python 3.11 on and float always does, so
+    # accepting it would give 3.10 a float where later versions are exact
+    with pytest.raises(InputFormatError):
+        parse_number(text)
+    with pytest.raises(InputFormatError):
+        parse_state(f"z={text},0")
