@@ -30,11 +30,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
 
 from . import builders
 from . import degrees as dg
-from .errors import InputFormatError, KGraphError
+from .errors import InputFormatError, KGraphError, Record
 from .graphs import ENUM_CAP, KGraph, Path
 from .perron import MatrixFamily, perron_data
 from .scalars import (CONSISTENCY_TOL, KMS_TOL, TOEPLITZ_TOL, QQi,
@@ -286,9 +285,9 @@ def report_toeplitz(ctx, args):
         tol=ctx.opts["tol"])), True
 
 
-class Command(NamedTuple):
+class Command(Record):
     help: str
-    report: Callable      # (Context, args) -> (doc, passed)
+    report: object        # (Context, args) -> (doc, passed)
     flags: str = ""       # the command's flags beyond its options
     options: dict = {}    # option name -> default, in resolution order
     shown: tuple = ()     # raw argument values recorded in provenance

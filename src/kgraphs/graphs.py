@@ -20,12 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 
 from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
-                     InputFormatError, NotStronglyConnectedError,
+                     InputFormatError, NotStronglyConnectedError, Record,
                      SegmentRangeError)
 from .perron import mat_vec
 
@@ -34,26 +33,25 @@ ENUM_CAP = 10 ** 6  # default KGraph.cap, and the largest rank k
 PATH_SEP = "."
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(Record):
+    __slots__ = ("id", "color", "range", "source")
     id: str
     color: int
     range: str
     source: str
 
 
-@dataclass(frozen=True, slots=True)
-class Square:
+class Square(Record):
     """blue.red = red2.blue2 with blue/blue2 of the lower color."""
 
+    __slots__ = ("blue", "red", "red2", "blue2")
     blue: str
     red: str
     red2: str
     blue2: str
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(Record):
     """A morphism in color-ordered normal form.
 
     edges holds edge ids; range/source follow the arrow convention r(p) at the
@@ -61,10 +59,22 @@ class Path:
     A degree-zero path is a vertex: edges == () and range == source.
     """
 
+    __slots__ = ("degree", "edges", "range", "source")
     degree: tuple
     edges: tuple
     range: str
     source: str
+
+    # inline tuples, as a dataclass writes them: paths are hashed and
+    # compared by the million
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.degree, self.edges, self.range, self.source) == (
+            other.degree, other.edges, other.range, other.source)
+
+    def __hash__(self):
+        return hash((self.degree, self.edges, self.range, self.source))
 
     @property
     def is_vertex(self):
@@ -77,15 +87,14 @@ class Path:
         return f"Path({self.literal()})"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     valid: bool
     k: int
     vertex_count: int
     edge_counts: tuple
-    square_failures: list
+    square_failures: tuple
     cubical_checked: bool
-    cubical_failures: list
+    cubical_failures: tuple
     strongly_connected: bool
     no_sources: bool
     no_sinks: bool
@@ -112,8 +121,7 @@ class KGraph:
                 raise InputFormatError(f"edge {e.id!r}: color must be an int "
                                        f"and the other fields strings")
         for sq in squares:
-            if not all(isinstance(x, str)
-                       for x in (sq.blue, sq.red, sq.red2, sq.blue2)):
+            if not all(isinstance(x, str) for x in sq._values()):
                 raise InputFormatError(f"square {sq}: fields must be strings")
         self.k = k
         self.vertices = tuple(sorted(vertices))
@@ -139,7 +147,7 @@ class KGraph:
         self._color = {e.id: e.color for e in self.edges}
         self.squares = tuple(sorted(squares, key=lambda s: (s.blue, s.red)))
         for sq in self.squares:
-            for eid in (sq.blue, sq.red, sq.red2, sq.blue2):
+            for eid in sq._values():
                 if eid not in self._edge:
                     raise InputFormatError(f"square refers to unknown edge "
                                            f"{eid!r}")
@@ -240,9 +248,9 @@ class KGraph:
             k=self.k,
             vertex_count=len(self.vertices),
             edge_counts=tuple(edge_counts[c] for c in range(1, self.k + 1)),
-            square_failures=square_failures,
+            square_failures=tuple(square_failures),
             cubical_checked=cubical_checked,
-            cubical_failures=cubical_failures,
+            cubical_failures=tuple(cubical_failures),
             strongly_connected=self._strongly_connected(),
             no_sources=len(self._by_range) == full,
             no_sinks=len({(e.color, e.source) for e in self.edges}) == full,
@@ -556,11 +564,8 @@ class KGraph:
         return {
             "k": self.k,
             "vertices": list(self.vertices),
-            "edges": [{"id": e.id, "color": e.color,
-                       "range": e.range, "source": e.source}
-                      for e in self.edges],
-            "squares": [{"blue": s.blue, "red": s.red,
-                         "red2": s.red2, "blue2": s.blue2}
+            "edges": [dict(zip(e._fields, e._values())) for e in self.edges],
+            "squares": [dict(zip(s._fields, s._values()))
                         for s in self.squares],
         }
 
@@ -580,11 +585,9 @@ class KGraph:
             if key not in doc:
                 raise InputFormatError(f"graph document missing {key!r}")
         try:
-            edges = [Edge(id=e["id"], color=e["color"],
-                          range=e["range"], source=e["source"])
-                     for e in doc["edges"]]
-            squares = [Square(blue=s["blue"], red=s["red"],
-                              red2=s["red2"], blue2=s["blue2"])
+            # the document's keys are the records' fields
+            edges = [Edge(*(e[f] for f in Edge._fields)) for e in doc["edges"]]
+            squares = [Square(*(s[f] for f in Square._fields))
                        for s in doc["squares"]]
         except (TypeError, KeyError) as exc:
             raise InputFormatError(f"malformed edge/square entry: {exc}") from exc

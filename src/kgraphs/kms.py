@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 
 from . import degrees as dg
-from .errors import EnumerationCapError, InputFormatError, NotPeriodicError
+from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
+                     Record)
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic, theta
 from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, add_up, check_tol,
@@ -207,8 +207,7 @@ class AlgebraElement:
 # ----------------------------------------------------------------------
 # state specifications
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(Record):
     """A state given by its restriction to the periodicity group.
 
     components lists the atoms (weight, turns) of a probability measure on
@@ -264,18 +263,24 @@ class StateSpec:
                            and (4 * Fraction(t)).denominator == 1 for t in ts)
                    for w, ts in self.components)
 
+    @cached_property
+    def _quarters(self):
+        """An exact state's rotations per atom, in quarter turns."""
+        return [tuple(int(4 * Fraction(t)) for t in ts)
+                for _, ts in self.components]
+
     def psi(self, gvec):
         gvec = tuple(gvec)
         if self.kind == "haar":
             return QQi.of(1 if not any(gvec) else 0)
         total = None
-        for w, ts in self.components:
+        for i, (w, ts) in enumerate(self.components):
             if len(ts) != len(gvec):
                 raise InputFormatError(f"state has {len(ts)} rotations but "
                                        f"the graph has {len(gvec)} colors")
             if self.is_exact:
-                value = QQi.quarter_turn(sum(int(4 * Fraction(t)) * gi
-                                             for t, gi in zip(ts, gvec)))
+                value = QQi.quarter_turn(sum(
+                    q * gi for q, gi in zip(self._quarters[i], gvec)))
             else:
                 angle = 2.0 * math.pi * add_up(float(t) * gi
                                                for t, gi in zip(ts, gvec))
@@ -329,15 +334,13 @@ def parse_state(text):
 # ----------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class UnitaryIdentitiesReport:
+class UnitaryIdentitiesReport(Record):
     group_elements: tuple
     checks: tuple          # (label, passed) pairs
     passed: bool
 
 
-@dataclass(frozen=True)
-class KMSCheckReport:
+class KMSCheckReport(Record):
     state: str
     max_degree: tuple
     exact: bool
@@ -353,8 +356,7 @@ class KMSCheckReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ToeplitzReport:
+class ToeplitzReport(Record):
     beta: float
     r: tuple
     gaps: tuple            # beta*r_i - ln(rho_i) per color
@@ -362,8 +364,7 @@ class ToeplitzReport:
     factors_through_quotient: bool
 
 
-@dataclass(frozen=True)
-class PhaseReport:
+class PhaseReport(Record):
     beta: object
     applicable: bool
     reason: str            # empty when applicable
@@ -929,7 +930,7 @@ class KMSStates:
         """
         if chi.kind != "character":
             raise InputFormatError("the acting element must be a character")
-        return replace(state, components=tuple(
+        return state.replace(components=tuple(
             (w, _add_turns(chi.turns, ts)) for w, ts in state.components))
 
     def states_equal(self, sa, sb):

@@ -19,12 +19,12 @@ golden-ratio-type fixtures fall back to floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, starmap
 
 from . import degrees as dg
-from .errors import EnumerationCapError, InputFormatError, WitnessSearchError
+from .errors import (EnumerationCapError, InputFormatError, Record,
+                     WitnessSearchError)
 from .scalars import CONSISTENCY_TOL, add_up, check_tol
 
 FLOAT_SLACK = 1e-12
@@ -63,8 +63,7 @@ class CylinderMeasure:
         return add_up(self.mass(p) for p in self.graph.paths_of_degree(n))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     m: tuple
     n: tuple
     exact: bool
@@ -141,8 +140,7 @@ def periodicity_mass_profile(cm, m, n, max_level):
     return out
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Record):
     mu: object
     nu: object
     periodic: bool
@@ -182,8 +180,7 @@ def agreement_mass(cm, mu, nu, level, group=None):
                            level=level, level_bound=bound)
 
 
-@dataclass(frozen=True)
-class DecayWitness:
+class DecayWitness(Record):
     g: tuple
     a: tuple
     tails: dict       # vertex -> path in vLambda^a
@@ -225,8 +222,7 @@ def find_decay_witness(cm, gvec, a_max=6):
         f"larger bounds may still succeed")
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Record):
     g: tuple
     a: tuple
     K: object

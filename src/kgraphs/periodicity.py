@@ -17,11 +17,9 @@ alpha landing at r(mu); the choice of alpha does not matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
-                     PeriodicityUndecidedError)
+                     PeriodicityUndecidedError, Record)
 from .perron import MatrixFamily
 
 
@@ -59,8 +57,7 @@ def check_pair(graph, m, n):
     return True
 
 
-@dataclass(frozen=True)
-class ThetaMap:
+class ThetaMap(Record):
     """The bijection Lambda^m -> Lambda^n induced by sigma^m = sigma^n."""
 
     m: tuple
@@ -104,8 +101,7 @@ def theta(graph, m, n, pre_checked=False):
     return ThetaMap(m, n, table)
 
 
-@dataclass(frozen=True)
-class PeriodicityGroup:
+class PeriodicityGroup(Record):
     k: int
     basis: tuple           # HNF rows generating the detected subgroup
     search_bound: int
@@ -197,14 +193,14 @@ def periodicity_group(graph, bound):
         elif family.power(pos) == family.power(neg) and \
                 check_pair(graph, pos, neg):
             confirmed.append(gvec)
-            found = replace(found, basis=hnf_basis(confirmed, k))
+            found = found.replace(basis=hnf_basis(confirmed, k))
     for b in found.basis:
         # basis rows are integer combinations of confirmed elements, hence
         # periodic; re-verify so a reduction bug cannot slip through
         if not check_pair(graph, dg.pos_part(b), dg.neg_part(b)):
             raise NotPeriodicError(
                 f"internal error: HNF basis element {b} fails the pair check")
-    return replace(found, confirmed=tuple(confirmed))
+    return found.replace(confirmed=tuple(confirmed))
 
 
 def decide_periodic(graph, group, gvec):

@@ -12,14 +12,13 @@ verified), so downstream measure computations can stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
-                     NotIrreducibleError)
+                     NotIrreducibleError, Record)
 from .scalars import add_up, solve_exact
 
 POWER_TOL = 1e-12
@@ -28,8 +27,7 @@ RAYLEIGH_REL_TOL = 1e-8
 SUBINVARIANCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MatrixFamily:
+class MatrixFamily(Record):
     """k commuting nonnegative square matrices over a common index set."""
 
     labels: tuple
@@ -82,8 +80,7 @@ class MatrixFamily:
         return tuple(tuple(map(sum, zip(*row))) for row in rows), tuple(F)
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(Record):
     labels: tuple
     rho: tuple            # floats
     x: tuple              # floats, positive, 1-norm 1
@@ -210,8 +207,7 @@ def perron_data(fam):
                       F=F, F_bound=N)
 
 
-@dataclass(frozen=True)
-class SubinvarianceReport:
+class SubinvarianceReport(Record):
     subinvariant: bool
     violations: tuple      # (matrix index, label, lhs, rhs) when not
     y_positive: bool
@@ -257,8 +253,7 @@ def verify_subinvariance(fam, y, lam, pd):
                                equals_eigenvector=equals)
 
 
-@dataclass(frozen=True)
-class SpectralCheckReport:
+class SpectralCheckReport(Record):
     n: tuple
     oracle_power: float
     predicted_power: float

@@ -14,19 +14,22 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .errors import InputFormatError
+from .errors import InputFormatError, Record
 
 
-@dataclass(frozen=True)
-class QQi:
+class QQi(Record):
     """A Gaussian rational re + im*i with Fraction components."""
 
+    __slots__ = ("re", "im")
     re: Fraction
-    im: Fraction = Fraction(0)
+    im: Fraction
+
+    def __init__(self, re, im=Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(value):
@@ -42,10 +45,7 @@ class QQi:
     # i**t for t mod 4; the only roots of unity available exactly.
     @staticmethod
     def quarter_turn(t):
-        t %= 4
-        re = (1, 0, -1, 0)[t]
-        im = (0, 1, 0, -1)[t]
-        return QQi(Fraction(re), Fraction(im))
+        return QUARTER_TURNS[t % 4]
 
     # The operators take a QQi, int or Fraction to a QQi, and a float or
     # complex to complex(self) <op> complex(other).  Reflected + and * and
@@ -115,6 +115,10 @@ class QQi:
         if self.im == 0:
             return f"{self.re}"
         return f"({self.re}+{self.im}i)"
+
+
+QUARTER_TURNS = tuple(QQi(Fraction(re), Fraction(im))
+                      for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
 
 def coerce_scalar(c):

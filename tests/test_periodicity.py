@@ -2,7 +2,6 @@
 generate."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,7 +136,7 @@ def test_the_searched_box_decides_past_the_cap():
     assert grp.rank == 0
     assert decide_periodic(g, grp, (7,)) is False
     assert decide_periodic(g, grp, (-7,)) is False
-    for outside in (replace(grp, complete_up_to_bound=False), None):
+    for outside in (grp.replace(complete_up_to_bound=False), None):
         with pytest.raises(PeriodicityUndecidedError):
             decide_periodic(g, outside, (7,))
     with pytest.raises(PeriodicityUndecidedError):

@@ -134,6 +134,19 @@ def test_cli_imports_no_numpy():
     assert out == "False\n"
 
 
+def test_library_imports_no_dataclasses():
+    # -S: site hooks of the environment may import what kgraphs does not
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import kgraphs.cli, kgraphs.kms, kgraphs.measure, "
+         "kgraphs.periodicity, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_positive_block(graphs, perron):
     for name, g in graphs.items():
         fam = MatrixFamily.from_graph(g)

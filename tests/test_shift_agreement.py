@@ -21,7 +21,6 @@ with a group searched to bound B must agree with `check_pair` on
 
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,7 +243,7 @@ def check_box_rule(g):
         assert calls == [v for v in wide if v not in box
                          and not group.contains(v)]
         calls.clear()
-        blind = replace(group, complete_up_to_bound=False)
+        blind = group.replace(complete_up_to_bound=False)
         for v in box:
             assert decide_periodic(g, blind, v) == want[v], v
         assert calls == [v for v in box if not group.contains(v)]

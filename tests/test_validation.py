@@ -12,14 +12,13 @@ same entries.  Strong connectivity, now two searches from one vertex, must
 agree with the search from every vertex on small drawn directed graphs.
 """
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
-from kgraphs.errors import EnumerationCapError
+from kgraphs.errors import EnumerationCapError, GraphValidationError
 from kgraphs.graphs import KGraph, ValidationReport
 
 
@@ -96,9 +95,27 @@ SQUARE_FAULTS = {
 def test_square_faults():
     for kind, (doc, failures) in SQUARE_FAULTS.items():
         rep = KGraph.from_json_dict(doc).validate()
-        assert rep.square_failures == failures, kind
+        assert rep.square_failures == tuple(failures), kind
         assert not rep.valid and not rep.cubical_checked, kind
-        assert rep.cubical_failures == [], kind
+        assert rep.cubical_failures == (), kind
+
+
+def test_cached_report_is_frozen():
+    # pullback-b2 with one square dropped: a caller holding the cached
+    # report cannot make the graph pass validation
+    doc = builders.FIXTURES["pullback-b2"]().to_json_dict()
+    del doc["squares"][0]
+    g = KGraph.from_json_dict(doc)
+    rep = g.validate()
+    assert not rep.valid and rep.square_failures
+    for field, value in (("valid", True), ("square_failures", ())):
+        with pytest.raises(AttributeError):
+            setattr(rep, field, value)
+    with pytest.raises(AttributeError):
+        rep.square_failures.clear()
+    assert g.validate() is rep and not rep.valid and rep.square_failures
+    with pytest.raises(GraphValidationError):
+        g.require_valid()
 
 
 def perm_tables(k, perms):
@@ -161,26 +178,26 @@ def test_cubical_faults():
     g = builders.make_single_vertex(3, [3, 1, 1], perm_tables(3, [sigma, tau]))
     rep = g.validate()
     assert rep.cubical_checked and not rep.valid and not rep.square_failures
-    assert rep.cubical_failures == [
+    assert rep.cubical_failures == (
         cubical(("a1", "b1", "c1"), ["c1", "b1", "a2"], ["c1", "b1", "a3"]),
         cubical(("a2", "b1", "c1"), ["c1", "b1", "a3"], ["c1", "b1", "a1"]),
-        cubical(("a3", "b1", "c1"), ["c1", "b1", "a1"], ["c1", "b1", "a2"])]
+        cubical(("a3", "b1", "c1"), ["c1", "b1", "a1"], ["c1", "b1", "a2"]))
     # rank 4: triples (1,2,3) and (1,3,4) fail, (1,2,4) and (2,3,4) hold;
     # failures come sorted by colors, then by edge ids
     g = builders.make_single_vertex(4, [3, 1, 1, 1],
                                     perm_tables(4, [sigma, tau, sigma]))
     rep = g.validate()
-    assert rep.cubical_failures == [
+    assert rep.cubical_failures == (
         cubical(("a1", "b1", "c1"), ["c1", "b1", "a2"], ["c1", "b1", "a3"]),
         cubical(("a2", "b1", "c1"), ["c1", "b1", "a3"], ["c1", "b1", "a1"]),
         cubical(("a3", "b1", "c1"), ["c1", "b1", "a1"], ["c1", "b1", "a2"]),
         cubical(("a1", "c1", "d1"), ["d1", "c1", "a3"], ["d1", "c1", "a2"]),
         cubical(("a2", "c1", "d1"), ["d1", "c1", "a1"], ["d1", "c1", "a3"]),
-        cubical(("a3", "c1", "d1"), ["d1", "c1", "a2"], ["d1", "c1", "a1"])]
+        cubical(("a3", "c1", "d1"), ["d1", "c1", "a2"], ["d1", "c1", "a1"]))
     # four vertices: chains follow ranges and sources
     rep = KGraph.from_json_dict(twisted_product3()).validate()
     assert not rep.square_failures
-    assert rep.cubical_failures == [
+    assert rep.cubical_failures == (
         cubical(("e1:w1:u", "v:g1:u", "v:w2:euv"),
                 ["v:w1:euv", "v:g1:v", "e2:w2:v"],
                 ["v:w1:euv", "v:g1:v", "e1:w2:v"]),
@@ -192,7 +209,7 @@ def test_cubical_faults():
                 ["v:w1:euv", "v:g1:v", "e2:w2:v"]),
         cubical(("e2:w2:u", "v:g2:u", "v:w1:euv"),
                 ["v:w2:euv", "v:g2:v", "e2:w1:v"],
-                ["v:w2:euv", "v:g2:v", "e1:w1:v"])]
+                ["v:w2:euv", "v:g2:v", "e1:w1:v"]))
 
 
 def ascending_chains(g):
@@ -220,8 +237,8 @@ def test_cubical_walk_is_capped():
                            match=f"walks {count} chains"):
             g.validate()
         g.cap = count
-        assert dataclasses.asdict(g.validate()) == \
-            dataclasses.asdict(KGraph.from_json_dict(doc).validate())
+        assert vars(g.validate()) == \
+            vars(KGraph.from_json_dict(doc).validate())
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +347,9 @@ def old_validate(g):
         k=g.k,
         vertex_count=len(g.vertices),
         edge_counts=tuple(len(edges_of_color[i]) for i in colors),
-        square_failures=square_failures,
+        square_failures=tuple(square_failures),
         cubical_checked=cubical_checked,
-        cubical_failures=cubical_failures,
+        cubical_failures=tuple(cubical_failures),
         strongly_connected=old_strongly_connected(g),
         no_sources=all((i, v) in ins for v in g.vertices for i in colors),
         no_sinks=all((i, v) in outs for v in g.vertices for i in colors))
@@ -413,7 +430,7 @@ def mutated_documents(draw):
 def test_matches_rank_driven_validation(doc):
     g = KGraph.from_json_dict(doc)
     report, fwd, inv = old_validate(g)
-    assert dataclasses.asdict(g.validate()) == dataclasses.asdict(report)
+    assert vars(g.validate()) == vars(report)
     assert g._fwd == fwd and g._inv == inv
 
 
