@@ -591,6 +591,12 @@ class KGraph:
                        for s in doc["squares"]]
         except (TypeError, KeyError) as exc:
             raise InputFormatError(f"malformed edge/square entry: {exc}") from exc
+        for kind, record in (("edge", Edge), ("square", Square)):
+            for entry in doc[kind + "s"]:   # a mapping with every field
+                extra = sorted(set(entry) - set(record._fields))
+                if extra:
+                    raise InputFormatError(
+                        f"{kind} entry {entry} has unknown fields {extra}")
         return cls(doc["k"], doc["vertices"], edges, squares)
 
     @classmethod

@@ -508,8 +508,8 @@ class KMSStates:
     # -- the equilibrium identity over a degree box ---------------------
 
     def _support_contributions(self, box, theta_blind, scale):
-        """Aggregate, for every quadruple key (mu, nu, eta, zeta), the total
-        cylinder mass of its product:
+        """Aggregate the support of the products by cell: the cylinder mass
+        that each quadruple key (mu, nu, eta, zeta) of a cell has,
 
             phi(s_mu s*_nu s_eta s*_zeta)
                 = sum over minimal common extensions nu.alpha = eta.beta
@@ -521,41 +521,40 @@ class KMSStates:
         the key's grade g = d(mu) - d(nu) + d(eta) - d(zeta).
 
         Every minimal pair arises from a path w (= nu.alpha) and a split of
-        d(w) into the degrees of nu and eta, so walking (w, split, mu, and
-        the codomain degree of the bijection) enumerates the support
-        completely: any quadruple never touched has phi = 0 on both sides
-        of the equilibrium identity.  More than graph.cap keys raise
-        EnumerationCapError, tested after each w.
+        d(w) into the degrees of nu and eta (box.facs), so walking (w,
+        split, mu, and the codomain degree of the bijection) enumerates the
+        support completely: any quadruple never touched has phi = 0 on both
+        sides of the equilibrium identity.  A class of mu (source, degree)
+        fixes the mass of p = mu.alpha and the plan, the degrees
+        d(zeta.beta') at which d(p) - d(zeta.beta') is periodic, and what a
+        split adds is built once per (alpha, d(beta)), and s(eta) if blind.
 
-        A split fixes nu, alpha, eta and beta; its keys take every mu with
-        s(mu) = r(alpha).  p = mu.alpha has degree d(mu) + d(alpha) and
-        source s(alpha), so the mu go by degree class (_BoxIndex.classes),
-        and the mass of p and the plan -- the degrees d(zeta.beta') at which
-        d(p) - d(zeta.beta') is periodic -- are read once per class.  Blind
-        mode pairs a class with every zeta of a planned degree and source
-        s(eta); the honest walk files the heads zeta of theta(p) by their
-        tails beta' and keeps the file of beta' = beta.  A split's keys
-        depend on nu and eta only through their high digits, so what it adds
-        is built once per (alpha, d(beta)), and per s(eta) in blind mode,
-        and replayed by every split that shares it.
+        Honest, each key is a cell, zeta a head of theta(p) with tail beta.
+        Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
+        mass: every minimal pair has d(alpha) = d(nu) v d(eta) - d(nu), and
+        without theta phi(s_{mu.alpha} s*_{zeta.beta}) is mass(mu.alpha) =
+        rho^{-d(mu)-d(alpha)} x_{s(alpha)} if g is periodic, else 0, a test
+        of degrees alone.  So the keys, the mu of the class (s(nu), d(mu))
+        times the zeta of (s(eta), d(zeta)), sum the same terms in the same
+        walk order, which the walk adds once per cell, bit for bit.
 
-        All four paths of a key lie in the box [0, D], so the key is their
-        box indices packed into one int, base n: (mu, nu) in the high digits
-        and (eta, zeta) in the low ones.  Keys are inserted in walk order,
-        with mu in box order and zeta in plan order within a split, and map
-        to their mass times `scale`, which makes it an int when the Perron
-        data is rational (see _scales).
+        A cell is the int ((c(mu) * n + nu) * n + eta) * n + c(zeta), for n
+        box paths and a class c named by its first path (see box.cells),
+        and maps to its mass times `scale`, an int for rational Perron data
+        (see _scales).  Cells come in walk order, with their number of keys;
+        more than graph.cap keys raise EnumerationCapError.
         """
         g = self.graph
         n = len(box.paths)
-        contributions = {}
+        members = box.cells(theta_blind)[1]
+        cells = {}
         plans = {}      # (d(p), d(beta), s(eta)) -> plan
         batches = {}    # blind (alpha, d(beta), s(eta)) -> {None: batch},
         #                 honest (alpha, d(beta), None) -> {beta: batch}
 
         def plan_of(dp, dbeta, v):
             # honest: (g != 0, d(zeta.beta'), d(zeta)) for each periodic g =
-            # d(p) - d(zeta.beta'); blind: every zeta with source v there
+            # d(p) - d(zeta.beta'); blind: the classes of zeta there
             plan = plans.get((dp, dbeta, v))
             if plan is None:
                 plan = plans[dp, dbeta, v] = []
@@ -563,64 +562,57 @@ class KMSStates:
                     nprime = dg.add(nzeta, dbeta)
                     gvec = dg.sub(dp, nprime)
                     if self.periodic(gvec):
-                        plan.extend(box.classes[v].get(nzeta, ())
+                        plan.extend(box.classes[v].get(nzeta, ())[:1]
                                     if theta_blind
                                     else [(any(gvec), nprime, nzeta)])
             return plan
 
         def batch(alpha, dbeta, v):
-            # [(mus, zetas, mass)]: the mu with s(mu) = r(alpha), by class
+            # [(c(mu), c(zetas), mass)]: the mu with s(mu) = r(alpha)
             out = {}
             for dmu, mus in box.classes[box.paths[alpha].range].items():
                 dp = dg.add(dmu, box.degree[alpha])
                 plan = plan_of(dp, dbeta, v)
                 if not plan:
                     continue
-                mass = _scaled(self.measure.mass_at(dp, box.source[alpha]),
-                               scale)
+                mass = _scaled(self.measure.mass_at(
+                    dp, box.paths[alpha].source), scale)
                 if theta_blind:
-                    out.setdefault(None, []).append((mus, plan, mass))
+                    out.setdefault(None, []).append((mus[0], plan, mass))
                     continue
                 for mu in mus:
                     p = g.compose(box.paths[mu], box.paths[alpha])
                     filed = {}  # the heads zeta of theta(p) by their tails
                     for shift, nprime, nzeta in plan:
                         q = self.theta_map(dp, nprime)(p) if shift else p
-                        zeta, tail = box.indices(g.factorize(q, nzeta))
+                        zeta, tail = box.split(q, nzeta)
                         filed.setdefault(tail, []).append(zeta)
                     for tail, zetas in filed.items():
-                        out.setdefault(tail, []).append(((mu,), zetas, mass))
+                        out.setdefault(tail, []).append((mu, zetas, mass))
             return out
 
-        u = None
-        for w in box.paths:
-            if w.degree != u:   # the box lists its paths degree by degree
-                u = w.degree
-                splits = dg.degrees_below(u)
-                pairs = [(j1, j2) for j2, m2 in enumerate(splits)
-                         for j1, m1 in enumerate(splits)
-                         if dg.join(m1, m2) == u]
-            facs = [box.indices(g.factorize(w, m)) for m in splits]
-            for j1, j2 in pairs:
+        for w, facs in enumerate(box.facs):
+            for j1, j2 in box.pairs[box.degree[w]]:
                 eta, beta = facs[j2]
                 nu, alpha = facs[j1]
                 at = (alpha, box.degree[beta],
-                      box.source[eta] if theta_blind else None)
+                      box.paths[eta].source if theta_blind else None)
                 hit = batches.get(at)
                 if hit is None:
                     hit = batches[at] = batch(*at)
-                for mus, zetas, mass in hit.get(
+                for cmu, czetas, mass in hit.get(
                         None if theta_blind else beta, ()):
-                    for mu in mus:
-                        base = ((mu * n + nu) * n + eta) * n
-                        for zeta in zetas:
-                            key = base + zeta
-                            contributions[key] = contributions.get(key, 0) \
-                                + mass
-            if len(contributions) > g.cap:
-                raise EnumerationCapError(
-                    f"KMS support exceeds cap {g.cap} keys")
-        return contributions
+                    base = ((cmu * n + nu) * n + eta) * n
+                    for czeta in czetas:
+                        cell = base + czeta
+                        cells[cell] = cells.get(cell, 0) + mass
+            if len(cells) > g.cap:   # each cell holds a key or more
+                break
+        keys = sum(len(members[c // n ** 3]) * len(members[c % n])
+                   for c in cells) if theta_blind else len(cells)
+        if keys > g.cap:
+            raise EnumerationCapError(f"KMS support exceeds cap {g.cap} keys")
+        return cells, keys
 
     def _scales(self, D):
         """Common multipliers (S, T) that turn the sweep's sums into ints
@@ -696,23 +688,28 @@ class KMSStates:
         deduplicated, keeping a count and up to 20 sample keys with their
         two masses; a zero difference means the key passes for every state.
 
-        Keys are the packed box indices of _support_contributions, so key
-        = high * n^2 + low has the swap low * n^2 + high.  Before the
-        sweep, every source-matched packed pair (mu, nu) is given the
-        (code, T rho^{-gamma}, gamma) of its two degrees.  Then each key
-        and swap pair is visited once, with no call: one read of both
-        masses and two reads of that table give L - rho^{-gamma} R and
-        R - rho^{-gamma'} L.  A code is gamma as an int in radix
-        4 max(D) + 1, so the codes of (mu, nu) and (eta, zeta) add up to
-        the grade's code; profiles are keyed by it, and only supported
-        swaps, which come up again as keys, are marked seen.  A bucket
-        keeps a sample while its count is under 20.  With
-        rational Perron data the differences are summed as ints, S * T
-        times their value (see _scales); one common multiplier leaves the
-        deduplication unchanged.  The table holds the profiles at their
-        exact values and the sample masses times S, with mass_unit = 1/S.
-        The screen profiles (see _screen_profiles) sit beside them, so a
-        state folds both kinds and never visits a path pair.
+        The table is that of a sweep over the keys in insertion order, each
+        visited with its swap (eta, zeta, mu, nu) unless it was an earlier
+        key's swap.  Counts and `checked` do not depend on that order and
+        are summed by cell: every key adds its own direction, L its cell's
+        mass and R its swap's; a key whose swap is unsupported also adds the
+        swap's, with R = 0; a key that is its own swap adds once.  The R of
+        a blind cell's keys are the masses of the cells of class (c(eta),
+        c(zeta), c(mu), c(nu)), counted once per class quadruple, and 0 for
+        the keys left over.  Profile order and samples come from a replay
+        in that order, mu by mu in each run of cells that share (c(mu), nu,
+        eta), of the cells that can still meet a profile short of 20
+        samples: the others add none, as a key's swap direction is its
+        swap's own.
+
+        Profiles are keyed by the code of g, an int in radix 4 max(D) + 1
+        that adds over (mu, nu) and (eta, zeta).  With rational Perron data
+        the differences are summed as ints, S * T times their value (see
+        _scales); one common multiplier leaves the deduplication unchanged.
+        The table holds the profiles at their exact values and the sample
+        masses times S, with mass_unit = 1/S.  The screen profiles (see
+        _screen_profiles) sit beside them, so a state folds both kinds and
+        never visits a path pair.
         """
         cache_key = (D, theta_blind)
         hit = self._sweep_cache.get(cache_key)
@@ -720,66 +717,93 @@ class KMSStates:
             return hit
         S, T = self._scales(D)
         box = _BoxIndex(self.graph, D)
-        contributions = self._support_contributions(box, theta_blind, S)
-        n = len(box.paths)
-        nn = n * n
-        rho = self.measure.rho
+        cells, support = self._support_contributions(box, theta_blind, S)
+        klass, members = box.cells(theta_blind)
+        n, nn = len(box.paths), len(box.paths) ** 2
         radix = 4 * max(D) + 1
-        by_gamma = {gamma: (sum(c * radix ** i for i, c in enumerate(gamma)),
-                            _scaled(dg.rho_power(rho, dg.neg(gamma)), T),
-                            gamma)
-                    for gamma in dg.box(dg.neg(D), D)}
-        graded = {(dmu, dnu): by_gamma[dg.sub(dmu, dnu)]
-                  for dmu in box.degrees for dnu in box.degrees}
-        # packed (mu, nu) -> (code of gamma, T * rho^{-gamma}, gamma)
-        pairs = {mu * n + nu: graded[box.degree[mu], box.degree[nu]]
-                 for here in box.by_source.values()
-                 for mu in here for nu in here}
-        profiles = {}   # (code of g, diff) -> [count, samples, g]
+        grades = {sum(c * radix ** i for i, c in enumerate(gvec)): gvec
+                  for gvec in dg.box(dg.scale(-2, D), dg.scale(2, D))}
+        by_gamma = {gamma: (code, _scaled(dg.rho_power(self.measure.rho,
+                                                       dg.neg(gamma)), T))
+                    for code, gamma in grades.items()
+                    if dg.leq(gamma, D) and dg.leq(dg.neg(gamma), D)}
+        graded = {(m1, m2): by_gamma[dg.sub(m1, m2)]
+                  for m1 in box.degrees for m2 in box.degrees}
+        # packed (a, b) -> (code of gamma, T * rho^{-gamma}, packed (c(a),
+        # c(b))) with gamma = d(a) - d(b)
+        pairs = [(*graded[box.degree[a], box.degree[b]],
+                  klass[a] * n + klass[b]) for a in range(n) for b in range(n)]
+        groups = {}     # packed class quadruple -> {mass: cells}
+        for cell, mass in cells.items() if theta_blind else ():
+            h, l = divmod(cell, nn)
+            hist = groups.setdefault(pairs[h][2] * nn + pairs[l][2], {})
+            hist[mass] = hist.get(mass, 0) + 1
+        counts = {}     # (code of g, diff) -> count
+        reach = {}      # cell -> the (code, diff) its keys and swaps meet
+        checked = support   # and one per key with an unsupported swap
+        for cell, left in cells.items():
+            h, l = divmod(cell, nn)
+            chigh, fhigh, hkey = pairs[h]
+            clow, flow, lkey = pairs[l]
+            if theta_blind:
+                found = groups.get(lkey * nn + hkey, {})
+                hist = [*found.items(), (0, len(members[h // n]) * len(
+                    members[l % n]) - sum(found.values()))]
+            else:
+                hist = ((cells.get(lkey * nn + hkey, 0), 1),)
+            for right, count in hist:
+                own, other = T * left - fhigh * right, T * right - flow * left
+                if not right:
+                    checked += count
+                if count and (own or other):
+                    met = reach.setdefault(cell, set())
+                    for diff, tally in ((own, count),
+                                        (other, 0 if right else count)):
+                        if diff:
+                            met.add((chigh + clow, diff))
+                            counts[chigh + clow, diff] = counts.get(
+                                (chigh + clow, diff), 0) + tally
+        runs = []       # [(packed (c(mu), nu, eta), its cells)], as inserted
+        for cell in reach:
+            if not runs or runs[-1][0] != cell // n:
+                runs.append((cell // n, []))
+            runs[-1][1].append(cell)
+        profiles = {}   # (code of g, diff) -> samples, in the order met
         seen = set()    # supported swaps already visited
-        selfswaps = 0
-        for key, left in contributions.items():
-            if key in seen:
-                continue
-            high, low = divmod(key, nn)
-            swap = low * nn + high
-            right = contributions.get(swap, 0)
-            chigh, fhigh, ghigh = pairs[high]
-            clow, flow, glow = pairs[low]
-            diff = T * left - fhigh * right
-            if diff:
-                bucket = profiles.get((chigh + clow, diff))
-                if bucket is None:
-                    bucket = profiles[chigh + clow, diff] = [
-                        0, [], dg.add(ghigh, glow)]
-                if bucket[0] < 20:
-                    bucket[1].append((key, left, right))
-                bucket[0] += 1
-            if swap == key:
-                selfswaps += 1
-                continue
-            if right:   # a supported swap; masses are positive
-                seen.add(swap)
-            diff = T * right - flow * left
-            if diff:
-                bucket = profiles.get((chigh + clow, diff))
-                if bucket is None:
-                    bucket = profiles[chigh + clow, diff] = [
-                        0, [], dg.add(ghigh, glow)]
-                if bucket[0] < 20:
-                    bucket[1].append((swap, right, left))
-                bucket[0] += 1
-        # each visited key is checked with its swap, skipped keys are the
-        # seen swaps, and a key that is its own swap counts once
-        checked = 2 * (len(contributions) - len(seen)) - selfswaps
+        for top, run in runs:
+            cm, nu, eta = top // nn, top // n % n, top % n
+            run = [(cells[c], pairs[c // nn], pairs[c % nn], members[c % n])
+                   for c in run if any(len(profiles.get(p, ())) < 20
+                                       for p in reach[c])]
+            for mu in members[cm] if run else ():
+                for left, (chigh, fhigh, _), (clow, flow, _), zetas in run:
+                    for zeta in zetas:
+                        key = ((mu * n + nu) * n + eta) * n + zeta
+                        if key in seen:
+                            continue
+                        swap = ((eta * n + zeta) * n + mu) * n + nu
+                        right = cells.get(((klass[eta] * n + zeta) * n + mu)
+                                          * n + klass[nu], 0)
+                        if right and swap != key:   # masses are positive
+                            seen.add(swap)
+                        for diff, sample in (
+                                (T * left - fhigh * right, (key, left, right)),
+                                (swap != key and T * right - flow * left,
+                                 (swap, right, left))):
+                            if diff:
+                                bucket = profiles.setdefault(
+                                    (chigh + clow, diff), [])
+                                if len(bucket) < 20:
+                                    bucket.append(sample)
         unit = Fraction(1, S * T)
         table = {
             "box": box,
-            "profiles": {(bucket[2], diff * unit): bucket[:2]
-                         for (_, diff), bucket in profiles.items()},
+            "profiles": {(grades[code], diff * unit): [counts[code, diff],
+                                                        samples]
+                         for (code, diff), samples in profiles.items()},
             "screen": self._screen_profiles(box, theta_blind),
             "checked": checked,
-            "support": len(contributions),
+            "support": support,
             "mass_unit": Fraction(1, S),
         }
         self._sweep_cache[cache_key] = table
@@ -807,6 +831,7 @@ class KMSStates:
         exact = self.measure.exact and state.is_exact
         table = self._sweep_table(D, theta_blind)
         box = table["box"]
+        n = len(box.paths)
         matched_pairs = sum(len(ix) ** 2 for ix in box.by_source.values())
         unit = table["mass_unit"]
         rho = self.measure.rho
@@ -825,7 +850,8 @@ class KMSStates:
                 continue
             failure_count += count
             for key, left, right in samples[:20 - len(failures)]:
-                mu, nu, eta, zeta = box.paths_of(key)
+                mu, nu, eta, zeta = (box.paths[key // n ** e % n]
+                                     for e in (3, 2, 1, 0))
                 factor = dg.rho_power(rho, dg.neg(dg.sub(mu.degree,
                                                          nu.degree)))
                 lhs = pv * (left * unit) if left else zero
@@ -967,33 +993,48 @@ class KMSStates:
 
 
 class _BoxIndex:
-    """The paths of the degree box [0, D], numbered 0..n-1 in canonical
-    order: degrees in lexicographic order, and the paths of each degree in
-    paths_of_degree order.  The cold half of kms_check works on these
-    indices and turns them back into paths only for its report."""
+    """The paths of the degree box [0, D], numbered 0..n-1: a degree's
+    offset, degrees in lexicographic order, plus the path's index in
+    paths_of_degree.  The cold half of kms_check works on these numbers.
+    facs[i] is the factorization table of path i, its (head, tail) at each
+    degree m <= d(path i) in that order; pairs[d] lists the (j1, j2) whose
+    degrees join to d."""
 
     def __init__(self, graph, D):
+        self.graph = graph
         self.degrees = dg.degrees_below(D)
-        self.paths = []
-        for m in self.degrees:
-            self.paths.extend(graph.paths_of_degree(m))
-        self.index = {p: i for i, p in enumerate(self.paths)}
+        self.paths = [p for m in self.degrees
+                      for p in graph.paths_of_degree(m)]
         self.degree = [p.degree for p in self.paths]
-        self.source = [p.source for p in self.paths]
-        self.by_source = {}            # vertex -> indices
-        self.classes = {}              # vertex -> {degree: indices}
+        self.by_source = {}            # vertex -> numbers
+        self.classes = {}              # vertex -> {degree: numbers}
         for i, p in enumerate(self.paths):
             self.by_source.setdefault(p.source, []).append(i)
             self.classes.setdefault(p.source, {}).setdefault(
                 p.degree, []).append(i)
+        self.pairs = {u: [(j1, j2) for j2, m2 in enumerate(dg.degrees_below(u))
+                          for j1, m1 in enumerate(dg.degrees_below(u))
+                          if dg.join(m1, m2) == u] for u in self.degrees}
+        self._number = {p.edges or p.range: i
+                        for i, p in enumerate(self.paths)}
+        self.facs = [[self.split(p, m) for m in dg.degrees_below(p.degree)]
+                     for p in self.paths]
 
-    def indices(self, paths):
-        return tuple(self.index[p] for p in paths)
+    def split(self, path, m):
+        """The numbers of the head and tail of path at degree m, found by
+        their edges, or by their vertex when they have none."""
+        head, tail = self.graph._take(path.edges, m)
+        return (self._number[tuple(head) or path.range],
+                self._number[tuple(tail) or path.source])
 
-    def paths_of(self, key):
-        """The quadruple of paths behind a key."""
-        n = len(self.paths)
-        return tuple(self.paths[key // n ** e % n] for e in (3, 2, 1, 0))
+    def cells(self, theta_blind):
+        """The class of each path and the paths of each class, named by its
+        first path: a source and degree when blind, else the path alone."""
+        groups = ([ix for here in self.classes.values()
+                   for ix in here.values()] if theta_blind
+                  else [[i] for i in range(len(self.paths))])
+        return ({i: ix[0] for ix in groups for i in ix},
+                {ix[0]: ix for ix in groups})
 
 
 def _add_turns(ta, tb):

@@ -175,6 +175,20 @@ def test_phase_and_toeplitz(capsys, pb2_file):
     assert doc["exists"] is True and doc["factors_through_quotient"] is True
 
 
+@pytest.mark.parametrize("entries", ["edges", "squares"])
+def test_unknown_entry_field_exits_3(capsys, tmp_path, pb2_file, entries):
+    # a misspelt field inside an entry is refused, as one at the top level
+    # is, and not dropped on the way to the graph
+    doc = json.loads(Path(pb2_file).read_text())
+    doc[entries][0]["colour"] = 2
+    bad = tmp_path / "misspelt.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["validate", str(bad)])
+    out, err = capsys.readouterr()
+    assert code == 3 and not out
+    assert f"{entries[:-1]} entry" in err and "['colour']" in err
+
+
 def test_exit_codes(capsys, tmp_path, b2_file, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("not json")

@@ -13,6 +13,7 @@ from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
                          _scaled, parse_state)
+from kms_reference import KeyBox, expand_cells
 from kgraphs.periodicity import periodicity_group
 from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import QQi
@@ -700,7 +701,7 @@ def reference_sweep(st, D, theta_blind):
     its difference taken unscaled, as a Fraction when the data is exact.
     The support comes from the reference walk."""
     S, _ = st._scales(D)
-    box = _BoxIndex(st.graph, D)
+    box = KeyBox(st.graph, D)
     contributions = old_support_contributions(st, box, theta_blind, S)
     unit = F(1, S)
     nn = len(box.paths) ** 2
@@ -748,13 +749,15 @@ def test_sweep_matches_per_key_reference(graphs, perron, groups, name, D,
 
 
 def check_walk(st, D, theta_blind):
-    """The support walk against the reference: the same keys with the same
-    masses, inserted in the same order."""
+    """The support walk against the reference: its cells, key by key, are
+    the same keys with the same masses, inserted in the same order."""
     S, _ = st._scales(D)
     box = _BoxIndex(st.graph, D)
-    new = st._support_contributions(box, theta_blind, S)
-    old = old_support_contributions(st, box, theta_blind, S)
+    cells, size = st._support_contributions(box, theta_blind, S)
+    new = expand_cells(box, cells, theta_blind)
+    old = old_support_contributions(st, KeyBox(st.graph, D), theta_blind, S)
     assert list(new.items()) == list(old.items())
+    assert size == len(old)
     return new
 
 
