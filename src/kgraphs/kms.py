@@ -539,14 +539,13 @@ class KMSStates:
         walk order, which the walk adds once per cell, bit for bit.
 
         A cell is the int ((c(mu) * n + nu) * n + eta) * n + c(zeta), for n
-        box paths and a class c named by its first path (see box.cells),
+        box paths and a class c named by its first path (box.members),
         and maps to its mass times `scale`, an int for rational Perron data
         (see _scales).  Cells come in walk order, with their number of keys;
         more than graph.cap keys raise EnumerationCapError.
         """
         g = self.graph
         n = len(box.paths)
-        members = box.cells(theta_blind)[1]
         cells = {}
         plans = {}      # (d(p), d(beta), s(eta)) -> plan
         batches = {}    # blind (alpha, d(beta), s(eta)) -> {None: batch},
@@ -608,7 +607,7 @@ class KMSStates:
                         cells[cell] = cells.get(cell, 0) + mass
             if len(cells) > g.cap:   # each cell holds a key or more
                 break
-        keys = sum(len(members[c // n ** 3]) * len(members[c % n])
+        keys = sum(len(box.members[c // n ** 3]) * len(box.members[c % n])
                    for c in cells) if theta_blind else len(cells)
         if keys > g.cap:
             raise EnumerationCapError(f"KMS support exceeds cap {g.cap} keys")
@@ -718,8 +717,10 @@ class KMSStates:
         S, T = self._scales(D)
         box = _BoxIndex(self.graph, D)
         cells, support = self._support_contributions(box, theta_blind, S)
-        klass, members = box.cells(theta_blind)
         n, nn = len(box.paths), len(box.paths) ** 2
+        # each path's class and each class's paths: one path each if honest
+        klass, members = (box.first, box.members) if theta_blind else (
+            range(n), [(i,) for i in range(n)])
         radix = 4 * max(D) + 1
         grades = {sum(c * radix ** i for i, c in enumerate(gvec)): gvec
                   for gvec in dg.box(dg.scale(-2, D), dg.scale(2, D))}
@@ -739,7 +740,8 @@ class KMSStates:
             hist = groups.setdefault(pairs[h][2] * nn + pairs[l][2], {})
             hist[mass] = hist.get(mass, 0) + 1
         counts = {}     # (code of g, diff) -> count
-        reach = {}      # cell -> the (code, diff) its keys and swaps meet
+        runs = []       # [(packed (c(mu), nu, eta), {cell: the (code, diff)
+        #                 its keys and their swaps meet})], as inserted
         checked = support   # and one per key with an unsupported swap
         for cell, left in cells.items():
             h, l = divmod(cell, nn)
@@ -756,25 +758,22 @@ class KMSStates:
                 if not right:
                     checked += count
                 if count and (own or other):
-                    met = reach.setdefault(cell, set())
+                    if not runs or runs[-1][0] != cell // n:
+                        runs.append((cell // n, {}))
+                    met = runs[-1][1].setdefault(cell, set())
                     for diff, tally in ((own, count),
                                         (other, 0 if right else count)):
                         if diff:
                             met.add((chigh + clow, diff))
                             counts[chigh + clow, diff] = counts.get(
                                 (chigh + clow, diff), 0) + tally
-        runs = []       # [(packed (c(mu), nu, eta), its cells)], as inserted
-        for cell in reach:
-            if not runs or runs[-1][0] != cell // n:
-                runs.append((cell // n, []))
-            runs[-1][1].append(cell)
         profiles = {}   # (code of g, diff) -> samples, in the order met
         seen = set()    # supported swaps already visited
         for top, run in runs:
             cm, nu, eta = top // nn, top // n % n, top % n
             run = [(cells[c], pairs[c // nn], pairs[c % nn], members[c % n])
-                   for c in run if any(len(profiles.get(p, ())) < 20
-                                       for p in reach[c])]
+                   for c, met in run.items()
+                   if any(len(profiles.get(p, ())) < 20 for p in met)]
             for mu in members[cm] if run else ():
                 for left, (chigh, fhigh, _), (clow, flow, _), zetas in run:
                     for zeta in zetas:
@@ -995,10 +994,10 @@ class KMSStates:
 class _BoxIndex:
     """The paths of the degree box [0, D], numbered 0..n-1: a degree's
     offset, degrees in lexicographic order, plus the path's index in
-    paths_of_degree.  The cold half of kms_check works on these numbers.
-    facs[i] is the factorization table of path i, its (head, tail) at each
-    degree m <= d(path i) in that order; pairs[d] lists the (j1, j2) whose
-    degrees join to d."""
+    paths_of_degree.  facs[i] holds the (head, tail) numbers of path i at
+    each degree m <= d(path i) in that order; pairs[d] lists the (j1, j2)
+    whose degrees join to d.  A class holds the paths of one source and
+    degree: members maps its first path to them, first each path to it."""
 
     def __init__(self, graph, D):
         self.graph = graph
@@ -1019,6 +1018,9 @@ class _BoxIndex:
                         for i, p in enumerate(self.paths)}
         self.facs = [[self.split(p, m) for m in dg.degrees_below(p.degree)]
                      for p in self.paths]
+        self.members = {ix[0]: ix for here in self.classes.values()
+                        for ix in here.values()}
+        self.first = {i: c for c, ix in self.members.items() for i in ix}
 
     def split(self, path, m):
         """The numbers of the head and tail of path at degree m, found by
@@ -1026,15 +1028,6 @@ class _BoxIndex:
         head, tail = self.graph._take(path.edges, m)
         return (self._number[tuple(head) or path.range],
                 self._number[tuple(tail) or path.source])
-
-    def cells(self, theta_blind):
-        """The class of each path and the paths of each class, named by its
-        first path: a source and degree when blind, else the path alone."""
-        groups = ([ix for here in self.classes.values()
-                   for ix in here.values()] if theta_blind
-                  else [[i] for i in range(len(self.paths))])
-        return ({i: ix[0] for ix in groups for i in ix},
-                {ix[0]: ix for ix in groups})
 
 
 def _add_turns(ta, tb):

@@ -184,8 +184,8 @@ def expand_cells(box, cells, theta_blind):
     """The key-level walk's {key: mass} rebuilt from the library's cells,
     in its insertion order: a run of cells that share (c(mu), nu, eta)
     lists its keys mu by mu, then cell by cell, then zeta by zeta."""
-    klass, members = box.cells(theta_blind)
     n = len(box.paths)
+    members = box.members if theta_blind else [(i,) for i in range(n)]
     keys = {}
     runs = []
     for cell in cells:
