@@ -539,7 +539,7 @@ class KMSStates:
         walk order, which the walk adds once per cell, bit for bit.
 
         A cell is the int ((c(mu) * n + nu) * n + eta) * n + c(zeta), for n
-        box paths and a class c named by its first path (box.members),
+        box paths, with c(x) = x when honest and box.first[x] when blind,
         and maps to its mass times `scale`, an int for rational Perron data
         (see _scales).  Cells come in walk order, with their number of keys;
         more than graph.cap keys raise EnumerationCapError.
