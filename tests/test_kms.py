@@ -13,10 +13,10 @@ from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
                          _scaled, parse_state)
-from kms_reference import KeyBox, expand_cells
 from kgraphs.periodicity import periodicity_group
 from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import QQi
+from kms_reference import KeyBox, expand_cells
 from test_path_layer import pullbacks, single_vertex_2graphs
 
 F = Fraction
