@@ -6,9 +6,12 @@ dict entry, keyed by the box numbers of its paths packed base n, and the
 sweep visits every key with its swap.  `reference_table(st, D, theta_blind)`
 returns the table that `st._sweep_table(D, theta_blind)` must equal, field
 by field: the profiles in order with their counts and samples, the screen,
-`checked`, `support` and `mass_unit`.  The walk reads the same plans, Perron
-masses and theta maps as the library (through `st`), so the copy checks how
-the library aggregates them, not those inputs.
+`checked`, `support` and `mass_unit`.  The walk reads the library's
+periodicity decisions and Perron masses (through `st`), so the copy checks
+how the library aggregates them, not those inputs.  Its shift bijections
+come from `periodicity.theta`, one table per degree pair (m, n), and its
+Cuntz-Krieger screen is the pair-by-pair one that the library had before it
+went by class pair, so neither is compared with itself.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from fractions import Fraction
 from kgraphs import degrees as dg
 from kgraphs.errors import EnumerationCapError
 from kgraphs.kms import _scaled
+from kgraphs.periodicity import theta
 
 
 class KeyBox:
@@ -46,9 +50,78 @@ class KeyBox:
         return tuple(self.paths[key // n ** e % n] for e in (3, 2, 1, 0))
 
 
+def theta_tables(graph):
+    """theta_{m,n}(path) through periodicity.theta, one table per (m, n)."""
+    tables = {}
+
+    def image(m, n, path):
+        hit = tables.get((m, n))
+        if hit is None:
+            hit = tables[m, n] = theta(graph, m, n)
+        return hit(path)
+    return image
+
+
+def phi_mass(st, theta_of, mu, nu, theta_blind):
+    """mass(mu), or None where phi vanishes on s_mu s*_nu."""
+    gvec = dg.sub(mu.degree, nu.degree)
+    if not st.periodic(gvec):
+        return None
+    if not theta_blind:
+        if not any(gvec):
+            if mu != nu:
+                return None
+        elif theta_of(mu.degree, nu.degree, mu) != nu:
+            return None
+    return st.measure.mass(mu)
+
+
+def screen_profiles(st, box, theta_blind):
+    """The one-sided Cuntz-Krieger screen pair by pair: every
+    source-matched pair (mu, nu) of the box on which phi does not vanish
+    becomes its profile (d(mu) - d(nu), mass(mu), bound), counted, with
+    bound the mass of the extensions mu.lam, lam of degree (1,..,1), for
+    which mu.lam and nu.lam still share an extension."""
+    g = st.graph
+    theta_of = theta_tables(g)
+    ones = (1,) * g.k
+    reach = {}      # (mu, tail, degree) -> edges of the extensions
+
+    def reached(mu, t, ml, degree):
+        hit = reach.get((mu, t, degree))
+        if hit is None:
+            hit = reach[mu, t, degree] = g.extensions(ml, degree).keys()
+        return hit
+
+    profiles = {}
+    for v, here in box.by_source.items():
+        tails = g.paths_of_degree(ones, range=v)
+        extended = {i: [g.compose(box.paths[i], lam) for lam in tails]
+                    for i in here}
+        for mu in here:
+            for nu in here:
+                mass = phi_mass(st, theta_of, box.paths[mu], box.paths[nu],
+                                theta_blind)
+                if mass is None:
+                    continue
+                joined = dg.add(dg.join(box.degree[mu], box.degree[nu]),
+                                ones)
+                bound = st.measure.zero
+                for t, (ml, nl) in enumerate(zip(extended[mu],
+                                                 extended[nu])):
+                    if not reached(mu, t, ml, joined).isdisjoint(
+                            reached(nu, t, nl, joined)):
+                        bound += st.measure.mass(ml)
+                profile = (dg.sub(box.degree[mu], box.degree[nu]), mass,
+                           bound)
+                profiles[profile] = profiles.get(profile, 0) + 1
+    return profiles
+
+
 def support_contributions(st, box, theta_blind, scale):
     """{key: mass * scale} for every supported key, in walk order."""
     g = st.graph
+    theta_of = theta_tables(g)
     n = len(box.paths)
     contributions = {}
     plans = {}      # (d(p), d(beta), s(eta)) -> plan
@@ -83,7 +156,7 @@ def support_contributions(st, box, theta_blind, scale):
                 p = g.compose(box.paths[mu], box.paths[alpha])
                 filed = {}
                 for shift, nprime, nzeta in plan:
-                    q = st.theta_map(dp, nprime)(p) if shift else p
+                    q = theta_of(dp, nprime, p) if shift else p
                     zeta, tail = box.indices(g.factorize(q, nzeta))
                     filed.setdefault(tail, []).append(zeta)
                 for tail, zetas in filed.items():
@@ -173,7 +246,7 @@ def reference_table(st, D, theta_blind):
     return {
         "profiles": {(bucket[2], diff * unit): bucket[:2]
                      for (_, diff), bucket in profiles.items()},
-        "screen": st._screen_profiles(box, theta_blind),
+        "screen": screen_profiles(st, box, theta_blind),
         "checked": 2 * (len(contributions) - len(seen)) - selfswaps,
         "support": len(contributions),
         "mass_unit": Fraction(1, S),
