@@ -102,6 +102,14 @@ def command_cases(command):
                         "--theta-blind"]),
                       ("product-b2-c2-box-2,2-theta-blind", "product-b2-c2",
                        ["--state", "haar", "--max-degree", "2,2",
+                        "--theta-blind"]),
+                      ("pullback-b2-box-2,2", "pullback-b2",
+                       ["--state", "z=1/4,0", "--max-degree", "2,2"]),
+                      ("product-b2-c2-box-2,2", "product-b2-c2",
+                       ["--state", "z=0,1/4", "--max-degree", "2,2"]),
+                      ("product-b2-c2-box-2,2-theta-blind-quarter",
+                       "product-b2-c2",
+                       ["--state", "z=0,1/4", "--max-degree", "2,2",
                         "--theta-blind"])],
         "phase": [("pullback-b2-beta-fraction", "pullback-b2",
                    ["--beta", "3/2"]),
