@@ -34,6 +34,7 @@ Exact fixtures stay in Gaussian-rational arithmetic end to end.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -395,38 +396,43 @@ class KMSStates:
 
     def periodic(self, gvec):
         gvec = tuple(gvec)
-        hit = self._periodic_cache.get(gvec)
-        if hit is None:
-            hit = decide_periodic(self.graph, self.group, gvec)
-            self._periodic_cache[gvec] = hit
-        return hit
+        if gvec not in self._periodic_cache:
+            self._periodic_cache[gvec] = decide_periodic(self.graph,
+                                                         self.group, gvec)
+        return self._periodic_cache[gvec]
 
     def theta_map(self, m, n):
-        key = (tuple(m), tuple(n))
-        hit = self._theta_cache.get(key)
-        if hit is None:
-            hit = theta(self.graph, key[0], key[1], pre_checked=True)
-            self._theta_cache[key] = hit
-        return hit
+        """theta_{m,n} for a periodic pair, from the one table of its grade
+        g = m - n (see _grade): with j = m ^ n, m = j + g+ and n = j + g-,
+        so theta_{m,n}(p) = p(0, j) theta_{g+,g-}(p(j, m))."""
+        grade, _ = self._grade(dg.sub(m, n))
+        j, g = dg.meet(m, n), self.graph
+
+        def law(p):
+            head, tail = g.factorize(p, j)
+            return g.compose(head, grade(tail))
+        return law if any(j) else grade
+
+    def _grade(self, gvec):
+        """theta_{g+,g-}: the ThetaMap that unitary reads, and by edges,
+        {edges of p, or its vertex if none: edges of theta(p)}."""
+        if gvec not in self._theta_cache:
+            th = theta(self.graph, dg.pos_part(gvec), dg.neg_part(gvec),
+                       pre_checked=True)
+            self._theta_cache[gvec] = th, {p.edges or p.range: list(q.edges)
+                                           for p, q in th.table.items()}
+        return self._theta_cache[gvec]
+
+    def _shifted(self, shift, edges, j, source):
+        """theta_{m,n}(p) by edges, j = m ^ n and shift the grade's table."""
+        head, tail = self.graph._take(edges, j)
+        return self.graph._normalize(head + shift[tuple(tail) or source],
+                                     len(head))
 
     def _zero(self, state):
         return QQi.of(0) if (self.measure.exact and state.is_exact) else 0j
 
     # -- state evaluation -----------------------------------------------
-
-    def _phi_mass(self, mu, nu, theta_blind=False):
-        """phi_eval's support test: mass(mu), or None where phi vanishes on
-        s_mu s*_nu (see phi_eval)."""
-        gvec = dg.sub(mu.degree, nu.degree)
-        if not self.periodic(gvec):
-            return None
-        if not theta_blind:
-            if not any(gvec):
-                if mu != nu:
-                    return None
-            elif self.theta_map(mu.degree, nu.degree)(mu) != nu:
-                return None
-        return self.measure.mass(mu)
 
     def phi_eval(self, state, mu, nu, theta_blind=False):
         """phi(s_mu s*_nu): psi(d(mu)-d(nu)) * rho^{-d(mu)} * x_{s(mu)} when
@@ -439,9 +445,11 @@ class KMSStates:
         if mu.source != nu.source:
             raise InputFormatError("phi is defined on span terms, which "
                                    "need a common source")
-        mass = self._phi_mass(mu, nu, theta_blind)
-        return self._zero(state) if mass is None \
-            else state.psi(dg.sub(mu.degree, nu.degree)) * mass
+        gvec = dg.sub(mu.degree, nu.degree)
+        if self.periodic(gvec) and (theta_blind or nu == (self.theta_map(
+                mu.degree, nu.degree)(mu) if any(gvec) else mu)):
+            return state.psi(gvec) * self.measure.mass(mu)
+        return self._zero(state)
 
     def phi_apply(self, state, elem, theta_blind=False):
         """Linear extension of phi_eval to algebra elements."""
@@ -458,8 +466,8 @@ class KMSStates:
         if not self.periodic(gvec):
             raise NotPeriodicError(f"{gvec} was not detected as a "
                                    f"periodicity vector")
-        table = self.theta_map(dg.pos_part(gvec), dg.neg_part(gvec)).table
-        return AlgebraElement(self.graph, dict.fromkeys(table.items(), 1))
+        return AlgebraElement(self.graph, dict.fromkeys(
+            self._grade(gvec)[0].table.items(), 1))
 
     def unitary_identities(self, max_degree):
         """Exact element-level checks for the unitaries indexed by the
@@ -489,8 +497,7 @@ class KMSStates:
                 record(f"U{v} commutes with s[{eid}]",
                        (u * s_e).equals(s_e * u))
             if any(v):
-                th = self.theta_map(dg.pos_part(v), dg.neg_part(v))
-                for mu, nu in th.table.items():
+                for mu, nu in self._grade(v)[0].table.items():
                     record(f"range projection transport {v} at "
                            f"{mu.literal()}", AlgebraElement.span(g, mu, mu)
                            .equals(AlgebraElement.span(g, nu, nu)))
@@ -529,8 +536,8 @@ class KMSStates:
         d(zeta.beta') at which d(p) - d(zeta.beta') is periodic, and what a
         split adds is built once per (alpha, d(beta)), and s(eta) if blind.
 
-        Honest, each key is a cell, zeta a head of theta(p) with tail beta.
-        Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
+        Honest, each key is a cell, zeta a head of theta(p) with tail beta,
+        p and theta(p) read by edges (theta by grade, see theta_map).  Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
         mass: every minimal pair has d(alpha) = d(nu) v d(eta) - d(nu), and
         without theta phi(s_{mu.alpha} s*_{zeta.beta}) is mass(mu.alpha) =
         rho^{-d(mu)-d(alpha)} x_{s(alpha)} if g is periodic, else 0, a test
@@ -552,8 +559,8 @@ class KMSStates:
         #                 honest (alpha, d(beta), None) -> {beta: batch}
 
         def plan_of(dp, dbeta, v):
-            # honest: (g != 0, d(zeta.beta'), d(zeta)) for each periodic g =
-            # d(p) - d(zeta.beta'); blind: the classes of zeta there
+            # honest: (d(p) ^ d(zeta.beta'), g's table if g != 0, d(zeta))
+            # per periodic g = d(p) - d(zeta.beta'); blind: zeta's classes
             plan = plans.get((dp, dbeta, v))
             if plan is None:
                 plan = plans[dp, dbeta, v] = []
@@ -562,29 +569,32 @@ class KMSStates:
                     gvec = dg.sub(dp, nprime)
                     if self.periodic(gvec):
                         plan.extend(box.classes[v].get(nzeta, ())[:1]
-                                    if theta_blind
-                                    else [(any(gvec), nprime, nzeta)])
+                                    if theta_blind else
+                                    [(dg.meet(dp, nprime), any(gvec)
+                                      and self._grade(gvec)[1], nzeta)])
             return plan
 
         def batch(alpha, dbeta, v):
             # [(c(mu), c(zetas), mass)]: the mu with s(mu) = r(alpha)
             out = {}
+            a, s = box.paths[alpha].edges, box.paths[alpha].source
             for dmu, mus in box.classes[box.paths[alpha].range].items():
                 dp = dg.add(dmu, box.degree[alpha])
                 plan = plan_of(dp, dbeta, v)
                 if not plan:
                     continue
-                mass = _scaled(self.measure.mass_at(
-                    dp, box.paths[alpha].source), scale)
+                mass = _scaled(self.measure.mass_at(dp, s), scale)
                 if theta_blind:
                     out.setdefault(None, []).append((mus[0], plan, mass))
                     continue
-                for mu in mus:
-                    p = g.compose(box.paths[mu], box.paths[alpha])
+                for mu in mus:  # p = mu.alpha by edges, as extensions
+                    p = g._normalize(box.paths[mu].edges + a,
+                                     len(box.paths[mu].edges))
                     filed = {}  # the heads zeta of theta(p) by their tails
-                    for shift, nprime, nzeta in plan:
-                        q = self.theta_map(dp, nprime)(p) if shift else p
-                        zeta, tail = box.split(q, nzeta)
+                    for j, shift, nzeta in plan:
+                        q = self._shifted(shift, p, j, s) if shift else p
+                        zeta, tail = box.split(q, nzeta, box.paths[mu].range,
+                                               s)
                         filed.setdefault(tail, []).append(zeta)
                     for tail, zetas in filed.items():
                         out.setdefault(tail, []).append((mu, zetas, mass))
@@ -635,43 +645,48 @@ class KMSStates:
         |phi(s_mu s*_nu)| <= bound over the source-matched pairs of the box,
         with bound the mass of the extensions mu.lam, lam of degree
         (1,..,1), for which mu.lam and nu.lam still share an extension.  A
-        pair whose phi vanishes (see _phi_mass) passes for every state; any
+        pair whose phi vanishes (see phi_eval) passes for every state; any
         other becomes its profile (d(mu) - d(nu), mass(mu), bound), counted.
 
-        mu.lam and nu.lam share an extension exactly when their extensions
-        to the joined degree meet, so KGraph.extensions builds those sets
-        once per (path, tail, degree) and they are intersected per pair."""
+        The pairs go by class pair (s(mu), d(mu), d(nu)), which fixes the
+        grade's periodicity and the masses: phi vanishes on none of a periodic
+        one if blind, and on all but the (mu, theta(mu)) if honest.  mu.lam
+        and nu.lam share an extension exactly when their extensions to the
+        joined degree meet, so KGraph.extensions builds those sets once per
+        (path, tail, degree) and they are intersected per pair."""
         g = self.graph
         ones = (1,) * g.k
         reach = {}      # (mu, tail, degree) -> edges of the extensions
 
-        def reached(mu, t, ml, degree):
-            hit = reach.get((mu, t, degree))
-            if hit is None:
-                hit = reach[mu, t, degree] = g.extensions(ml, degree).keys()
-            return hit
+        def reached(mu, t, degree):     # tails: the lam with r(lam) = s(mu)
+            if (mu, t, degree) not in reach:
+                reach[mu, t, degree] = g.extensions(
+                    g.compose(box.paths[mu], tails[t]), degree).keys()
+            return reach[mu, t, degree]
 
         profiles = {}
-        for v, here in box.by_source.items():
+        for v, here in box.classes.items():
             tails = g.paths_of_degree(ones, range=v)
-            extended = {i: [g.compose(box.paths[i], lam) for lam in tails]
-                        for i in here}
-            for mu in here:
-                for nu in here:
-                    mass = self._phi_mass(box.paths[mu], box.paths[nu],
-                                          theta_blind)
-                    if mass is None:
-                        continue
-                    joined = dg.add(dg.join(box.degree[mu], box.degree[nu]),
-                                    ones)
+            for (dmu, mus), (dnu, nus) in itertools.product(here.items(),
+                                                            repeat=2):
+                gvec = dg.sub(dmu, dnu)
+                if not self.periodic(gvec):
+                    continue
+                mass, top = self.measure.mass_at(dmu, v), dg.add(dmu, ones)
+                joined = dg.add(dg.join(dmu, dnu), ones)
+                pairs = itertools.product(mus, nus)
+                if not theta_blind:     # the (mu, theta(mu)), by edges
+                    shift = any(gvec) and self._grade(gvec)[1]
+                    pairs = [(mu, box._number[tuple(self._shifted(
+                        shift, box.paths[mu].edges, dg.meet(dmu, dnu), v))
+                        or v] if shift else mu) for mu in mus]
+                for mu, nu in pairs:
                     bound = self.measure.zero
-                    for t, (ml, nl) in enumerate(zip(extended[mu],
-                                                     extended[nu])):
-                        if not reached(mu, t, ml, joined).isdisjoint(
-                                reached(nu, t, nl, joined)):
-                            bound += self.measure.mass(ml)
-                    profile = (dg.sub(box.degree[mu], box.degree[nu]), mass,
-                               bound)
+                    for t, lam in enumerate(tails):
+                        if not reached(mu, t, joined).isdisjoint(
+                                reached(nu, t, joined)):
+                            bound += self.measure.mass_at(top, lam.source)
+                    profile = (gvec, mass, bound)
                     profiles[profile] = profiles.get(profile, 0) + 1
         return profiles
 
@@ -694,12 +709,13 @@ class KMSStates:
         mass and R its swap's; a key whose swap is unsupported also adds the
         swap's, with R = 0; a key that is its own swap adds once.  The R of
         a blind cell's keys are the masses of the cells of class (c(eta),
-        c(zeta), c(mu), c(nu)), counted once per class quadruple, and 0 for
-        the keys left over.  Profile order and samples come from a replay
-        in that order, mu by mu in each run of cells that share (c(mu), nu,
-        eta), of the cells that can still meet a profile short of 20
-        samples: the others add none, as a key's swap direction is its
-        swap's own.
+        c(zeta), c(mu), c(nu)), and 0 for the keys left over, so what a blind
+        cell adds and meets depends on its class quadruple and mass alone and
+        is counted once for all the cells that share both.  Profile order
+        and samples come from a replay in that order, mu by mu in each run
+        of cells that share (c(mu), nu, eta), of the cells that can still
+        meet a profile short of 20 samples: the others add none, as a key's
+        swap direction is its swap's own.
 
         Profiles are keyed by the code of g, an int in radix 4 max(D) + 1
         that adds over (mu, nu) and (eta, zeta).  With rational Perron data
@@ -710,10 +726,8 @@ class KMSStates:
         _screen_profiles) sit beside them, so a state folds both kinds and
         never visits a path pair.
         """
-        cache_key = (D, theta_blind)
-        hit = self._sweep_cache.get(cache_key)
-        if hit is not None:
-            return hit
+        if (D, theta_blind) in self._sweep_cache:
+            return self._sweep_cache[D, theta_blind]
         S, T = self._scales(D)
         box = _BoxIndex(self.graph, D)
         cells, support = self._support_contributions(box, theta_blind, S)
@@ -742,38 +756,46 @@ class KMSStates:
         counts = {}     # (code of g, diff) -> count
         runs = []       # [(packed (c(mu), nu, eta), {cell: the (code, diff)
         #                 its keys and their swaps meet})], as inserted
+        known = {}      # blind (class quadruple, mass) -> the (code, diff) met
         checked = support   # and one per key with an unsupported swap
         for cell, left in cells.items():
             h, l = divmod(cell, nn)
             chigh, fhigh, hkey = pairs[h]
             clow, flow, lkey = pairs[l]
-            if theta_blind:
+            if not theta_blind:
+                met, hist = None, ((cells.get(lkey * nn + hkey, 0), 1),)
+            elif (hkey * nn + lkey, left) in known:
+                met, hist = known[hkey * nn + lkey, left], ()
+            else:   # the first cell of its quadruple and mass counts them all
+                met = known[hkey * nn + lkey, left] = set()
+                many = groups[hkey * nn + lkey][left]
                 found = groups.get(lkey * nn + hkey, {})
-                hist = [*found.items(), (0, len(members[h // n]) * len(
-                    members[l % n]) - sum(found.values()))]
-            else:
-                hist = ((cells.get(lkey * nn + hkey, 0), 1),)
+                hist = [*((right, many * c) for right, c in found.items()),
+                        (0, many * (len(members[h // n]) * len(
+                            members[l % n]) - sum(found.values())))]
             for right, count in hist:
                 own, other = T * left - fhigh * right, T * right - flow * left
                 if not right:
                     checked += count
                 if count and (own or other):
-                    if not runs or runs[-1][0] != cell // n:
-                        runs.append((cell // n, {}))
-                    met = runs[-1][1].setdefault(cell, set())
+                    met = set() if met is None else met
                     for diff, tally in ((own, count),
                                         (other, 0 if right else count)):
                         if diff:
                             met.add((chigh + clow, diff))
                             counts[chigh + clow, diff] = counts.get(
                                 (chigh + clow, diff), 0) + tally
+            if met:
+                if not runs or runs[-1][0] != cell // n:
+                    runs.append((cell // n, {}))
+                runs[-1][1][cell] = met
         profiles = {}   # (code of g, diff) -> samples, in the order met
+        full = set()    # the profiles with 20 samples
         seen = set()    # supported swaps already visited
         for top, run in runs:
             cm, nu, eta = top // nn, top // n % n, top % n
             run = [(cells[c], pairs[c // nn], pairs[c % nn], members[c % n])
-                   for c, met in run.items()
-                   if any(len(profiles.get(p, ())) < 20 for p in met)]
+                   for c, met in run.items() if not met <= full]
             for mu in members[cm] if run else ():
                 for left, (chigh, fhigh, _), (clow, flow, _), zetas in run:
                     for zeta in zetas:
@@ -789,13 +811,13 @@ class KMSStates:
                                 (T * left - fhigh * right, (key, left, right)),
                                 (swap != key and T * right - flow * left,
                                  (swap, right, left))):
-                            if diff:
-                                bucket = profiles.setdefault(
-                                    (chigh + clow, diff), [])
-                                if len(bucket) < 20:
-                                    bucket.append(sample)
+                            profile = (chigh + clow, diff)
+                            if diff and profile not in full:
+                                profiles.setdefault(profile, []).append(sample)
+                                if len(profiles[profile]) == 20:
+                                    full.add(profile)
         unit = Fraction(1, S * T)
-        table = {
+        table = self._sweep_cache[D, theta_blind] = {
             "box": box,
             "profiles": {(grades[code], diff * unit): [counts[code, diff],
                                                         samples]
@@ -805,7 +827,6 @@ class KMSStates:
             "support": support,
             "mass_unit": Fraction(1, S),
         }
-        self._sweep_cache[cache_key] = table
         return table
 
     def kms_check(self, state, max_degree, tol=KMS_TOL, theta_blind=False):
@@ -831,13 +852,12 @@ class KMSStates:
         table = self._sweep_table(D, theta_blind)
         box = table["box"]
         n = len(box.paths)
-        matched_pairs = sum(len(ix) ** 2 for ix in box.by_source.values())
+        matched_pairs = sum(sum(map(len, here.values())) ** 2
+                            for here in box.classes.values())
         unit = table["mass_unit"]
         rho = self.measure.rho
         zero = self._zero(state)
-        failures = []
-        failure_count = 0
-        max_dev = 0.0
+        failures, failure_count, max_dev = [], 0, 0.0
         for (gvec, value), (count, samples) in table["profiles"].items():
             pv = state.psi(gvec)
             if is_zero(pv, 0.0):
@@ -851,8 +871,7 @@ class KMSStates:
             for key, left, right in samples[:20 - len(failures)]:
                 mu, nu, eta, zeta = (box.paths[key // n ** e % n]
                                      for e in (3, 2, 1, 0))
-                factor = dg.rho_power(rho, dg.neg(dg.sub(mu.degree,
-                                                         nu.degree)))
+                factor = dg.rho_power(rho, dg.sub(nu.degree, mu.degree))
                 lhs = pv * (left * unit) if left else zero
                 expect = pv * (right * unit) * factor if right else zero
                 failures.append({
@@ -886,10 +905,8 @@ class KMSStates:
             raise InputFormatError("simplex description needs a computed "
                                    "periodicity group")
         rank = self.group.rank
-        if rank == 0:
-            param = "a single point"
-        else:
-            param = (f"characters of Z^{rank} (a torus of dimension {rank})")
+        param = "a single point" if rank == 0 else (
+            f"characters of Z^{rank} (a torus of dimension {rank})")
         return {
             "rank": rank,
             "extreme_point_parameterization": param,
@@ -1005,10 +1022,8 @@ class _BoxIndex:
         self.paths = [p for m in self.degrees
                       for p in graph.paths_of_degree(m)]
         self.degree = [p.degree for p in self.paths]
-        self.by_source = {}            # vertex -> numbers
         self.classes = {}              # vertex -> {degree: numbers}
         for i, p in enumerate(self.paths):
-            self.by_source.setdefault(p.source, []).append(i)
             self.classes.setdefault(p.source, {}).setdefault(
                 p.degree, []).append(i)
         self.pairs = {u: [(j1, j2) for j2, m2 in enumerate(dg.degrees_below(u))
@@ -1016,18 +1031,17 @@ class _BoxIndex:
                           if dg.join(m1, m2) == u] for u in self.degrees}
         self._number = {p.edges or p.range: i
                         for i, p in enumerate(self.paths)}
-        self.facs = [[self.split(p, m) for m in dg.degrees_below(p.degree)]
-                     for p in self.paths]
+        self.facs = [[self.split(p.edges, m, p.range, p.source)
+                      for m in dg.degrees_below(p.degree)] for p in self.paths]
         self.members = {ix[0]: ix for here in self.classes.values()
                         for ix in here.values()}
         self.first = {i: c for c, ix in self.members.items() for i in ix}
 
-    def split(self, path, m):
-        """The numbers of the head and tail of path at degree m, found by
-        their edges, or by their vertex when they have none."""
-        head, tail = self.graph._take(path.edges, m)
-        return (self._number[tuple(head) or path.range],
-                self._number[tuple(tail) or path.source])
+    def split(self, edges, m, r, s):
+        """The numbers of the head and tail at degree m of the path with these
+        normal-form edges, range r and source s: by edges, or by vertex."""
+        head, tail = self.graph._take(edges, m)
+        return self._number[tuple(head) or r], self._number[tuple(tail) or s]
 
 
 def _add_turns(ta, tb):

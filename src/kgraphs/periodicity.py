@@ -30,7 +30,9 @@ def check_pair(graph, m, n):
     ones and the segment criterion is equivalent to pointwise agreement).
     Returns False at the first strip edge that differs.  Past the cap it
     raises as the per-color enumeration of Lambda^{(m v n) + e_i} did: at
-    the first color over the cap, unless a lower color disagrees.
+    the first color over the cap, unless a lower color disagrees.  Under the
+    cap and with no color empty, A^m != A^n answers False before any path is
+    enumerated, as theta_{m,n} would keep ranges and sources.
     """
     graph.require_strongly_connected()
     m, n = tuple(m), tuple(n)
@@ -45,6 +47,9 @@ def check_pair(graph, m, n):
     # the colors with edges below it: each has an edge into every vertex,
     # so if Lambda^{m v n} is over the cap, none is, and it is not enumerated
     reached = [(c, units[c - 1]) for c in range(1, over + 1) if sizes[c - 1]]
+    family = MatrixFamily.from_graph(graph)
+    if len(reached) == graph.k and family.power(m) != family.power(n):
+        return False
     for mu in graph.paths_of_degree(jn) if reached else ():
         rest_m, rest_n = (graph.factorize(mu, d)[1].edges for d in (m, n))
         for color, e_i in reached:
