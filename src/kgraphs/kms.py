@@ -34,7 +34,6 @@ Exact fixtures stay in Gaussian-rational arithmetic end to end.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -396,17 +395,16 @@ class KMSStates:
 
     def periodic(self, gvec):
         gvec = tuple(gvec)
-        if gvec not in self._periodic_cache:
-            self._periodic_cache[gvec] = decide_periodic(self.graph,
-                                                         self.group, gvec)
-        return self._periodic_cache[gvec]
+        hit = self._periodic_cache.get(gvec)
+        if hit is None:
+            hit = decide_periodic(self.graph, self.group, gvec)
+            self._periodic_cache[gvec] = hit
+        return hit
 
     def theta_map(self, m, n):
-        """theta_{m,n} for a periodic pair, from the one table of its grade
-        g = m - n (see _grade): with j = m ^ n, m = j + g+ and n = j + g-,
-        so theta_{m,n}(p) = p(0, j) theta_{g+,g-}(p(j, m))."""
-        grade, _ = self._grade(dg.sub(m, n))
-        j, g = dg.meet(m, n), self.graph
+        """theta_{m,n}(p) = p(0, j) theta_{g+,g-}(p(j, m)) from the table of
+        g = m - n (see _grade), as m = j + g+ and n = j + g-, j = m ^ n."""
+        grade, g, j = self._grade(dg.sub(m, n))[0], self.graph, dg.meet(m, n)
 
         def law(p):
             head, tail = g.factorize(p, j)
@@ -414,8 +412,7 @@ class KMSStates:
         return law if any(j) else grade
 
     def _grade(self, gvec):
-        """theta_{g+,g-}: the ThetaMap that unitary reads, and by edges,
-        {edges of p, or its vertex if none: edges of theta(p)}."""
+        """theta_{g+,g-}, once per grade: its ThetaMap and table by edges."""
         if gvec not in self._theta_cache:
             th = theta(self.graph, dg.pos_part(gvec), dg.neg_part(gvec),
                        pre_checked=True)
@@ -537,7 +534,8 @@ class KMSStates:
         split adds is built once per (alpha, d(beta)), and s(eta) if blind.
 
         Honest, each key is a cell, zeta a head of theta(p) with tail beta,
-        p and theta(p) read by edges (theta by grade, see theta_map).  Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
+        p and theta(p) read by edges (theta by grade, see theta_map).
+        Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
         mass: every minimal pair has d(alpha) = d(nu) v d(eta) - d(nu), and
         without theta phi(s_{mu.alpha} s*_{zeta.beta}) is mass(mu.alpha) =
         rho^{-d(mu)-d(alpha)} x_{s(alpha)} if g is periodic, else 0, a test
@@ -649,32 +647,31 @@ class KMSStates:
         other becomes its profile (d(mu) - d(nu), mass(mu), bound), counted.
 
         The pairs go by class pair (s(mu), d(mu), d(nu)), which fixes the
-        grade's periodicity and the masses: phi vanishes on none of a periodic
-        one if blind, and on all but the (mu, theta(mu)) if honest.  mu.lam
-        and nu.lam share an extension exactly when their extensions to the
-        joined degree meet, so KGraph.extensions builds those sets once per
-        (path, tail, degree) and they are intersected per pair."""
+        periodicity and the masses; phi vanishes on none of a periodic one if
+        blind, on all but the (mu, theta(mu)) if honest.  KGraph.extensions
+        builds the extensions of each mu.lam to the joined degree once, and
+        mu.lam and nu.lam share one exactly when those sets meet."""
         g = self.graph
         ones = (1,) * g.k
-        reach = {}      # (mu, tail, degree) -> edges of the extensions
+        reach = {}      # (mu, degree) -> edges of the extensions, per tail
 
-        def reached(mu, t, degree):     # tails: the lam with r(lam) = s(mu)
-            if (mu, t, degree) not in reach:
-                reach[mu, t, degree] = g.extensions(
-                    g.compose(box.paths[mu], tails[t]), degree).keys()
-            return reach[mu, t, degree]
+        def reached(mu, degree):    # tails: the lam with r(lam) = s(mu)
+            if (mu, degree) not in reach:
+                reach[mu, degree] = [g.extensions(g.compose(
+                    box.paths[mu], lam), degree).keys() for lam in tails]
+            return reach[mu, degree]
 
         profiles = {}
         for v, here in box.classes.items():
             tails = g.paths_of_degree(ones, range=v)
-            for (dmu, mus), (dnu, nus) in itertools.product(here.items(),
-                                                            repeat=2):
+            for (dmu, mus), (dnu, nus) in [(a, b) for a in here.items()
+                                           for b in here.items()]:
                 gvec = dg.sub(dmu, dnu)
                 if not self.periodic(gvec):
                     continue
                 mass, top = self.measure.mass_at(dmu, v), dg.add(dmu, ones)
                 joined = dg.add(dg.join(dmu, dnu), ones)
-                pairs = itertools.product(mus, nus)
+                pairs = [(mu, nu) for mu in mus for nu in nus]
                 if not theta_blind:     # the (mu, theta(mu)), by edges
                     shift = any(gvec) and self._grade(gvec)[1]
                     pairs = [(mu, box._number[tuple(self._shifted(
@@ -682,9 +679,9 @@ class KMSStates:
                         or v] if shift else mu) for mu in mus]
                 for mu, nu in pairs:
                     bound = self.measure.zero
-                    for t, lam in enumerate(tails):
-                        if not reached(mu, t, joined).isdisjoint(
-                                reached(nu, t, joined)):
+                    for lam, ends, others in zip(tails, reached(mu, joined),
+                                                 reached(nu, joined)):
+                        if not ends.isdisjoint(others):
                             bound += self.measure.mass_at(top, lam.source)
                     profile = (gvec, mass, bound)
                     profiles[profile] = profiles.get(profile, 0) + 1
@@ -704,18 +701,17 @@ class KMSStates:
 
         The table is that of a sweep over the keys in insertion order, each
         visited with its swap (eta, zeta, mu, nu) unless it was an earlier
-        key's swap.  Counts and `checked` do not depend on that order and
-        are summed by cell: every key adds its own direction, L its cell's
-        mass and R its swap's; a key whose swap is unsupported also adds the
-        swap's, with R = 0; a key that is its own swap adds once.  The R of
-        a blind cell's keys are the masses of the cells of class (c(eta),
-        c(zeta), c(mu), c(nu)), and 0 for the keys left over, so what a blind
-        cell adds and meets depends on its class quadruple and mass alone and
-        is counted once for all the cells that share both.  Profile order
-        and samples come from a replay in that order, mu by mu in each run
-        of cells that share (c(mu), nu, eta), of the cells that can still
-        meet a profile short of 20 samples: the others add none, as a key's
-        swap direction is its swap's own.
+        key's swap.  Counts and `checked` do not depend on that order and are
+        summed by cell: every key adds its own direction, L its cell's mass and
+        R its swap's; a key whose swap is unsupported also adds the swap's,
+        with R = 0; a key that is its own swap adds once.  The R of a blind
+        cell's keys are the masses of the cells of class (c(eta), c(zeta),
+        c(mu), c(nu)) and 0 for the rest, so a blind cell's share is fixed by
+        its class quadruple and mass and counted once for every cell with both.
+        Profile order and samples come from a replay in that order, mu by mu in
+        each run of cells that share (c(mu), nu, eta), of the cells that can
+        still meet a profile short of 20 samples: the others add none, as a
+        key's swap direction is its swap's own.
 
         Profiles are keyed by the code of g, an int in radix 4 max(D) + 1
         that adds over (mu, nu) and (eta, zeta).  With rational Perron data
@@ -764,8 +760,8 @@ class KMSStates:
             clow, flow, lkey = pairs[l]
             if not theta_blind:
                 met, hist = None, ((cells.get(lkey * nn + hkey, 0), 1),)
-            elif (hkey * nn + lkey, left) in known:
-                met, hist = known[hkey * nn + lkey, left], ()
+            elif (met := known.get((hkey * nn + lkey, left))) is not None:
+                hist = ()
             else:   # the first cell of its quadruple and mass counts them all
                 met = known[hkey * nn + lkey, left] = set()
                 many = groups[hkey * nn + lkey][left]
@@ -857,7 +853,9 @@ class KMSStates:
         unit = table["mass_unit"]
         rho = self.measure.rho
         zero = self._zero(state)
-        failures, failure_count, max_dev = [], 0, 0.0
+        failures = []
+        failure_count = 0
+        max_dev = 0.0
         for (gvec, value), (count, samples) in table["profiles"].items():
             pv = state.psi(gvec)
             if is_zero(pv, 0.0):
@@ -871,7 +869,8 @@ class KMSStates:
             for key, left, right in samples[:20 - len(failures)]:
                 mu, nu, eta, zeta = (box.paths[key // n ** e % n]
                                      for e in (3, 2, 1, 0))
-                factor = dg.rho_power(rho, dg.sub(nu.degree, mu.degree))
+                factor = dg.rho_power(rho, dg.neg(dg.sub(mu.degree,
+                                                         nu.degree)))
                 lhs = pv * (left * unit) if left else zero
                 expect = pv * (right * unit) * factor if right else zero
                 failures.append({
@@ -905,8 +904,10 @@ class KMSStates:
             raise InputFormatError("simplex description needs a computed "
                                    "periodicity group")
         rank = self.group.rank
-        param = "a single point" if rank == 0 else (
-            f"characters of Z^{rank} (a torus of dimension {rank})")
+        if rank == 0:
+            param = "a single point"
+        else:
+            param = (f"characters of Z^{rank} (a torus of dimension {rank})")
         return {
             "rank": rank,
             "extreme_point_parameterization": param,

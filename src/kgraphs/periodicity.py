@@ -31,7 +31,7 @@ def check_pair(graph, m, n):
     Returns False at the first strip edge that differs.  Past the cap it
     raises as the per-color enumeration of Lambda^{(m v n) + e_i} did: at
     the first color over the cap, unless a lower color disagrees.  Under the
-    cap and with no color empty, A^m != A^n answers False before any path is
+    cap, with no color empty, A^m != A^n answers False before any path is
     enumerated, as theta_{m,n} would keep ranges and sources.
     """
     graph.require_strongly_connected()
