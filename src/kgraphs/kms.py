@@ -671,8 +671,9 @@ class KMSStates:
                     continue
                 mass, top = self.measure.mass_at(dmu, v), dg.add(dmu, ones)
                 joined = dg.add(dg.join(dmu, dnu), ones)
-                pairs = [(mu, nu) for mu in mus for nu in nus]
-                if not theta_blind:     # the (mu, theta(mu)), by edges
+                if theta_blind:
+                    pairs = [(mu, nu) for mu in mus for nu in nus]
+                else:   # the (mu, theta(mu)), by edges
                     shift = any(gvec) and self._grade(gvec)[1]
                     pairs = [(mu, box._number[tuple(self._shifted(
                         shift, box.paths[mu].edges, dg.meet(dmu, dnu), v))

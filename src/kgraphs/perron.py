@@ -107,9 +107,8 @@ def mat_vec(a, x):
 
 
 def mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n))
-                       for j in range(n)) for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def identity(n):
