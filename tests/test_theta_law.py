@@ -29,6 +29,7 @@ from kgraphs.graphs import KGraph
 from kgraphs.kms import KMSStates
 from kgraphs.periodicity import check_pair, theta
 from kgraphs.perron import MatrixFamily, perron_data
+from test_kms_generated import two_loop_2graphs
 from test_shift_agreement import GRAPHS, rank_three_twisted
 
 
@@ -74,6 +75,55 @@ def test_law_at_rank_three(make):
 @given(GRAPHS)
 def test_law_generated(g):
     check_law(g, (2,) * g.k if g.k < 3 else (1,) * g.k)
+
+
+def check_prefix_law(g, top):
+    """Every periodic (m, n) in [0, top], against periodicity.theta: theta(mu)
+    is (mu.lam)(0, n) for every lam in s(mu)Lambda^{(n - m)+}, and nu =
+    theta(mu) exactly when mu and nu have a minimal common extension.
+    Returns the number of (mu, nu) checked."""
+    checked = 0
+    for m, n in itertools.product(dg.degrees_below(top), repeat=2):
+        if not check_pair(g, m, n):
+            continue
+        th = theta(g, m, n)
+        step = dg.sub(dg.join(m, n), m)
+        nus = g.paths_of_degree(n)
+        for mu in g.paths_of_degree(m):
+            lams = g.paths_of_degree(step, range=mu.source)
+            assert lams, (m, n, mu)
+            for lam in lams:
+                head = g.factorize(g.compose(mu, lam), n)[0]
+                assert head == th(mu), (m, n, mu, lam)
+            for nu in nus:
+                assert (nu == th(mu)) == bool(g.lambda_min(mu, nu)), \
+                    (m, n, mu, nu)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(builders.FIXTURES))
+def test_prefix_law_on_the_fixtures(name):
+    g = builders.FIXTURES[name]()
+    assert check_prefix_law(g, (3,) * g.k)
+
+
+@pytest.mark.parametrize("make", [
+    rank_three_twisted, lambda: builders.make_single_vertex(3, [2, 2, 2])])
+def test_prefix_law_at_rank_three(make):
+    assert check_prefix_law(make(), (1, 1, 2))
+
+
+@settings(max_examples=20)
+@given(GRAPHS)
+def test_prefix_law_generated(g):
+    check_prefix_law(g, (2,) * g.k if g.k < 3 else (1,) * g.k)
+
+
+@settings(max_examples=10)
+@given(two_loop_2graphs())
+def test_prefix_law_on_two_loop_graphs(g):
+    assert check_prefix_law(g, (2, 2))
 
 
 def test_check_pair_answers_from_the_matrices(monkeypatch):
