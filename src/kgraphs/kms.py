@@ -42,7 +42,7 @@ from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      Record)
 from .measure import CylinderMeasure
-from .periodicity import decide_periodic, theta
+from .periodicity import decide_periodic
 from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, add_up, check_tol,
                       coerce_scalar, format_fraction, is_zero, parse_number)
 
@@ -378,8 +378,8 @@ class KMSStates:
     """Equilibrium-state evaluation for one strongly connected graph.
 
     Builds the cylinder measure of the Perron data, keeps an optional
-    precomputed periodicity group, and caches the periodicity decisions and
-    shift-agreement bijections that the state formulas need.
+    precomputed periodicity group, and caches the periodicity decisions that
+    the state formulas need.
     """
 
     def __init__(self, graph, perron, group=None):
@@ -388,7 +388,6 @@ class KMSStates:
         self.measure = CylinderMeasure(graph, perron)
         self.group = group
         self._periodic_cache = {}
-        self._theta_cache = {}
         self._sweep_cache = {}
 
     # -- cached periodicity machinery -----------------------------------
@@ -402,29 +401,23 @@ class KMSStates:
         return hit
 
     def theta_map(self, m, n):
-        """theta_{m,n}(p) = p(0, j) theta_{g+,g-}(p(j, m)) from the table of
-        g = m - n (see _grade), as m = j + g+ and n = j + g-, j = m ^ n."""
-        grade, g, j = self._grade(dg.sub(m, n))[0], self.graph, dg.meet(m, n)
+        """theta_{m,n} by the prefix law p -> (p.lam)(0, n), lam the first
+        path of s(p)Lambda^{(n-m)+} (see kgraphs.periodicity).  Raises
+        NotPeriodicError for a non-periodic m - n, as the map does for a
+        path whose degree is not m."""
+        g, m, n = self.graph, tuple(m), tuple(n)
+        if not self.periodic(dg.sub(m, n)):
+            raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
+                                   f"{dg.sub(m, n)} is not periodic")
+        step = dg.sub(dg.join(m, n), m)
 
         def law(p):
-            head, tail = g.factorize(p, j)
-            return g.compose(head, grade(tail))
-        return law if any(j) else grade
-
-    def _grade(self, gvec):
-        """theta_{g+,g-}, once per grade: its ThetaMap and table by edges."""
-        if gvec not in self._theta_cache:
-            th = theta(self.graph, dg.pos_part(gvec), dg.neg_part(gvec),
-                       pre_checked=True)
-            self._theta_cache[gvec] = th, {p.edges or p.range: list(q.edges)
-                                           for p, q in th.table.items()}
-        return self._theta_cache[gvec]
-
-    def _shifted(self, shift, edges, j, source):
-        """theta_{m,n}(p) by edges, j = m ^ n and shift the grade's table."""
-        head, tail = self.graph._take(edges, j)
-        return self.graph._normalize(head + shift[tuple(tail) or source],
-                                     len(head))
+            lams = p.degree == m and g.paths_of_degree(step, range=p.source)
+            if not lams:
+                raise NotPeriodicError(f"{p.literal()} is not a degree-{m} "
+                                       f"path of this graph")
+            return g.factorize(g.compose(p, lams[0]), n)[0]
+        return law
 
     def _zero(self, state):
         return QQi.of(0) if (self.measure.exact and state.is_exact) else 0j
@@ -463,8 +456,10 @@ class KMSStates:
         if not self.periodic(gvec):
             raise NotPeriodicError(f"{gvec} was not detected as a "
                                    f"periodicity vector")
-        return AlgebraElement(self.graph, dict.fromkeys(
-            self._grade(gvec)[0].table.items(), 1))
+        pos = dg.pos_part(gvec)
+        law = self.theta_map(pos, dg.neg_part(gvec))
+        return AlgebraElement(self.graph, {
+            (mu, law(mu)): 1 for mu in self.graph.paths_of_degree(pos)})
 
     def unitary_identities(self, max_degree):
         """Exact element-level checks for the unitaries indexed by the
@@ -494,7 +489,7 @@ class KMSStates:
                 record(f"U{v} commutes with s[{eid}]",
                        (u * s_e).equals(s_e * u))
             if any(v):
-                for mu, nu in self._grade(v)[0].table.items():
+                for mu, nu in unitaries[v].terms:
                     record(f"range projection transport {v} at "
                            f"{mu.literal()}", AlgebraElement.span(g, mu, mu)
                            .equals(AlgebraElement.span(g, nu, nu)))
@@ -533,8 +528,8 @@ class KMSStates:
         d(zeta.beta') at which d(p) - d(zeta.beta') is periodic, and what a
         split adds is built once per (alpha, d(beta)), and s(eta) if blind.
 
-        Honest, each key is a cell, zeta a head of theta(p) with tail beta,
-        p and theta(p) read by edges (theta by grade, see theta_map).
+        Honest, each key is a cell, zeta the head of theta(p) = (p.lam)(0,
+        d(zeta.beta)) with tail beta, read by edges (see theta_map).
         Blind, the keys of (nu, eta, d(mu), d(zeta)) make a cell of one
         mass: every minimal pair has d(alpha) = d(nu) v d(eta) - d(nu), and
         without theta phi(s_{mu.alpha} s*_{zeta.beta}) is mass(mu.alpha) =
@@ -552,24 +547,25 @@ class KMSStates:
         g = self.graph
         n = len(box.paths)
         cells = {}
-        plans = {}      # (d(p), d(beta), s(eta)) -> plan
+        plans = {}      # (d(p), d(beta), s(eta) if blind, else s(p)) -> plan
         batches = {}    # blind (alpha, d(beta), s(eta)) -> {None: batch},
-        #                 honest (alpha, d(beta), None) -> {beta: batch}
+        #                 honest (alpha, d(beta), s(alpha)) -> {beta: batch}
 
         def plan_of(dp, dbeta, v):
-            # honest: (d(p) ^ d(zeta.beta'), g's table if g != 0, d(zeta))
-            # per periodic g = d(p) - d(zeta.beta'); blind: zeta's classes
+            # honest: (n', edges of the first lam in vLambda^{(n' - d(p))+},
+            # d(zeta)) per periodic d(p) - n', n' = d(zeta.beta'); blind:
+            # zeta's classes
             plan = plans.get((dp, dbeta, v))
             if plan is None:
                 plan = plans[dp, dbeta, v] = []
                 for nzeta in box.degrees:
                     nprime = dg.add(nzeta, dbeta)
-                    gvec = dg.sub(dp, nprime)
-                    if self.periodic(gvec):
+                    if self.periodic(dg.sub(dp, nprime)):
                         plan.extend(box.classes[v].get(nzeta, ())[:1]
                                     if theta_blind else
-                                    [(dg.meet(dp, nprime), any(gvec)
-                                      and self._grade(gvec)[1], nzeta)])
+                                    [(nprime, g.paths_of_degree(dg.sub(
+                                        dg.join(dp, nprime), dp), range=v)[0]
+                                      .edges, nzeta)])
             return plan
 
         def batch(alpha, dbeta, v):
@@ -589,8 +585,9 @@ class KMSStates:
                     p = g._normalize(box.paths[mu].edges + a,
                                      len(box.paths[mu].edges))
                     filed = {}  # the heads zeta of theta(p) by their tails
-                    for j, shift, nzeta in plan:
-                        q = self._shifted(shift, p, j, s) if shift else p
+                    for nprime, lam, nzeta in plan:
+                        q = g._take(g._normalize([*p, *lam], len(p)),
+                                    nprime)[0]
                         zeta, tail = box.split(q, nzeta, box.paths[mu].range,
                                                s)
                         filed.setdefault(tail, []).append(zeta)
@@ -603,7 +600,7 @@ class KMSStates:
                 eta, beta = facs[j2]
                 nu, alpha = facs[j1]
                 at = (alpha, box.degree[beta],
-                      box.paths[eta].source if theta_blind else None)
+                      box.paths[eta if theta_blind else alpha].source)
                 hit = batches.get(at)
                 if hit is None:
                     hit = batches[at] = batch(*at)
@@ -648,9 +645,12 @@ class KMSStates:
 
         The pairs go by class pair (s(mu), d(mu), d(nu)), which fixes the
         periodicity and the masses; phi vanishes on none of a periodic one if
-        blind, on all but the (mu, theta(mu)) if honest.  KGraph.extensions
-        builds the extensions of each mu.lam to the joined degree once, and
-        mu.lam and nu.lam share one exactly when those sets meet."""
+        blind, on all but the (mu, theta(mu)) if honest.  Honest, mu.lam and
+        theta(mu).lam always share an extension (see kgraphs.periodicity),
+        so the class pair gives one profile, with bound the mass of every
+        mu.lam, counted once per mu.  Blind, KGraph.extensions builds the
+        extensions of each mu.lam to the joined degree once, and mu.lam and
+        nu.lam share one exactly when those sets meet."""
         g = self.graph
         ones = (1,) * g.k
         reach = {}      # (mu, degree) -> edges of the extensions, per tail
@@ -670,20 +670,18 @@ class KMSStates:
                 if not self.periodic(gvec):
                     continue
                 mass, top = self.measure.mass_at(dmu, v), dg.add(dmu, ones)
+                masses = [self.measure.mass_at(top, lam.source)
+                          for lam in tails]
+                if not theta_blind:     # every mu.lam meets theta(mu).lam
+                    profile = (gvec, mass, add_up(masses, self.measure.zero))
+                    profiles[profile] = profiles.get(profile, 0) + len(mus)
+                    continue
                 joined = dg.add(dg.join(dmu, dnu), ones)
-                if theta_blind:
-                    pairs = [(mu, nu) for mu in mus for nu in nus]
-                else:   # the (mu, theta(mu)), by edges
-                    shift = any(gvec) and self._grade(gvec)[1]
-                    pairs = [(mu, box._number[tuple(self._shifted(
-                        shift, box.paths[mu].edges, dg.meet(dmu, dnu), v))
-                        or v] if shift else mu) for mu in mus]
-                for mu, nu in pairs:
-                    bound = self.measure.zero
-                    for lam, ends, others in zip(tails, reached(mu, joined),
-                                                 reached(nu, joined)):
-                        if not ends.isdisjoint(others):
-                            bound += self.measure.mass_at(top, lam.source)
+                for mu, nu in [(mu, nu) for mu in mus for nu in nus]:
+                    met = zip(masses, reached(mu, joined), reached(nu, joined))
+                    bound = add_up((m for m, ends, others in met
+                                    if not ends.isdisjoint(others)),
+                                   self.measure.zero)
                     profile = (gvec, mass, bound)
                     profiles[profile] = profiles.get(profile, 0) + 1
         return profiles

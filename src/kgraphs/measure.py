@@ -152,25 +152,21 @@ class AgreementReport(Record):
 
 def agreement_mass(cm, mu, nu, level, group=None):
     """Mass of {x : x = mu.y = nu.y}: the closed form (M(Z(mu)) when
-    d(mu)-d(nu) is periodic and theta(mu) = nu, else 0) next to the level-L
-    outer bound from finite cylinders."""
-    from .periodicity import decide_periodic, theta
+    d(mu)-d(nu) is periodic and theta(mu) = nu, which holds exactly when
+    Lambda^min(mu, nu) is non-empty, else 0) next to the level-L outer
+    bound from finite cylinders."""
+    from .periodicity import decide_periodic
 
     g = cm.graph
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")
     gvec = dg.sub(mu.degree, nu.degree)
     periodic = decide_periodic(g, group, gvec)
-    matched = None
-    closed = cm.zero
-    if periodic:
-        th = theta(g, mu.degree, nu.degree, pre_checked=True)
-        matched = th(mu) == nu
-        if matched:
-            closed = cm.mass(mu)
+    mins = g.lambda_min(mu, nu)
+    matched = bool(mins) if periodic else None
+    closed = cm.mass(mu) if matched else cm.zero
     # mu.a = nu.b has rest a after d(mu) and rest b after d(nu)
-    survivors = [(a.source, [(a.edges, b.edges)] * g.k)
-                 for a, b in g.lambda_min(mu, nu)]
+    survivors = [(a.source, [(a.edges, b.edges)] * g.k) for a, b in mins]
     for l in range(1, level + 1):
         survivors = _extend_level(g, l, survivors)
     top = dg.add(dg.join(mu.degree, nu.degree), (level,) * g.k)

@@ -10,9 +10,13 @@ of Z^k, so the search confirms without a check a candidate in the lattice of
 those confirmed before it.  The group, kept as a Hermite-normal-form basis,
 is complete in the search box, where it answers decide_periodic alone.
 
-For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n: theta(mu)
-is the tail after m of alpha.mu, its window (m, m + n), for any degree-n path
-alpha landing at r(mu); the choice of alpha does not matter.
+For a periodic pair, theta maps Lambda^m onto Lambda^n with mu.y =
+theta(mu).y for every infinite path y from s(mu) (compare the shifts of
+alpha.mu.y).  So theta(mu) = (mu.lam)(0, n) for any lam in
+s(mu)Lambda^{(n-m)+}, mu.lam and theta(mu).lam share an extension, and nu =
+theta(mu) exactly when Lambda^min(mu, nu) is non-empty.  theta() builds the
+table the other way, as the window (m, m + n) of alpha.mu for any degree-n
+alpha into r(mu): an independent reference for that prefix law.
 """
 
 from __future__ import annotations
@@ -82,11 +86,12 @@ class ThetaMap(Record):
                         {v: k for k, v in self.table.items()})
 
 
-def theta(graph, m, n, pre_checked=False):
-    """Build theta_{m,n}; raises NotPeriodicError when m - n is not a
-    confirmed periodicity."""
+def theta(graph, m, n):
+    """Build theta_{m,n} as the tail after m of alpha.mu (see the module
+    docstring); raises NotPeriodicError when m - n is not a confirmed
+    periodicity, or when no vertex-preserving bijection is found."""
     m, n = tuple(m), tuple(n)
-    if not pre_checked and not check_pair(graph, m, n):
+    if not check_pair(graph, m, n):
         raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                f"{dg.sub(m, n)} is not periodic")
     mus = graph.paths_of_degree(m)
@@ -94,15 +99,15 @@ def theta(graph, m, n, pre_checked=False):
     # each source, in one pass over Lambda^n (reversed: the first is kept)
     alphas = {a.source: a for a in reversed(graph.paths_of_degree(n))}
     table = {mu: graph.factorize(graph.compose(alphas[mu.range], mu), m)[1]
-             for mu in mus}
+             for mu in mus if mu.range in alphas}
     images = set(table.values())
     preserved = all(v.range == k.range and v.source == k.source
                     for k, v in table.items())
-    if len(images) != len(table) or not preserved:
-        # cannot happen for a genuinely periodic pair; guards bad pre_checked
+    if len(images) != len(mus) or not preserved:
+        # an empty color: vacuously periodic, with no alpha into some r(mu)
         raise NotPeriodicError(
-            f"theta for ({m}, {n}) is not a vertex-preserving bijection; "
-            f"the pair is not periodic")
+            f"theta for ({m}, {n}) is not a vertex-preserving bijection of "
+            f"the paths of degree {m} onto those of degree {n}")
     return ThetaMap(m, n, table)
 
 
