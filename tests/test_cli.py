@@ -376,6 +376,20 @@ def test_config_file(capsys, tmp_path, pb2_file):
         assert err.startswith("kgraph: input error")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# defaults\nbound 1\n",
+     "config line 2 is not of the form key = value: 'bound 1'"),
+    ("cap = lots\n", "bad config value for cap: 'lots'"),
+], ids=["malformed line", "bad value"])
+def test_malformed_config_exits_3(capsys, tmp_path, pb2_file, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["info", pb2_file, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == f"kgraph: input error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "GRAPH", "--cap", "5"),
     ("measure", "mass", "GRAPH", "--path", "a1", "--cap", "5"),

@@ -230,6 +230,49 @@ def test_unitaries(states, pb2g):
         st.unitary((1, 1))
 
 
+def test_theta_map_refuses_with_one_error(states, pb2g):
+    st = states["pullback-b2"]
+    law = st.theta_map((2, 1), (1, 2))     # (1, -1) is periodic
+    assert law(pb2g.parse_path("a1.a2.b1")).degree == (1, 2)
+    for literal in ("a1.a2", "a1.a2.a1.b1"):
+        p = pb2g.parse_path(literal)
+        with pytest.raises(NotPeriodicError, match=(
+                rf"^{p.literal()} is not a degree-\(2, 1\) path")):
+            law(p)
+    with pytest.raises(NotPeriodicError, match=r"\(1, 0\) is not periodic"):
+        st.theta_map((1, 0), (0, 0))
+
+
+def test_equals_tells_unequal_elements_apart(states, pb2g):
+    one = AlgebraElement.identity(pb2g)
+    u = states["pullback-b2"].unitary((1, -1))
+    assert not u.equals(one) and not one.equals(u)
+    s_e, s_f = (AlgebraElement.edge_generator(pb2g, e) for e in ("a1", "a2"))
+    assert not s_e.equals(s_f) and s_e.equals(s_e)
+
+
+def test_a_wrong_bijection_fails_the_unitary_identities(
+        monkeypatch, graphs, perron, groups):
+    # theta_{(1,0),(0,1)} sends a1 to b1 and a2 to b2; crossing the two
+    # images still gives a unitary, but not a central one
+    g = graphs["pullback-b2"]
+    st = KMSStates(g, perron["pullback-b2"], group=groups["pullback-b2"])
+    honest = st.theta_map
+
+    def crossed(m, n):
+        law = honest(m, n)
+        return lambda p: next((q for q in g.paths_of_degree(n)
+                               if q.source == p.source and q != law(p)),
+                              law(p))
+    monkeypatch.setattr(st, "theta_map", crossed)
+    assert repr(st.unitary((1, -1))) == "<1*[a1|b2] + 1*[a2|b1]>"
+    rep = st.unitary_identities((1, 1))
+    failed = {label for label, ok in rep.checks if not ok}
+    assert not rep.passed and "U(1, -1) U(-1, 1) = 1" not in failed
+    assert {"U(1, -1) commutes with s[a1]",
+            "range projection transport (1, -1) at a1"} <= failed
+
+
 def test_unitary_identities_reports(states):
     for name in ("pullback-b2", "product-b2-c2"):
         rep = states[name].unitary_identities((2, 2))
@@ -589,6 +632,31 @@ def test_support_is_capped(perron, groups, states):
     rep = capped.kms_check(StateSpec.haar(), (2, 2))
     assert rep.support_size == 25_153
     assert rep == states["pullback-b2"].kms_check(StateSpec.haar(), (2, 2))
+
+
+def test_the_support_walk_stops_past_the_cap(monkeypatch, perron, groups):
+    # the honest b2 support at box (2,) has 93 keys, a cell each: past cap
+    # 50 the walk stops at the path w whose cells pass it, not at the end
+    g = builders.FIXTURES["b2"]()
+    st = KMSStates(g, perron["b2"], group=groups["b2"])
+    visited = []
+
+    class Counted(list):
+        def __iter__(self):
+            for row in list.__iter__(self):
+                visited.append(row)
+                yield row
+    init = _BoxIndex.__init__
+
+    def counted(box, graph, D):
+        init(box, graph, D)
+        box.facs = Counted(box.facs)
+    monkeypatch.setattr(_BoxIndex, "__init__", counted)
+    g.cap = 50
+    with pytest.raises(EnumerationCapError,
+                       match="^KMS support exceeds cap 50 keys$"):
+        st.kms_check(StateSpec.haar(), (2,))
+    assert 0 < len(visited) < 7     # b2 has 1 + 2 + 4 paths in the box
 
 
 def test_cached_sweep_table_retains_little(graphs, perron, groups):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
 from kgraphs import degrees as dg
-from kgraphs.errors import InputFormatError, WitnessSearchError
+from kgraphs.errors import (EnumerationCapError, InputFormatError,
+                            WitnessSearchError)
 from kgraphs.measure import (ConsistencyReport, CylinderMeasure,
                              agreement_mass, consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
@@ -148,6 +149,17 @@ def test_periodicity_mass_values(measures):
     assert periodicity_mass_profile(cm, (1,), (2,), 1)[-1] == F(1, 2)
     assert periodicity_mass_profile(cm, (1,), (0,), 5) == \
         [1, F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
+
+
+def test_a_mass_profile_level_is_capped(perron):
+    # b2 at m = n: every path of every level survives, 2^l at level l
+    g = builders.FIXTURES["b2"]()
+    cm = CylinderMeasure(g, perron["b2"])
+    g.cap = 4
+    assert periodicity_mass_profile(cm, (0,), (0,), 2) == [1, 1, 1]
+    with pytest.raises(EnumerationCapError,
+                       match="^level-3 survivor set exceeds cap 4$"):
+        periodicity_mass_profile(cm, (0,), (0,), 3)
 
 
 def test_periodicity_mass_periodic_pairs(measures):

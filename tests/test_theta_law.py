@@ -1,21 +1,30 @@
-"""theta by grade, and check_pair's matrix answer.
+"""theta's laws, and check_pair's matrix answer.
 
-For a periodic pair (m, n) with grade g = m - n, let j = m ^ n.  Then m = j
-+ g+ and n = j + g-, and theta_{m,n} keeps the first j of a path and
+For a periodic pair (m, n), mu.y = theta(mu).y for every infinite path y
+from s(mu), so theta(mu) is the degree-n head of any extension of mu:
+
+    theta_{m,n}(mu) = (mu.lam)(0, n)   for every lam in s(mu)Lambda^{(n-m)+},
+
+as KMSStates.theta_map reads it.  Hence mu.lam and theta(mu).lam share an
+extension, and nu = theta(mu) exactly when Lambda^min(mu, nu) is non-empty.
+Both are checked against periodicity.theta, which builds theta from alpha.mu
+instead, on every periodic pair of a box: on the fixtures, both rank-3
+graphs, the generated graphs of test_shift_agreement.py and the two-loop
+graphs of test_kms_generated.py.
+
+With j = m ^ n and grade g = m - n, theta keeps the first j of a path and
 shifts the rest:
 
     theta_{m,n}(p) = p(0, j) . theta_{g+,g-}(p(j, m)).
 
-So one table per grade serves every pair, as KMSStates.theta_map keeps
-them.  The law is checked against periodicity.theta on every periodic pair
-of a box, on the fixtures, both rank-3 graphs and the generated graphs of
-test_shift_agreement.py; on product-b2-c2 the grades (0, 2) and (0, -2) map
-paths to vertices and vertices to paths.
+That is checked on the same graphs but the two-loop ones; on product-b2-c2
+the grades (0, 2) and (0, -2) map paths to vertices and vertices to paths.
 
 Per(Lambda) lies in {g : A^{g+} = A^{g-}}, so check_pair answers False from
 the matrices once it has sized the strips, when none is over the cap and no
 color is empty, before it enumerates a path.  A graph with an empty color
-has no infinite path, and there the pairs keep their vacuous answer.
+has no infinite path, and there the pairs keep their vacuous answer; theta,
+with no path to shift, refuses them.
 """
 
 import itertools
@@ -25,6 +34,7 @@ from hypothesis import given, settings
 
 from kgraphs import builders
 from kgraphs import degrees as dg
+from kgraphs.errors import NotPeriodicError
 from kgraphs.graphs import KGraph
 from kgraphs.kms import KMSStates
 from kgraphs.periodicity import check_pair, theta
@@ -146,3 +156,13 @@ def test_an_empty_color_keeps_the_vacuous_answer():
     assert check_pair(g, (1, 0), (0, 0)) is True
     assert check_pair(g, (1, 0), (0, 1)) is True
     assert check_pair(g, (0, 1), (0, 0)) is False
+
+
+def test_theta_refuses_a_vacuously_periodic_pair():
+    # the empty color makes (0, 0) - (1, 0) vacuously periodic, but no
+    # degree-(1, 0) path reaches v to shift
+    g = builders.make_single_vertex(2, [0, 2])
+    assert check_pair(g, (0, 0), (1, 0)) is True
+    with pytest.raises(NotPeriodicError,
+                       match="is not a vertex-preserving bijection"):
+        theta(g, (0, 0), (1, 0))
