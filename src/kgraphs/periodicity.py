@@ -10,9 +10,9 @@ of Z^k, so the search confirms without a check a candidate in the lattice of
 those confirmed before it.  The group, kept as a Hermite-normal-form basis,
 is complete in the search box, where it answers decide_periodic alone.
 
-For a periodic pair, theta maps Lambda^m onto Lambda^n with mu.y =
-theta(mu).y for every infinite path y from s(mu) (compare the shifts of
-alpha.mu.y).  So theta(mu) = (mu.lam)(0, n) for any lam in
+For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n, with
+mu.y = theta(mu).y for every infinite path y from s(mu) (compare the shifts
+of alpha.mu.y).  So theta(mu) = (mu.lam)(0, n) for any lam in
 s(mu)Lambda^{(n-m)+}, mu.lam and theta(mu).lam share an extension, and nu =
 theta(mu) exactly when Lambda^min(mu, nu) is non-empty.  theta() builds the
 table the other way, as the window (m, m + n) of alpha.mu for any degree-n
