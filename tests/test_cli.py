@@ -146,6 +146,16 @@ def test_agreement_inside_the_searched_box_past_the_cap(capsys, b2_file):
     assert "periodicity of (6,) undecided" in capsys.readouterr().err
 
 
+def test_agreement_enumerates_no_whole_degree(capsys, b2_file):
+    # theta_matched comes from Lambda^min(mu, nu), so |Lambda^(3)| = 8 paths
+    # past the cap are never listed
+    code, doc = run_json(capsys, "measure", "agreement", b2_file, "--mu",
+                         "e1.e1.e1", "--nu", "e1.e1.e2", "--cap", "5",
+                         "--bound", "0")
+    assert code == 0
+    assert doc["periodic"] is True and doc["theta_matched"] is False
+
+
 def test_kms_commands(capsys, pb2_file, b2_file):
     code, doc = run_json(capsys, "kms", "eval", pb2_file,
                          "--state", "z=1/4,0", "--mu", "a1", "--nu", "b1")
