@@ -90,15 +90,21 @@ def test_law_generated(g):
 def check_prefix_law(g, top):
     """Every periodic (m, n) in [0, top], against periodicity.theta: theta(mu)
     is (mu.lam)(0, n) for every lam in s(mu)Lambda^{(n - m)+}, and nu =
-    theta(mu) exactly when mu and nu have a minimal common extension.
-    Returns the number of (mu, nu) checked."""
+    theta(mu) exactly when mu and nu have a minimal common extension.  So
+    theta(mu.lam) = theta(mu).lam, and for every lam in s(mu)Lambda^{(1,..,1)}
+    too, mu.lam and nu.lam share an extension exactly when nu = theta(mu), as
+    the one-sided screen of KMSStates reads it.  Returns the number of
+    (mu, nu) checked."""
     checked = 0
+    ones = (1,) * g.k
     for m, n in itertools.product(dg.degrees_below(top), repeat=2):
         if not check_pair(g, m, n):
             continue
         th = theta(g, m, n)
         step = dg.sub(dg.join(m, n), m)
         nus = g.paths_of_degree(n)
+        grown = {p: [g.compose(p, lam) for lam in g.paths_of_degree(
+            ones, range=p.source)] for p in [*g.paths_of_degree(m), *nus]}
         for mu in g.paths_of_degree(m):
             lams = g.paths_of_degree(step, range=mu.source)
             assert lams, (m, n, mu)
@@ -108,6 +114,11 @@ def check_prefix_law(g, top):
             for nu in nus:
                 assert (nu == th(mu)) == bool(g.lambda_min(mu, nu)), \
                     (m, n, mu, nu)
+                # mu.lam against nu.lam, lam the same tail of both
+                for ends in zip(grown[mu], grown[nu]) \
+                        if nu.source == mu.source else ():
+                    assert (nu == th(mu)) == bool(g.lambda_min(*ends)), \
+                        (m, n, mu, nu, ends)
                 checked += 1
     return checked
 
