@@ -456,7 +456,7 @@ class KGraph:
         """|Λ^n|, the top of the stem chain of n."""
         if not dg.is_degree(n, self.k):
             raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
-        return self._stem_chain(n)[-1][1]
+        return sum(self._stem_chain(n)[-1][1])
 
     def paths_of_degree(self, n, range=None):
         """All paths of degree n in canonical sorted order, or only those
@@ -476,24 +476,24 @@ class KGraph:
         return list(self._paths_by_range[n].get(range, ()))
 
     def _stem_chain(self, n):
-        """(d, |Lambda^d|) for the stems n, n - e_c, ... of n (c the highest
-        color left), bottom up; each |vLambda^d| is A_c times the stem's."""
+        """(d, [|vLambda^d| for v]) for the stems n, n - e_c, ... of n (c the
+        highest color left), bottom up; each is A_c times the stem's."""
         x, d = [1] * len(self.vertices), [0] * self.k
-        chain = [(tuple(d), len(x))]
+        chain = [(tuple(d), x)]
         for c, mat in enumerate(self.coordinate_matrices()):
             for d[c] in range(1, n[c] + 1):
                 x = mat_vec(mat, x)
-                chain.append((tuple(d), sum(x)))
+                chain.append((tuple(d), x))
         return chain
 
     def _check_cap(self, n):
         """The cap on each stem that a build from cached stems would make,
         from n down to 0 or a degree checked before."""
         chain = self._stem_chain(n)
-        for d, size in reversed(chain):
-            if size > self.cap:
-                raise EnumerationCapError(
-                    f"|paths of degree {d}| = {size} exceeds cap {self.cap}")
+        for d, x in reversed(chain):
+            if sum(x) > self.cap:
+                raise EnumerationCapError(f"|paths of degree {d}| = {sum(x)} "
+                                          f"exceeds cap {self.cap}")
             if d in self._checked:
                 break
         self._checked.update(d for d, _ in chain)

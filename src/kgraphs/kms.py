@@ -26,8 +26,11 @@ of degree d(mu) - d(nu) + d(eta) - d(zeta), as is its swap, so each key
 carries one cylinder mass and both sides of its identity one psi value.
 Span terms do not see the Cuntz-Krieger relation p_v = sum s_lam s*_lam, so a
 one-sided screen |phi(s_mu s*_nu)| <= bound checks that phi is built from the
-Perron eigenvector.  Both checks reduce, once per box, to state-free profiles
-that each state folds with one psi value apiece.
+Perron eigenvector.  The bound sums the masses of the mu.lam, lam of degree
+(1,..,1), that still share an extension with nu.lam; as theta(mu.lam) =
+theta(mu).lam, that is the mass of every mu.lam when nu = theta(mu), and 0
+otherwise.  Both checks reduce, once per box, to state-free profiles that
+each state folds with one psi value apiece.
 Exact fixtures stay in Gaussian-rational arithmetic end to end.
 """
 
@@ -643,47 +646,36 @@ class KMSStates:
         pair whose phi vanishes (see phi_eval) passes for every state; any
         other becomes its profile (d(mu) - d(nu), mass(mu), bound), counted.
 
-        The pairs go by class pair (s(mu), d(mu), d(nu)), which fixes the
-        periodicity and the masses; phi vanishes on none of a periodic one if
-        blind, on all but the (mu, theta(mu)) if honest.  Honest, mu.lam and
-        theta(mu).lam always share an extension (see kgraphs.periodicity),
-        so the class pair gives one profile, with bound the mass of every
-        mu.lam, counted once per mu.  Blind, KGraph.extensions builds the
-        extensions of each mu.lam to the joined degree once, and mu.lam and
-        nu.lam share one exactly when those sets meet."""
-        g = self.graph
-        ones = (1,) * g.k
-        reach = {}      # (mu, degree) -> edges of the extensions, per tail
-
-        def reached(mu, degree):    # tails: the lam with r(lam) = s(mu)
-            if (mu, degree) not in reach:
-                reach[mu, degree] = [g.extensions(g.compose(
-                    box.paths[mu], lam), degree).keys() for lam in tails]
-            return reach[mu, degree]
-
+        The pairs go by class pair (v, m, n) = (s(mu), d(mu), d(nu)), which
+        fixes the periodicity and mass(mu); phi vanishes on all of a
+        non-periodic one.  On a periodic one, mu.lam.y = theta(mu).lam.y for
+        every infinite path y, so theta(mu.lam) = theta(mu).lam, and mu.lam
+        and nu.lam share an extension exactly when nu.lam = theta(mu).lam
+        (see kgraphs.periodicity): by unique factorization, when nu =
+        theta(mu), whatever lam is.  theta maps the class (v, m) onto the
+        class (v, n), so the class pair holds one pair (mu, theta(mu)) per
+        mu, each with bound the mass of every mu.lam, and, blind, the other
+        pairs with bound 0, where honest phi vanishes.  A color with an edge
+        has one into every vertex, so vLambda^{(1,..,1)} is empty only when
+        some color is; then every bound is 0, and the blind counts still
+        cover the whole class pair."""
+        ones, zero = (1,) * self.graph.k, self.measure.zero
         profiles = {}
         for v, here in box.classes.items():
-            tails = g.paths_of_degree(ones, range=v)
+            tails = self.graph.paths_of_degree(ones, range=v)
             for (dmu, mus), (dnu, nus) in [(a, b) for a in here.items()
                                            for b in here.items()]:
                 gvec = dg.sub(dmu, dnu)
                 if not self.periodic(gvec):
                     continue
                 mass, top = self.measure.mass_at(dmu, v), dg.add(dmu, ones)
-                masses = [self.measure.mass_at(top, lam.source)
-                          for lam in tails]
-                if not theta_blind:     # every mu.lam meets theta(mu).lam
-                    profile = (gvec, mass, add_up(masses, self.measure.zero))
-                    profiles[profile] = profiles.get(profile, 0) + len(mus)
-                    continue
-                joined = dg.add(dg.join(dmu, dnu), ones)
-                for mu, nu in [(mu, nu) for mu in mus for nu in nus]:
-                    met = zip(masses, reached(mu, joined), reached(nu, joined))
-                    bound = add_up((m for m, ends, others in met
-                                    if not ends.isdisjoint(others)),
-                                   self.measure.zero)
-                    profile = (gvec, mass, bound)
-                    profiles[profile] = profiles.get(profile, 0) + 1
+                full = add_up((self.measure.mass_at(top, lam.source)
+                               for lam in tails), zero)
+                others = len(mus) * (len(nus) - 1) if theta_blind else 0
+                for bound, count in ((full, len(mus)), (zero, others)):
+                    if count:
+                        profiles[gvec, mass, bound] = profiles.get(
+                            (gvec, mass, bound), 0) + count
         return profiles
 
     def _sweep_table(self, D, theta_blind):

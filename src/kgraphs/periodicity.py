@@ -14,7 +14,10 @@ For a periodic pair, theta maps Lambda^m bijectively onto Lambda^n, with
 mu.y = theta(mu).y for every infinite path y from s(mu) (compare the shifts
 of alpha.mu.y).  So theta(mu) = (mu.lam)(0, n) for any lam in
 s(mu)Lambda^{(n-m)+}, mu.lam and theta(mu).lam share an extension, and nu =
-theta(mu) exactly when Lambda^min(mu, nu) is non-empty.  theta() builds the
+theta(mu) exactly when Lambda^min(mu, nu) is non-empty.  As mu.lam.y =
+theta(mu).lam.y too, theta(mu.lam) = theta(mu).lam for every lam from s(mu),
+so mu.lam and nu.lam share an extension exactly when nu.lam = theta(mu).lam,
+that is, by unique factorization, when nu = theta(mu).  theta() builds the
 table the other way, as the window (m, m + n) of alpha.mu for any degree-n
 alpha into r(mu): an independent reference for that prefix law.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      PeriodicityUndecidedError, Record)
-from .perron import MatrixFamily
+from .perron import MatrixFamily, mat_vec
 
 
 def check_pair(graph, m, n):
@@ -46,7 +49,9 @@ def check_pair(graph, m, n):
         return True
     jn = dg.join(m, n)
     units = [dg.unit(graph.k, color) for color in range(1, graph.k + 1)]
-    sizes = [graph.count_paths(dg.add(jn, e_i)) for e_i in units]
+    # |Lambda^{(m v n) + e_i}| = sum_v (A_i x)_v, x_v = |vLambda^{m v n}|
+    x = graph._stem_chain(jn)[-1][1]
+    sizes = [sum(mat_vec(a, x)) for a in graph.coordinate_matrices()]
     over = next((i for i, s in enumerate(sizes) if s > graph.cap), graph.k)
     # the colors with edges below it: each has an edge into every vertex,
     # so if Lambda^{m v n} is over the cap, none is, and it is not enumerated

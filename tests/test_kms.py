@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from kgraphs import builders, degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             NotPeriodicError)
+from kgraphs.graphs import KGraph
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
                          _scaled, parse_state)
 from kgraphs.periodicity import periodicity_group
@@ -605,6 +606,23 @@ def test_cold_check_computes_each_rho_power_once(graphs, perron, groups,
     masses = len(dg.box(dg.zero(g.k), dg.scale(2, D))) * len(g.vertices)
     gammas = len(dg.box(dg.neg(D), D))
     assert len(calls) <= masses + gammas + len(rep.failures) < 200
+
+
+@pytest.mark.parametrize("name, D", [("pullback-b2", (2, 2)),
+                                     ("product-b2-c2", (2, 2)),
+                                     ("fib", (3,))])
+def test_blind_cold_check_builds_no_path(graphs, perron, groups, monkeypatch,
+                                         name, D):
+    # the support walks by edge tuples, and the screen's bounds are closed
+    # form: mu.lam and nu.lam share an extension exactly when nu = theta(mu)
+    def refuse(*args, **kw):
+        raise AssertionError("a cold theta-blind check built a path")
+
+    for method in ("compose", "extensions"):
+        monkeypatch.setattr(KGraph, method, refuse)
+    st = KMSStates(graphs[name], perron[name], group=groups[name])
+    rep = st.kms_check(StateSpec.haar(), D, theta_blind=True)
+    assert rep.failure_count > 0 and rep.ck_screen_pairs > 0
 
 
 @pytest.mark.parametrize("name", ["pullback-b2", "product-b2-c2"])

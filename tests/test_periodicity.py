@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kgraphs import builders, degrees as dg
 from kgraphs.errors import (InputFormatError, NotPeriodicError,
                             PeriodicityUndecidedError)
+from kgraphs.graphs import KGraph
 from kgraphs.periodicity import (check_pair, decide_periodic, hnf_basis,
                                  periodicity_group, theta)
 
@@ -32,6 +33,22 @@ def test_check_pair_decisions(graphs):
     b2 = graphs["b2"]
     assert not check_pair(b2, (1,), (0,))
     assert check_pair(b2, (2,), (2,))
+
+
+def test_check_pair_sizes_its_strips_from_one_chain(monkeypatch):
+    # every |Lambda^{(m v n) + e_i}| comes from the one stem chain of m v n;
+    # A^(1,0) != A^0 then answers before any path is enumerated
+    g = builders.FIXTURES["product-b2-c2"]()
+    chains = []
+    stem_chain = KGraph._stem_chain
+
+    def counted(self, n):
+        chains.append(n)
+        return stem_chain(self, n)
+
+    monkeypatch.setattr(KGraph, "_stem_chain", counted)
+    assert check_pair(g, (1, 0), (0, 0)) is False
+    assert chains == [(1, 0)]
 
 
 def test_aperiodicity_verdicts(graphs):

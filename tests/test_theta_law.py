@@ -6,7 +6,9 @@ from s(mu), so theta(mu) is the degree-n head of any extension of mu:
     theta_{m,n}(mu) = (mu.lam)(0, n)   for every lam in s(mu)Lambda^{(n-m)+},
 
 as KMSStates.theta_map reads it.  Hence mu.lam and theta(mu).lam share an
-extension, and nu = theta(mu) exactly when Lambda^min(mu, nu) is non-empty.
+extension, and nu = theta(mu) exactly when Lambda^min(mu, nu) is non-empty;
+as theta(mu.lam) = theta(mu).lam, the same holds of mu.lam and nu.lam for
+every lam of degree (1,..,1) from s(mu).
 Both are checked against periodicity.theta, which builds theta from alpha.mu
 instead, on every periodic pair of a box: on the fixtures, both rank-3
 graphs, the generated graphs of test_shift_agreement.py and the two-loop
