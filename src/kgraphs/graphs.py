@@ -17,7 +17,6 @@ factorization unique, which every other module relies on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter, defaultdict
 from itertools import groupby
@@ -608,4 +607,5 @@ class KGraph:
         return cls.from_json_dict(doc)
 
     def sha256(self):
+        import hashlib      # here: gen and failed runs never load it
         return hashlib.sha256(self.to_json().encode()).hexdigest()

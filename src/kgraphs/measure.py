@@ -9,9 +9,11 @@ a separating-tail witness (a, {lambda_v}, K) with the mass estimate
 m_j <= K^j M(Z(mu)).
 
 The level-l bound sums the paths xi of degree (m v n) + l(1,..,1) whose
-strips xi(m, m + l e_i) and xi(n, n + l e_i) agree.  A level keeps each
-survivor's source and its rests after m + l e_i and n + l e_i, so the next
-level compares one new strip edge per color, as (xi t)(a, .) = xi(a, .) t.
+strips xi(m, m + l e_i) and xi(n, n + l e_i) agree.  A level lists ids of
+interned survivor states, a source and per color the rests after m + l e_i
+and n + l e_i; each state's children, which compare one new strip edge per
+color as (xi t)(a, .) = xi(a, .) t, are found once.  A level's mass is
+sum_v count_v M(v), or a left-to-right float sum over its survivors.
 
 All masses are exact Fractions whenever the Perron data is rational; only the
 golden-ratio-type fixtures fall back to floats.
@@ -19,6 +21,7 @@ golden-ratio-type fixtures fall back to floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product, starmap
 
@@ -95,29 +98,51 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
                              passed=max_err <= slack and total_err <= slack)
 
 
-def _extend_level(g, l, survivors):
-    """One refinement round: a level-(l-1) survivor xi, kept as its source
-    and per color its rests after m + (l-1)e_i and n + (l-1)e_i, grows by
-    every degree-(1,..,1) tail t, and xi.t survives when each color's new
-    strip edge after m matches the one after n."""
-    ones = (1,) * g.k
+def _check_level(level):
+    if type(level) is not int or level < 0:
+        raise InputFormatError(f"level must be an int >= 0, not {level!r}")
+
+
+def _level_masses(cm, jn, firsts, max_level):
+    """Yield the masses of levels 0..max_level from the level-0 states."""
+    g = cm.graph
     units = [dg.unit(g.k, color) for color in range(1, g.k + 1)]
-    nxt = []
-    for source, rests in survivors:
-        for t in g.paths_of_degree(ones, range=source):
-            grown = []
-            for e_i, (rest_m, rest_n) in zip(units, rests):
-                e_m, rest_m = g.split_strip(rest_m, t.edges, e_i)
-                e_n, rest_n = g.split_strip(rest_n, t.edges, e_i)
-                if e_m != e_n:
-                    break
-                grown.append((rest_m, rest_n))
-            else:
-                nxt.append((t.source, grown))
-        if len(nxt) > g.cap:
-            raise EnumerationCapError(
-                f"level-{l} survivor set exceeds cap {g.cap}")
-    return nxt
+    ids, kids = {}, {}      # state -> id, in order; id -> its children's ids
+    level = [ids.setdefault(state, len(ids)) for state in firsts]
+    for l in range(max_level + 1):
+        if l:
+            nxt = []
+            for i in level:
+                if i not in kids:
+                    kids[i] = [ids.setdefault(child, len(ids)) for child
+                               in _children(g, units, *states[i])]
+                nxt += kids[i]
+                if len(nxt) > g.cap:
+                    raise EnumerationCapError(
+                        f"level-{l} survivor set exceeds cap {g.cap}")
+            level = nxt
+        states = list(ids)
+        top = dg.add(jn, (l,) * g.k)
+        sources = [states[i][0] for i in level]
+        if cm.exact:    # a sum of Fractions is the same in any order
+            yield add_up((n * cm.mass_at(top, v)
+                          for v, n in Counter(sources).items()), cm.zero)
+        else:
+            yield add_up((cm.mass_at(top, v) for v in sources), cm.zero)
+
+
+def _children(g, units, source, rests):
+    """The states of xi.t for the tails t of a survivor xi in this state."""
+    for t in g.paths_of_degree((1,) * g.k, range=source):
+        grown = []
+        for e_i, (rest_m, rest_n) in zip(units, rests):
+            e_m, rest_m = g.split_strip(rest_m, t.edges, e_i)
+            e_n, rest_n = g.split_strip(rest_n, t.edges, e_i)
+            if e_m != e_n:
+                break
+            grown.append((tuple(rest_m), tuple(rest_n)))
+        else:
+            yield t.source, tuple(grown)
 
 
 def periodicity_mass_profile(cm, m, n, max_level):
@@ -127,17 +152,13 @@ def periodicity_mass_profile(cm, m, n, max_level):
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
+    _check_level(max_level)
     g = cm.graph
     jn = dg.join(m, n)
-    survivors = [(p.source, [(g.factorize(p, m)[1].edges,
-                              g.factorize(p, n)[1].edges)] * g.k)
-                 for p in g.paths_of_degree(jn)]
-    out = []
-    for l in range(max_level + 1):
-        survivors = _extend_level(g, l, survivors) if l else survivors
-        out.append(add_up((cm.mass_at(dg.add(jn, (l,) * g.k), source)
-                           for source, _ in survivors), cm.zero))
-    return out
+    return list(_level_masses(cm, jn, [
+        (p.source, ((g.factorize(p, m)[1].edges,
+                     g.factorize(p, n)[1].edges),) * g.k)
+        for p in g.paths_of_degree(jn)], max_level))
 
 
 class AgreementReport(Record):
@@ -158,6 +179,7 @@ def agreement_mass(cm, mu, nu, level, group=None):
     from .periodicity import decide_periodic
 
     g = cm.graph
+    _check_level(level)
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")
     gvec = dg.sub(mu.degree, nu.degree)
@@ -166,11 +188,9 @@ def agreement_mass(cm, mu, nu, level, group=None):
     matched = bool(mins) if periodic else None
     closed = cm.mass(mu) if matched else cm.zero
     # mu.a = nu.b has rest a after d(mu) and rest b after d(nu)
-    survivors = [(a.source, [(a.edges, b.edges)] * g.k) for a, b in mins]
-    for l in range(1, level + 1):
-        survivors = _extend_level(g, l, survivors)
-    top = dg.add(dg.join(mu.degree, nu.degree), (level,) * g.k)
-    bound = add_up((cm.mass_at(top, s) for s, _ in survivors), cm.zero)
+    *_, bound = _level_masses(cm, dg.join(mu.degree, nu.degree),
+                              [(a.source, ((a.edges, b.edges),) * g.k)
+                               for a, b in mins], level)
     return AgreementReport(mu=mu, nu=nu, periodic=periodic,
                            theta_matched=matched, closed_form=closed,
                            level=level, level_bound=bound)

@@ -10,13 +10,15 @@ from kgraphs import builders
 from kgraphs import degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
                             WitnessSearchError)
+from kgraphs.graphs import KGraph
 from kgraphs.measure import (ConsistencyReport, CylinderMeasure,
                              agreement_mass, consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
 from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import CONSISTENCY_TOL
 from test_path_layer import pullbacks, products, single_vertex_2graphs
-from test_shift_agreement import GRAPHS, rank_three_twisted
+from test_shift_agreement import (GRAPHS, old_extend_level,
+                                  rank_three_twisted)
 
 F = Fraction
 
@@ -200,6 +202,59 @@ def test_periodicity_mass_matches_brute_force(measures):
 def test_periodicity_mass_fib_decreases(measures):
     prof = periodicity_mass_profile(measures["fib"], (1,), (0,), 4)
     assert all(b < a for a, b in zip(prof, prof[1:]))
+
+
+def sequential_profile(cm, m, n, max_level):
+    """The profile with each survivor refined on its own, as a composed
+    path, and its masses added left to right in survivor order."""
+    survivors = cm.graph.paths_of_degree(dg.join(m, n))
+    out = [left_to_right(map(cm.mass, survivors))]
+    for l in range(1, max_level + 1):
+        survivors = old_extend_level(cm, m, n, l, survivors)
+        out.append(left_to_right(map(cm.mass, survivors)))
+    return out
+
+
+def test_float_profiles_keep_their_bits(measures):
+    # fib's masses are floats: one state's survivors are still added one
+    # by one, in survivor order
+    cm = measures["fib"]
+    for m, n, level in (((1,), (0,), 10), ((0,), (0,), 7), ((2,), (1,), 8)):
+        assert repr(periodicity_mass_profile(cm, m, n, level)) == \
+            repr(sequential_profile(cm, m, n, level)), (m, n)
+
+
+def test_each_distinct_state_is_refined_once(monkeypatch):
+    # pullback-b2 at (1, 0)/(0, 1): all 4^(l+1) paths of level l survive,
+    # in 2^(l+1) states, and refining a state takes 4 tails x 2 colors x 2
+    # split_strip calls; so level 5's 4,096 survivors hold 64 states
+    g = builders.FIXTURES["pullback-b2"]()
+    cm = measure_of(g)
+    calls = []
+    split_strip = KGraph.split_strip
+
+    def counted(self, rest, edges, e_i):
+        calls.append(e_i)
+        return split_strip(self, rest, edges, e_i)
+
+    monkeypatch.setattr(KGraph, "split_strip", counted)
+    for level, states in ((5, 2 + 4 + 8 + 16 + 32),
+                          (6, 2 + 4 + 8 + 16 + 32 + 64)):
+        calls.clear()
+        assert periodicity_mass_profile(cm, (1, 0), (0, 1), level) == \
+            [1] * (level + 1)
+        assert len(calls) == 16 * states
+
+
+@pytest.mark.parametrize("level", [-1, 1.0, 2.5, True, False, "3", None])
+def test_a_level_is_a_nonnegative_int(measures, pb2g, groups, level):
+    # -1 gave an agreement bound of 2, and an empty profile
+    cm = measures["pullback-b2"]
+    with pytest.raises(InputFormatError, match="^level must be an int >= 0"):
+        periodicity_mass_profile(cm, (1, 0), (0, 1), level)
+    with pytest.raises(InputFormatError, match="^level must be an int >= 0"):
+        agreement_mass(cm, pb2g.parse_path("a1"), pb2g.parse_path("b1"),
+                       level, group=groups["pullback-b2"])
 
 
 def test_agreement_closed_form(measures, pb2g, groups):

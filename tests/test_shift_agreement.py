@@ -187,6 +187,20 @@ def test_generated(g):
     check_masses(g)
 
 
+def test_interned_levels_past_level_3(measures, pb2g):
+    # past level 3 one state stands for many survivors: the periodic pairs
+    # keep every path, and a1/b1 is theta-matched
+    for name, m, n in (("pullback-b2", (1, 0), (0, 1)),
+                       ("product-b2-c2", (0, 2), (0, 0))):
+        cm = measures[name]
+        assert repr(periodicity_mass_profile(cm, m, n, 5)) == \
+            repr(old_profile(cm, m, n, 5)), name
+    cm = measures["pullback-b2"]
+    a1, b1 = pb2g.parse_path("a1"), pb2g.parse_path("b1")
+    assert repr(agreement_mass(cm, a1, b1, 4).level_bound) == \
+        repr(old_agreement_bound(cm, a1, b1, 4))
+
+
 def rank_three_twisted():
     # x_s y = y x_sigma(s) and x_s z = z x_sigma(s)
     sigma = {1: 2, 2: 1, 3: 3}
