@@ -480,6 +480,22 @@ def run_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_only_periodicity_reaches_the_strong_connectivity_refusal(tmp_path):
+    # v <- x <- y is valid but not strongly connected; every command that
+    # computes Perron data refuses its reducible matrix first
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(graph_doc(vertices=["v", "x", "y"], edges=[
+        dict(LOOP, id="e", source="x"),
+        dict(LOOP, id="f", range="x", source="y")])))
+    assert run_quiet(["validate", str(path)])[0] == 0
+    assert run_quiet(["periodicity", str(path)]) == (
+        1, "", "kgraph: validation failure: operation requires a strongly "
+        "connected graph\n")
+    code, out, err = run_quiet(["info", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("kgraph: validation failure: no box sum of powers")
+
+
 def graph_doc(**fields):
     return dict({"k": 1, "vertices": ["v"], "edges": [], "squares": []},
                 **fields)

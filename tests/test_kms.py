@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from hypothesis import given, settings, strategies as hst
 
 from kgraphs import builders, degrees as dg
 from kgraphs.errors import (EnumerationCapError, InputFormatError,
-                            NotPeriodicError)
+                            NotIrreducibleError, NotPeriodicError,
+                            NotStronglyConnectedError)
 from kgraphs.graphs import KGraph
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
                          _scaled, parse_state)
-from kgraphs.periodicity import periodicity_group
+from kgraphs.measure import find_decay_witness
+from kgraphs.periodicity import check_pair, periodicity_group
 from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import QQi
 from kms_reference import KeyBox, expand_cells
@@ -463,6 +466,68 @@ def test_negative_degree_box_is_refused(states):
             st.kms_check(StateSpec.haar(), bad)
         with pytest.raises(InputFormatError):
             st.unitary_identities(bad)
+
+
+# v <- x <- y: a valid graph, with a source y and a sink v, that is not
+# strongly connected
+CHAIN = builders.one_graph(["v", "x", "y"], [("e", "v", "x"), ("f", "x", "y")])
+ONE = MatrixFamily(("v",), (((1,),),))
+SPLIT = "operation requires a strongly connected graph"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f: KMSStates(CHAIN, None), NotStronglyConnectedError, SPLIT),
+    (lambda f: check_pair(CHAIN, (1,), (0,)), NotStronglyConnectedError,
+     SPLIT),
+    (lambda f: periodicity_group(CHAIN, 1), NotStronglyConnectedError, SPLIT),
+    (lambda f: AlgebraElement.vertex_projection(CHAIN, "v").is_zero(),
+     NotStronglyConnectedError, SPLIT),
+    (lambda f: MatrixFamily(("v",), ()), InputFormatError,
+     "family needs at least one matrix"),
+    (lambda f: MatrixFamily(("v",), (((1, 1),),)), InputFormatError,
+     "matrix shape does not match 1 labels"),
+    (lambda f: MatrixFamily(("v",), (((-1,),),)), InputFormatError,
+     "matrix entries must be nonnegative"),
+    (lambda f: ONE.power((-1,)), InputFormatError, "bad exponent (-1,)"),
+    (lambda f: perron_data(MatrixFamily(("u", "w"), (((1, 1), (0, 1)),))),
+     NotIrreducibleError, "no box sum of powers is entrywise positive within "
+     "the bound, or a coordinate matrix is zero; family is not irreducible"),
+    (lambda f: find_decay_witness(f["measures"]["b2"], (0,)), InputFormatError,
+     "witness search needs a nonzero difference"),
+    (lambda f: StateSpec.mixture([]), InputFormatError,
+     "a mixture needs at least one component"),
+    (lambda f: parse_state("z=1/4,"), InputFormatError,
+     "empty rotation in 'z=1/4,'"),
+    (lambda f: f["states"]["b2"].act_character(StateSpec.haar(),
+                                                StateSpec.haar()),
+     InputFormatError, "the acting element must be a character"),
+    (lambda f: KMSStates(f["graphs"]["pullback-b2"],
+                         f["perron"]["pullback-b2"]).simplex_descriptor(),
+     InputFormatError, "simplex description needs a computed periodicity "
+     "group"),
+    (lambda f: KMSStates(f["graphs"]["pullback-b2"],
+                         f["perron"]["pullback-b2"]).phase_diagram(1),
+     InputFormatError, "phase count at beta = 1 needs a computed periodicity "
+     "group"),
+    (lambda f: KMSStates(f["graphs"]["pullback-b2"], f["perron"][
+        "pullback-b2"]).states_equal(StateSpec.haar(), StateSpec.haar()),
+     InputFormatError, "state comparison needs a computed periodicity group"),
+    (lambda f: periodicity_group(f["graphs"]["b2"], -1), InputFormatError,
+     "periodicity search bound -1 is negative"),
+    (lambda f: builders.make_single_vertex(27, [1] * 27), InputFormatError,
+     "ranks above 26 exceed the naming scheme"),
+    (lambda f: builders.make_product(f["graphs"]["pullback-b2"],
+                                     builders.c2()),
+     InputFormatError, "product construction expects rank-1 graphs"),
+], ids=["states", "check_pair", "periodicity_group", "is_zero", "no-matrix",
+        "shape", "negative-entry", "power", "reducible", "decay-witness",
+        "empty-mixture", "empty-rotation", "act-haar", "simplex", "phase",
+        "states-equal", "negative-bound", "rank-27", "product-rank-2"])
+def test_refusals(graphs, perron, measures, states, call, error, message):
+    fixtures = {"graphs": graphs, "perron": perron, "measures": measures,
+                "states": states}
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(fixtures)
 
 
 def test_kms_check_fib_float(states):

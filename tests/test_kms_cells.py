@@ -13,22 +13,29 @@ vertices among them) and the two-loop graphs of test_kms_generated.py.  The
 support keeps its cap: more than graph.cap supported keys raise.
 """
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from kgraphs import builders
 from kgraphs.errors import EnumerationCapError
-from kgraphs.kms import KMSStates, StateSpec
+from kgraphs.kms import KMSStates, StateSpec, _BoxIndex
 from kgraphs.periodicity import periodicity_group
 from kgraphs.perron import MatrixFamily, perron_data
 from kms_reference import reference_table
 from test_kms_generated import two_loop_2graphs
-from test_kms_mutants import rho_plus
+from test_kms_mutants import doubled_x, rho_plus
 from test_shift_agreement import GRAPHS
 
 LADDER = {"b2": [(1,), (2,), (3,)], "fib": [(1,), (2,), (3,)],
           "pullback-b2": [(1, 1), (2, 1), (2, 2)],
           "product-b2-c2": [(1, 1), (2, 1), (2, 2)]}
+# three loops of color 1 and two of color 2 at one vertex, with
+# a1.b1 = b1.a3, a2.b1 = b2.a3 and a3.b2 = b1.a2 among its squares
+THREE_BY_TWO = {(1, 2): {(1, 1): (1, 3), (1, 2): (2, 1), (2, 1): (2, 3),
+                         (2, 2): (1, 1), (3, 1): (2, 2), (3, 2): (1, 2)}}
 
 
 def check_table(st, D, theta_blind):
@@ -100,3 +107,56 @@ def test_blind_support_cap_on_a_large_box():
     assert st.kms_check(StateSpec.haar(), (2, 1)).passed
     with pytest.raises(EnumerationCapError, match="KMS support"):
         st.kms_check(StateSpec.haar(), (2, 2), theta_blind=True)
+
+
+def test_honest_keys_are_not_fixed_by_class_quadruple_and_mass():
+    # the blind cells (c(a1), a1, b1, c(b1)) and (c(a1), a3, b1, c(b1)) have
+    # one class quadruple, as a1 and a3 share their class, and one mass, yet
+    # hold 2 and 1 honest keys: the honest check cannot count its keys once
+    # per (class quadruple, blind mass) as the blind check does
+    st = fresh(builders.make_single_vertex(2, [3, 2], THREE_BY_TWO))
+    D = (1, 1)
+    for theta_blind in (False, True):
+        check_table(st, D, theta_blind)
+    S, _ = st._scales(D)
+    box = _BoxIndex(st.graph, D)
+    n = len(box.paths)
+    honest, _ = st._support_contributions(box, False, S)
+    blind, _ = st._support_contributions(box, True, S)
+    number = {p.literal(): i for i, p in enumerate(box.paths)}
+    a1, a3, b1 = number["a1"], number["a3"], number["b1"]
+    assert box.first[a1] == box.first[a3] == a1
+    assert box.first[b1] == b1
+    held = {}
+    for key in honest:
+        mu, nu, eta, zeta = (key // n ** e % n for e in (3, 2, 1, 0))
+        held.setdefault(((box.first[mu] * n + nu) * n + eta) * n
+                        + box.first[zeta], set()).add(tuple(
+                            box.paths[i].literal() for i in (mu, nu, eta, zeta)))
+    cells = [((a1 * n + nu) * n + b1) * n + b1 for nu in (a1, a3)]
+    assert [blind[c] * Fraction(1, S) for c in cells] == [Fraction(1, 6)] * 2
+    assert [held[c] for c in cells] == [
+        {("a1", "a1", "b1", "b1"), ("a2", "a1", "b1", "b2")},
+        {("a3", "a3", "b1", "b1")}]
+
+
+@pytest.mark.parametrize("mutant", [None, rho_plus, doubled_x],
+                         ids=["perron", "rho_plus", "doubled_x"])
+def test_honest_support_is_closed_under_the_swap(graphs, perron, groups,
+                                                 monkeypatch, mutant):
+    # x -> mu.sigma^{d(nu)}(x) maps a key's agreement set onto its swap's and
+    # masses are positive, so every honest key's swap is supported: the
+    # check compares no more keys than it supports, whatever the masses
+    three_by_two = builders.make_single_vertex(2, [3, 2], THREE_BY_TWO)
+    cases = [(graphs[name], perron[name], groups[name], boxes)
+             for name, boxes in LADDER.items()]
+    cases.append((three_by_two, perron_data(MatrixFamily.from_graph(
+        three_by_two)), periodicity_group(three_by_two, bound=2),
+        LADDER["pullback-b2"]))
+    for g, pd, group, boxes in cases:
+        for D in boxes:
+            st = KMSStates(g, pd, group=group)
+            if mutant:
+                monkeypatch.setattr(st.measure, "mass_at", mutant(st.measure))
+            rep = st.kms_check(StateSpec.haar(), D)
+            assert rep.explicit_checked == rep.support_size, (g, D)
