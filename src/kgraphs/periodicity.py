@@ -44,7 +44,7 @@ def check_pair(graph, m, n):
     graph.require_strongly_connected()
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
-        raise NotPeriodicError("shift degrees must be nonnegative")
+        raise InputFormatError("shift degrees must be nonnegative")
     if m == n:
         return True
     jn = dg.join(m, n)

@@ -35,6 +35,17 @@ def test_check_pair_decisions(graphs):
     assert check_pair(b2, (2,), (2,))
 
 
+@pytest.mark.parametrize("m, n", [((-1, 0), (0, 0)), ((0, 0), (0, -1))])
+def test_negative_shift_degrees_are_input_errors(graphs, m, n):
+    # as in measure.periodicity_mass_profile: a negative degree is malformed
+    # input, not a pair of shifts that disagree
+    g = graphs["pullback-b2"]
+    for call in (check_pair, theta):
+        with pytest.raises(InputFormatError,
+                           match="^shift degrees must be nonnegative$"):
+            call(g, m, n)
+
+
 def test_check_pair_sizes_its_strips_from_one_chain(monkeypatch):
     # every |Lambda^{(m v n) + e_i}| comes from the one stem chain of m v n;
     # A^(1,0) != A^0 then answers before any path is enumerated
