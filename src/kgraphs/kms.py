@@ -40,6 +40,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import groupby
 
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
@@ -587,15 +588,12 @@ class KMSStates:
                 for mu in mus:  # p = mu.alpha by edges, as extensions
                     p = g._normalize(box.paths[mu].edges + a,
                                      len(box.paths[mu].edges))
-                    filed = {}  # the heads zeta of theta(p) by their tails
-                    for nprime, lam, nzeta in plan:
+                    for nprime, lam, nzeta in plan:  # theta(p) = zeta.tail
                         q = g._take(g._normalize([*p, *lam], len(p)),
                                     nprime)[0]
                         zeta, tail = box.split(q, nzeta, box.paths[mu].range,
                                                s)
-                        filed.setdefault(tail, []).append(zeta)
-                    for tail, zetas in filed.items():
-                        out.setdefault(tail, []).append((mu, zetas, mass))
+                        out.setdefault(tail, []).append((mu, (zeta,), mass))
             return out
 
         for w, facs in enumerate(box.facs):
@@ -679,7 +677,7 @@ class KMSStates:
         return profiles
 
     def _sweep_table(self, D, theta_blind):
-        """State-independent half of kms_check: box index and profiles.
+        """State-independent half of kms_check: paths, pair count, profiles.
 
         A supported key and its swap share one grade g (see
         _support_contributions), so the identity for the key reads
@@ -695,10 +693,13 @@ class KMSStates:
         key's swap.  Counts and `checked` do not depend on that order and are
         summed by cell: every key adds its own direction, L its cell's mass and
         R its swap's; a key whose swap is unsupported also adds the swap's,
-        with R = 0; a key that is its own swap adds once.  The R of a blind
-        cell's keys are the masses of the cells of class (c(eta), c(zeta),
-        c(mu), c(nu)) and 0 for the rest, so a blind cell's share is fixed by
-        its class quadruple and mass and counted once for every cell with both.
+        with R = 0 (blind only: x -> mu.sigma^{d(nu)}(x) maps the agreement set
+        {x in Z(nu) & Z(eta) : mu.sigma^{d(nu)}(x) = zeta.sigma^{d(eta)}(x)} of
+        an honest key onto its swap's, and masses are positive); a key that is
+        its own swap adds once.  The R of a blind cell's keys are the masses of
+        the cells of class (c(eta), c(zeta), c(mu), c(nu)) and 0 for the rest,
+        so a blind cell's share is fixed by its class quadruple and mass and
+        counted once for every cell with both.
         Profile order and samples come from a replay in that order, mu by mu in
         each run of cells that share (c(mu), nu, eta), of the cells that can
         still meet a profile short of 20 samples: the others add none, as a
@@ -741,8 +742,7 @@ class KMSStates:
             hist = groups.setdefault(pairs[h][2] * nn + pairs[l][2], {})
             hist[mass] = hist.get(mass, 0) + 1
         counts = {}     # (code of g, diff) -> count
-        runs = []       # [(packed (c(mu), nu, eta), {cell: the (code, diff)
-        #                 its keys and their swaps meet})], as inserted
+        met_by = {}     # cell -> the (code, diff) its keys and swaps meet
         known = {}      # blind (class quadruple, mass) -> the (code, diff) met
         checked = support   # and one per key with an unsupported swap
         for cell, left in cells.items():
@@ -773,16 +773,14 @@ class KMSStates:
                             counts[chigh + clow, diff] = counts.get(
                                 (chigh + clow, diff), 0) + tally
             if met:
-                if not runs or runs[-1][0] != cell // n:
-                    runs.append((cell // n, {}))
-                runs[-1][1][cell] = met
+                met_by[cell] = met
         profiles = {}   # (code of g, diff) -> samples, in the order met
         full = set()    # the profiles with 20 samples
         seen = set()    # supported swaps already visited
-        for top, run in runs:
+        for top, run in groupby(met_by.items(), lambda item: item[0] // n):
             cm, nu, eta = top // nn, top // n % n, top % n
             run = [(cells[c], pairs[c // nn], pairs[c % nn], members[c % n])
-                   for c, met in run.items() if not met <= full]
+                   for c, met in run if not met <= full]
             for mu in members[cm] if run else ():
                 for left, (chigh, fhigh, _), (clow, flow, _), zetas in run:
                     for zeta in zetas:
@@ -805,7 +803,9 @@ class KMSStates:
                                     full.add(profile)
         unit = Fraction(1, S * T)
         table = self._sweep_cache[D, theta_blind] = {
-            "box": box,
+            "paths": box.paths,
+            "matched_pairs": sum(sum(map(len, here.values())) ** 2
+                                 for here in box.classes.values()),
             "profiles": {(grades[code], diff * unit): [counts[code, diff],
                                                         samples]
                          for (code, diff), samples in profiles.items()},
@@ -837,10 +837,8 @@ class KMSStates:
         check_tol(tol)
         exact = self.measure.exact and state.is_exact
         table = self._sweep_table(D, theta_blind)
-        box = table["box"]
-        n = len(box.paths)
-        matched_pairs = sum(sum(map(len, here.values())) ** 2
-                            for here in box.classes.values())
+        paths, matched_pairs = table["paths"], table["matched_pairs"]
+        n = len(paths)
         unit = table["mass_unit"]
         rho = self.measure.rho
         zero = self._zero(state)
@@ -858,7 +856,7 @@ class KMSStates:
                 continue
             failure_count += count
             for key, left, right in samples[:20 - len(failures)]:
-                mu, nu, eta, zeta = (box.paths[key // n ** e % n]
+                mu, nu, eta, zeta = (paths[key // n ** e % n]
                                      for e in (3, 2, 1, 0))
                 factor = dg.rho_power(rho, dg.neg(dg.sub(mu.degree,
                                                          nu.degree)))

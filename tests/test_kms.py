@@ -760,6 +760,18 @@ def test_cached_sweep_table_retains_little(graphs, perron, groups):
     assert retained < 2 ** 20
 
 
+def test_cached_sweep_tables_hold_no_box_index(graphs, perron, groups):
+    # the fold reads the box's paths and its number of source-matched pairs,
+    # so a cached table lets the box and its factorization tables go
+    st = KMSStates(graphs["pullback-b2"], perron["pullback-b2"],
+                   group=groups["pullback-b2"])
+    for theta_blind in (False, True):
+        st.kms_check(StateSpec.haar(), (2, 1), theta_blind=theta_blind)
+    assert len(st._sweep_cache) == 2
+    for table in st._sweep_cache.values():
+        assert not any(isinstance(v, _BoxIndex) for v in table.values())
+
+
 def old_support_contributions(st, box, theta_blind, scale):
     """A test-only reference for KMSStates._support_contributions that
     walks mu by mu over box.by_source, extends each (mu, alpha) on its own
