@@ -11,9 +11,13 @@ theta-blind, with a wrong power of rho that breaks the honest identity, the
 generated graphs of test_shift_agreement.py (float Perron data on several
 vertices among them) and the two-loop graphs of test_kms_generated.py.  The
 support keeps its cap: more than graph.cap supported keys raise.
+
+A single-vertex 2-graph with loops (3, 2) shows why the honest keys are
+counted one by one: two blind cells of one class quadruple and mass hold
+different numbers of them.  The honest support is closed under the swap, so
+an honest check compares exactly its supported keys, whatever the masses.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -127,12 +131,12 @@ def test_honest_keys_are_not_fixed_by_class_quadruple_and_mass():
     a1, a3, b1 = number["a1"], number["a3"], number["b1"]
     assert box.first[a1] == box.first[a3] == a1
     assert box.first[b1] == b1
-    held = {}
+    held = {}       # blind cell -> its honest keys, by literals
     for key in honest:
         mu, nu, eta, zeta = (key // n ** e % n for e in (3, 2, 1, 0))
-        held.setdefault(((box.first[mu] * n + nu) * n + eta) * n
-                        + box.first[zeta], set()).add(tuple(
-                            box.paths[i].literal() for i in (mu, nu, eta, zeta)))
+        cell = ((box.first[mu] * n + nu) * n + eta) * n + box.first[zeta]
+        held.setdefault(cell, set()).add(
+            tuple(box.paths[i].literal() for i in (mu, nu, eta, zeta)))
     cells = [((a1 * n + nu) * n + b1) * n + b1 for nu in (a1, a3)]
     assert [blind[c] * Fraction(1, S) for c in cells] == [Fraction(1, 6)] * 2
     assert [held[c] for c in cells] == [
