@@ -111,6 +111,15 @@ def command_cases(command):
                        "product-b2-c2",
                        ["--state", "z=0,1/4", "--max-degree", "2,2",
                         "--theta-blind"])],
+        # the theta branch of phi: a periodic grade with nu != theta(mu),
+        # a grade that is not periodic, and nu = theta(mu) at a nonzero grade
+        "kms eval": [("pullback-b2-periodic-unmatched", "pullback-b2",
+                      ["--state", "z=1/4,0", "--mu", "a1", "--nu", "b2"]),
+                     ("pullback-b2-not-periodic", "pullback-b2",
+                      ["--state", "z=1/4,0", "--mu", "a1", "--nu", "v"]),
+                     ("product-b2-c2-theta", "product-b2-c2",
+                      ["--state", "z=0,1/4", "--mu", "v:g1.v:g2",
+                       "--nu", "v:w1"])],
         "phase": [("pullback-b2-beta-fraction", "pullback-b2",
                    ["--beta", "3/2"]),
                   ("fib-beta-float", "fib", ["--beta", "2.5"])],

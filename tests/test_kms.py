@@ -9,15 +9,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from kgraphs import builders, degrees as dg
-from kgraphs.errors import (EnumerationCapError, InputFormatError,
+from kgraphs import builders, cli, degrees as dg
+from kgraphs.errors import (CompositionError, EnumerationCapError,
+                            InputFormatError, NonConstantRatioError,
                             NotIrreducibleError, NotPeriodicError,
-                            NotStronglyConnectedError)
+                            NotStronglyConnectedError, SegmentRangeError)
 from kgraphs.graphs import KGraph
 from kgraphs.kms import (AlgebraElement, KMSStates, StateSpec, _BoxIndex,
                          _scaled, parse_state)
-from kgraphs.measure import find_decay_witness
-from kgraphs.periodicity import check_pair, periodicity_group
+from kgraphs.measure import (agreement_mass, decay_check, find_decay_witness,
+                             periodicity_mass_profile)
+from kgraphs.periodicity import check_pair, periodicity_group, theta
 from kgraphs.perron import MatrixFamily, perron_data
 from kgraphs.scalars import QQi
 from kms_reference import KeyBox, expand_cells
@@ -519,15 +521,60 @@ SPLIT = "operation requires a strongly connected graph"
     (lambda f: builders.make_product(f["graphs"]["pullback-b2"],
                                      builders.c2()),
      InputFormatError, "product construction expects rank-1 graphs"),
+    (lambda f: dg.unit(2, 3), InputFormatError, "color 3 outside 1..2"),
+    (lambda f: f["graphs"]["b2"].edge("zz"), CompositionError,
+     "edge id 'zz' not in this graph"),
+    (lambda f: f["graphs"]["b2"].vertex_path("zz"), InputFormatError,
+     "unknown vertex 'zz'"),
+    (lambda f: f["graphs"]["b2"].path_from_edges([]), InputFormatError,
+     "empty edge sequence has no endpoints; use vertex_path"),
+    (lambda f: f["graphs"]["fib"].path_from_edges(["euu", "evu"]),
+     CompositionError, "edges 'euu' and 'evu' are not composable"),
+    (lambda f: f["graphs"]["pullback-b2"].factorize(
+        f["graphs"]["pullback-b2"].parse_path("a1"), (2, 0)),
+     SegmentRangeError, "degree (2, 0) not between 0 and (1, 0)"),
+    (lambda f: AlgebraElement.identity(f["graphs"]["b2"])
+     + AlgebraElement.identity(f["graphs"]["fib"]), InputFormatError,
+     "cannot combine elements over different graphs"),
+    (lambda f: f["states"]["pullback-b2"].act_character(
+        StateSpec.character((F(1, 4),)), StateSpec.character((0, 0))),
+     InputFormatError, "character dimension mismatch"),
+    (lambda f: periodicity_mass_profile(f["measures"]["b2"], (-1,), (0,), 1),
+     InputFormatError, "shift degrees must be nonnegative"),
+    (lambda f: agreement_mass(f["measures"]["fib"], *map(
+        f["graphs"]["fib"].parse_path, ("euu", "euv")), 1),
+     InputFormatError, "mu and nu must share a source vertex"),
+    (lambda f: decay_check(f["measures"]["fib"], None, *map(
+        f["graphs"]["fib"].parse_path, ("euu", "euv")), 1),
+     InputFormatError, "mu and nu must share a source vertex"),
+    (lambda f: theta(f["graphs"]["pullback-b2"], (1, 0), (0, 1))(
+        f["graphs"]["pullback-b2"].parse_path("b1")), NotPeriodicError,
+     "b1 is not a degree-(1, 0) path of this graph"),
+    (lambda f: cli.jsonable(object()), TypeError,
+     "object is not JSON serializable"),
+    (lambda f: perron_data(MatrixFamily(("u", "w"), (((1, 1), (1, 1)),
+                                                    ((2, 1), (1, 1))))),
+     NonConstantRatioError, "Rayleigh ratios for matrix 1 vary by 2.209e-01; "
+     "family is not irreducible-with-eigenvector as claimed"),
 ], ids=["states", "check_pair", "periodicity_group", "is_zero", "no-matrix",
         "shape", "negative-entry", "power", "reducible", "decay-witness",
         "empty-mixture", "empty-rotation", "act-haar", "simplex", "phase",
-        "states-equal", "negative-bound", "rank-27", "product-rank-2"])
+        "states-equal", "negative-bound", "rank-27", "product-rank-2",
+        "unit-color", "edge-id", "vertex-id", "empty-edges", "not-composable",
+        "factorize-past-degree", "two-graphs", "character-length",
+        "profile-negative-degree", "agreement-sources", "decay-sources",
+        "theta-table", "jsonable", "non-commuting"])
 def test_refusals(graphs, perron, measures, states, call, error, message):
     fixtures = {"graphs": graphs, "perron": perron, "measures": measures,
                 "states": states}
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         call(fixtures)
+
+
+def test_zero_element_repr(graphs):
+    one = AlgebraElement.identity(graphs["b2"])
+    assert repr(AlgebraElement.zero(graphs["b2"])) == "<0>"
+    assert repr(one - one) == "<0>"
 
 
 def test_kms_check_fib_float(states):
