@@ -516,10 +516,19 @@ class KGraph:
         return tuple([Path(n, pe + es, r, s) for pe, r, ps in level
                       for es, s in runs[ps]])
 
+    def _own(self, path):
+        """Refuse a path whose range, source or edge ids this graph lacks:
+        the path machinery would find no extension of it."""
+        if not (path.range in self._vset and path.source in self._vset
+                and all(map(self._color.__contains__, path.edges))):
+            raise CompositionError(f"path {path.literal()} is not in this "
+                                   f"graph")
+
     def extensions(self, path, degree):
         """{edges of compose(path, a): a} for every a in s(path)Lambda^m,
         m = degree - d(path), in paths_of_degree order.  The key is the
         normal form of path.a, built without a Path for it."""
+        self._own(path)
         start = len(path.edges)
         return {tuple(self._normalize(path.edges + a.edges, start)): a
                 for a in self.paths_of_degree(dg.sub(degree, path.degree),
@@ -529,7 +538,9 @@ class KGraph:
         """All (alpha, beta) with mu.alpha = nu.beta of degree d(mu) v d(nu),
         sorted canonically; each nu.beta is looked up in mu's extensions."""
         self.require_valid()
+        self._own(nu)
         if mu.range != nu.range:
+            self._own(mu)   # else extensions refuses a foreign mu
             return []
         jn = dg.join(mu.degree, nu.degree)
         table = self.extensions(mu, jn)
