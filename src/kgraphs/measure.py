@@ -28,7 +28,7 @@ from itertools import product, starmap
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, Record,
                      WitnessSearchError)
-from .scalars import CONSISTENCY_TOL, add_up, check_tol
+from .scalars import CONSISTENCY_TOL, add_up, check_count, check_tol
 
 FLOAT_SLACK = 1e-12
 
@@ -98,11 +98,6 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
                              passed=max_err <= slack and total_err <= slack)
 
 
-def _check_level(level):
-    if type(level) is not int or level < 0:
-        raise InputFormatError(f"level must be an int >= 0, not {level!r}")
-
-
 def _level_masses(cm, jn, firsts, max_level):
     """Yield the masses of levels 0..max_level from the level-0 states."""
     g = cm.graph
@@ -152,7 +147,7 @@ def periodicity_mass_profile(cm, m, n, max_level):
     m, n = tuple(m), tuple(n)
     if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
         raise InputFormatError("shift degrees must be nonnegative")
-    _check_level(max_level)
+    check_count(max_level, "level")
     g = cm.graph
     jn = dg.join(m, n)
     return list(_level_masses(cm, jn, [
@@ -179,7 +174,7 @@ def agreement_mass(cm, mu, nu, level, group=None):
     from .periodicity import decide_periodic
 
     g = cm.graph
-    _check_level(level)
+    check_count(level, "level")
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")
     gvec = dg.sub(mu.degree, nu.degree)
@@ -208,6 +203,7 @@ def find_decay_witness(cm, gvec, a_max=6):
     vertex such that mu.lambda_v and nu.lambda_v never share an extension
     for mu in Lambda^{g+}v, nu in Lambda^{g-}v.  Candidates are tried in
     increasing |a|_1 then lexicographic order; tails likewise."""
+    check_count(a_max, "a_max")
     g = cm.graph
     gvec = tuple(gvec)
     if not any(gvec):
@@ -256,6 +252,7 @@ def decay_check(cm, witness, mu, nu, j_max):
     nu.lam, so round j tests only KGraph.extensions of round j - 1's shared
     tails; the others add nothing to m_j.  The shared tails are still
     summed in canonical path order, so float masses come out the same."""
+    check_count(j_max, "j_max")
     g = cm.graph
     if mu.source != nu.source:
         raise InputFormatError("mu and nu must share a source vertex")

@@ -28,6 +28,7 @@ from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      PeriodicityUndecidedError, Record)
 from .perron import MatrixFamily, mat_vec
+from .scalars import check_count
 
 
 def check_pair(graph, m, n):
@@ -183,12 +184,13 @@ def periodicity_group(graph, bound):
     without a check; the others are prefiltered by the exact necessary
     condition A^{g+} = A^{g-} before running the pair decision procedure.
     Completeness is claimed only within the box.  Raises
-    InputFormatError for a negative bound and EnumerationCapError when the
-    box holds more than graph.cap vectors.
+    InputFormatError for a bound that is not an int >= 0 and
+    EnumerationCapError when the box holds more than graph.cap vectors.
     """
-    if bound < 0:
+    if type(bound) is int and bound < 0:
         raise InputFormatError(f"periodicity search bound {bound} is "
                                f"negative")
+    check_count(bound, "periodicity search bound")
     graph.require_strongly_connected()
     k = graph.k
     if (2 * bound + 1) ** k > graph.cap:

@@ -154,6 +154,13 @@ def check_tol(value, name="tol"):
             f"{name} must be finite and nonnegative, not {value}")
 
 
+def check_count(value, name):
+    """Refuse a level, bound or other count that is not an int >= 0; type
+    is not int refuses bools."""
+    if type(value) is not int or value < 0:
+        raise InputFormatError(f"{name} must be an int >= 0, not {value!r}")
+
+
 def format_fraction(value):
     """Canonical string for an exact rational: "p" or "p/q"."""
     f = Fraction(value)

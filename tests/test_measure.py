@@ -257,6 +257,22 @@ def test_a_level_is_a_nonnegative_int(measures, pb2g, groups, level):
                        level, group=groups["pullback-b2"])
 
 
+@pytest.mark.parametrize("count", [-1, 1.5, True, False, "3", None])
+def test_decay_bounds_are_nonnegative_ints(measures, pb2g, count):
+    # a_max = -1 was a search that failed ("larger bounds may still
+    # succeed"), j_max = -1 a check that passed with no mass, and 1.5 a
+    # bare TypeError; the level rule applies to both
+    cm = measures["pullback-b2"]
+    with pytest.raises(InputFormatError,
+                       match=f"^a_max must be an int >= 0, not {count!r}$"):
+        find_decay_witness(cm, (1, 0), a_max=count)
+    witness = find_decay_witness(cm, (1, 0), a_max=2)
+    with pytest.raises(InputFormatError,
+                       match=f"^j_max must be an int >= 0, not {count!r}$"):
+        decay_check(cm, witness, pb2g.parse_path("a1"), pb2g.parse_path("v"),
+                    count)
+
+
 def test_agreement_closed_form(measures, pb2g, groups):
     cm = measures["pullback-b2"]
     grp = groups["pullback-b2"]

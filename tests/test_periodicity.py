@@ -46,6 +46,16 @@ def test_negative_shift_degrees_are_input_errors(graphs, m, n):
             call(g, m, n)
 
 
+@pytest.mark.parametrize("bound", [1.5, True, False, "2", None])
+def test_a_search_bound_is_an_int(graphs, bound):
+    # True ran as a group with search_bound=True and 1.5 raised a bare
+    # TypeError; a negative int keeps its own message
+    with pytest.raises(InputFormatError, match=(
+            f"^periodicity search bound must be an int >= 0, not "
+            f"{bound!r}$")):
+        periodicity_group(graphs["pullback-b2"], bound)
+
+
 def test_check_pair_sizes_its_strips_from_one_chain(monkeypatch):
     # every |Lambda^{(m v n) + e_i}| comes from the one stem chain of m v n;
     # A^(1,0) != A^0 then answers before any path is enumerated
