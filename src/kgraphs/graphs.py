@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from itertools import groupby
+from itertools import chain, groupby
 
 from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
@@ -158,9 +158,8 @@ class KGraph:
         self._inv = {}   # (red2, blue2) -> (blue, red)
         self._report = None
         self.cap = ENUM_CAP
-        self._path_cache = {}       # asked degree -> tuple[Path]
-        self._paths_by_range = {}   # built on a degree's first range filter
-        self._checked = set()   # degrees whose cap chain passed
+        self._path_cache = {}   # asked degree -> {range: tuple[Path]}
+        self._checked = {}   # degree whose cap chain passed -> its |Lambda^d|
         self._matrices = None
 
     # ------------------------------------------------------------------
@@ -463,16 +462,13 @@ class KGraph:
         self.require_valid()
         if not dg.is_degree(n, self.k):
             raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
-        paths = self._path_cache.get(n)
-        if paths is None or len(paths) > self.cap:   # if cached, raises
-            self._check_cap(n)
-            paths = self._path_cache[n] = self._enumerate(n)
+        by_range = self._path_cache.get(n)
+        if by_range is None or self._checked[n] > self.cap:
+            self._check_cap(n)      # if cached, raises
+            by_range = self._path_cache[n] = self._enumerate(n)
         if range is None:
-            return list(paths)
-        if n not in self._paths_by_range:
-            self._paths_by_range[n] = {v: tuple(ps) for v, ps in groupby(
-                paths, key=lambda p: p.range)}
-        return list(self._paths_by_range[n].get(range, ()))
+            return list(chain.from_iterable(by_range.values()))
+        return list(by_range.get(range, ()))
 
     def _stem_chain(self, n):
         """(d, [|vLambda^d| for v]) for the stems n, n - e_c, ... of n (c the
@@ -495,10 +491,10 @@ class KGraph:
                                           f"exceeds cap {self.cap}")
             if d in self._checked:
                 break
-        self._checked.update(d for d, _ in chain)
+        self._checked.update((d, sum(x)) for d, x in chain)
 
     def _enumerate(self, n):
-        """Lambda^n in (range, edges) order, as its normal form reads: each
+        """Lambda^n by range, each in edges order, as normal forms read: each
         color's runs grow edge by edge from where the lower colors' paths
         end and are joined to them there; only the last join makes Paths."""
         edge, by_range = self._edge, self._by_range
@@ -513,8 +509,9 @@ class KGraph:
                     runs = {v: [(es + (e,), edge[e].source) for es, s in rs
                                 for e in by_range.get((c, s), ())]
                             for v, rs in runs.items()}
-        return tuple([Path(n, pe + es, r, s) for pe, r, ps in level
-                      for es, s in runs[ps]])
+        return {r: tuple([Path(n, pe + es, r, s) for pe, _, ps in joins
+                          for es, s in runs[ps]])
+                for r, joins in groupby(level, lambda join: join[1])}
 
     def _own(self, path):
         """Refuse a path whose range, source or edge ids this graph lacks:

@@ -246,9 +246,8 @@ class StateSpec(Record):
         if len({len(ts) for _, ts in pairs}) > 1:
             raise InputFormatError("mixture components differ in length")
         total = add_up(w for w, _ in pairs)
-        slack = 0 if isinstance(total, (int, Fraction)) else 1e-9
         # NaN and infinite weights fail both tests
-        if not (abs(total - 1) <= slack and all(w > 0 for w, _ in pairs)):
+        if not (is_zero(total - 1, 1e-9) and all(w > 0 for w, _ in pairs)):
             raise InputFormatError("mixture weights must be positive and "
                                    "sum to 1")
         return StateSpec(kind="mixture", components=pairs)
@@ -431,7 +430,8 @@ class KMSStates:
     def phi_eval(self, state, mu, nu, theta_blind=False):
         """phi(s_mu s*_nu): psi(d(mu)-d(nu)) * rho^{-d(mu)} * x_{s(mu)} when
         the degree difference is periodic and the shift-agreement bijection
-        sends mu to nu; zero otherwise.
+        sends mu to nu, that is, when Lambda^min(mu, nu) is non-empty (see
+        kgraphs.periodicity); zero otherwise.
 
         theta_blind drops the bijection condition -- a deliberately wrong
         functional used as a negative control for kms_check.
@@ -440,8 +440,8 @@ class KMSStates:
             raise InputFormatError("phi is defined on span terms, which "
                                    "need a common source")
         gvec = dg.sub(mu.degree, nu.degree)
-        if self.periodic(gvec) and (theta_blind or nu == (self.theta_map(
-                mu.degree, nu.degree)(mu) if any(gvec) else mu)):
+        if self.periodic(gvec) and (theta_blind
+                                    or self.graph.lambda_min(mu, nu)):
             return state.psi(gvec) * self.measure.mass(mu)
         return self._zero(state)
 
@@ -455,11 +455,9 @@ class KMSStates:
     # -- central unitaries ----------------------------------------------
 
     def unitary(self, gvec):
-        """U_g = sum over mu in Lambda^{g+} of s_mu s*_{theta(mu)}."""
+        """U_g = sum over mu in Lambda^{g+} of s_mu s*_{theta(mu)}; the
+        theta map refuses a g that is not periodic."""
         gvec = tuple(gvec)
-        if not self.periodic(gvec):
-            raise NotPeriodicError(f"{gvec} was not detected as a "
-                                   f"periodicity vector")
         pos = dg.pos_part(gvec)
         law = self.theta_map(pos, dg.neg_part(gvec))
         return AlgebraElement(self.graph, {

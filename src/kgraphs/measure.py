@@ -28,7 +28,8 @@ from itertools import product, starmap
 from . import degrees as dg
 from .errors import (EnumerationCapError, InputFormatError, Record,
                      WitnessSearchError)
-from .scalars import CONSISTENCY_TOL, add_up, check_count, check_tol
+from .scalars import (CONSISTENCY_TOL, add_up, check_count, check_tol,
+                      is_zero)
 
 FLOAT_SLACK = 1e-12
 
@@ -85,7 +86,6 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
         raise InputFormatError(f"need 0 <= {m} <= {n}")
     g = cm.graph
     step = dg.sub(n, m)
-    slack = 0 if cm.exact else tol
     max_err = cm.zero
     for v in dict.fromkeys(lam.source for lam in g.paths_of_degree(m)):
         refined = add_up(cm.mass_at(n, t.source)   # the mass of lam.t
@@ -95,7 +95,8 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     return ConsistencyReport(m=m, n=n, exact=cm.exact,
                              max_refinement_error=float(max_err),
                              total_mass_error=float(total_err),
-                             passed=max_err <= slack and total_err <= slack)
+                             passed=is_zero(max_err, tol)
+                             and is_zero(total_err, tol))
 
 
 def _level_masses(cm, jn, firsts, max_level):

@@ -134,9 +134,9 @@ def add_up(values, start=0):
 
 
 def is_zero(value, tol):
-    """Exactly zero for a QQi; |value| <= tol for anything else."""
-    if isinstance(value, QQi):
-        return value.is_zero()
+    """Exactly zero for a QQi, int or Fraction; else |value| <= tol."""
+    if isinstance(value, (QQi, int, Fraction)):
+        return not value
     return abs(value) <= tol
 
 

@@ -11,6 +11,7 @@ from kgraphs.errors import (CompositionError, EnumerationCapError,
                             GraphValidationError, InputFormatError,
                             SegmentRangeError)
 from kgraphs.graphs import Edge, KGraph
+from kgraphs.kms import StateSpec
 from kgraphs.measure import agreement_mass
 
 
@@ -218,10 +219,11 @@ def test_malformed_degree_is_refused(pb2g, n):
         assert str(err.value) == f"degree {n!r} is not in N^2"
 
 
-def test_foreign_paths_raise_composition_error(pb2g, prodg, measures):
+def test_foreign_paths_raise_composition_error(pb2g, prodg, measures,
+                                               states):
     # product-b2-c2's edge ids are unknown to pullback-b2; Lambda^min and
     # extensions found no path from the foreign vertex v:w1, so
-    # agreement_mass reported mass 0
+    # agreement_mass reported mass 0, and phi raised a bare KeyError
     p = prodg.parse_path("e1:w1.v:g1")
     mu, nu = prodg.factorize(p, (1, 0))
     for op in (lambda: pb2g.factorize(p, (1, 0)),
@@ -230,7 +232,9 @@ def test_foreign_paths_raise_composition_error(pb2g, prodg, measures):
                lambda: pb2g.compose(mu, nu),
                lambda: pb2g.lambda_min(mu, mu),
                lambda: pb2g.extensions(mu, (1, 1)),
-               lambda: agreement_mass(measures["pullback-b2"], mu, mu, 1)):
+               lambda: agreement_mass(measures["pullback-b2"], mu, mu, 1),
+               lambda: states["pullback-b2"].phi_eval(StateSpec.haar(), mu,
+                                                      mu)):
         with pytest.raises(CompositionError):
             op()
 

@@ -556,6 +556,8 @@ SPLIT = "operation requires a strongly connected graph"
                                                     ((2, 1), (1, 1))))),
      NonConstantRatioError, "Rayleigh ratios for matrix 1 vary by 2.209e-01; "
      "family is not irreducible-with-eigenvector as claimed"),
+    (lambda f: f["states"]["pullback-b2"].unitary((1, 1)), NotPeriodicError,
+     "shifts by (1, 1) and (0, 0) disagree; (1, 1) is not periodic"),
 ], ids=["states", "check_pair", "periodicity_group", "is_zero", "no-matrix",
         "shape", "negative-entry", "power", "reducible", "decay-witness",
         "empty-mixture", "empty-rotation", "act-haar", "simplex", "phase",
@@ -563,7 +565,7 @@ SPLIT = "operation requires a strongly connected graph"
         "unit-color", "edge-id", "vertex-id", "empty-edges", "not-composable",
         "factorize-past-degree", "two-graphs", "character-length",
         "profile-negative-degree", "agreement-sources", "decay-sources",
-        "theta-table", "jsonable", "non-commuting"])
+        "theta-table", "jsonable", "non-commuting", "unitary"])
 def test_refusals(graphs, perron, measures, states, call, error, message):
     fixtures = {"graphs": graphs, "perron": perron, "measures": measures,
                 "states": states}
