@@ -8,7 +8,8 @@ specified by its restriction to the periodicity group -- a character z, the
 averaging state (psi(g) = delta_{g,0}), or a finite convex mixture -- and
 evaluates on span terms as psi(d(mu)-d(nu)) * rho^{-d(mu)} * x_{s(mu)} when
 the degree difference is periodic and the shift-agreement bijection carries
-mu to nu, and as 0 otherwise.
+mu to nu, which it does exactly when Lambda^min(mu, nu) is non-empty, and as
+0 otherwise.
 
 kms_check verifies the equilibrium identity
 
