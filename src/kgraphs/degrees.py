@@ -55,15 +55,19 @@ def is_nonneg(m):
     return all(a >= 0 for a in m)
 
 
-def is_vector(g, k):
-    """Whether g is in Z^k: a k-tuple of ints, bools refused."""
-    return type(g) is tuple and len(g) == k and all(type(c) is int for c in g)
+def check_vector(g, k, what="difference"):
+    """g, if it is in Z^k: a k-tuple of ints, bools refused."""
+    if type(g) is tuple and len(g) == k and all(type(c) is int for c in g):
+        return g
+    raise InputFormatError(f"{what} {g!r} is not in Z^{k}")
 
 
-def is_degree(n, k):
-    """Whether n is in N^k: a k-tuple of ints >= 0, bools refused."""
-    return type(n) is tuple and len(n) == k and all(
-        type(c) is int and c >= 0 for c in n)
+def check_degree(n, k, what="degree"):
+    """n, if it is in N^k: a k-tuple of ints >= 0, bools refused."""
+    if type(n) is tuple and len(n) == k and all(
+            type(c) is int and c >= 0 for c in n):
+        return n
+    raise InputFormatError(f"{what} {n!r} is not in N^{k}")
 
 
 def pos_part(g):

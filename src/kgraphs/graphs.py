@@ -425,7 +425,7 @@ class KGraph:
 
     def factorize(self, path, m):
         """The unique factorization path = head . tail with d(head) = m."""
-        if not (dg.is_nonneg(m) and dg.leq(m, path.degree)):
+        if not dg.leq(dg.check_degree(m, self.k), path.degree):
             raise SegmentRangeError(
                 f"degree {m} not between 0 and {path.degree}")
         self.require_valid()
@@ -434,7 +434,7 @@ class KGraph:
             if not (head and tail):     # an empty factor is a vertex path
                 mid = self.vertex_path(self._edge[tail[0]].range if tail
                                        else path.source)
-            return (self._path_from_normal(head, tuple(m)) if head else mid,
+            return (self._path_from_normal(head, m) if head else mid,
                     self._path_from_normal(tail, dg.sub(path.degree, m))
                     if tail else mid)
         except KeyError as exc:
@@ -442,7 +442,8 @@ class KGraph:
 
     def segment(self, path, m, n):
         """path(m, n): the degree-(n - m) head of the tail after m."""
-        if not (dg.is_nonneg(m) and dg.leq(m, n) and dg.leq(n, path.degree)):
+        if not (dg.leq(dg.check_degree(m, self.k), dg.check_degree(n, self.k))
+                and dg.leq(n, path.degree)):
             raise SegmentRangeError(
                 f"need 0 <= {m} <= {n} <= {path.degree}")
         return self.factorize(self.factorize(path, m)[1], dg.sub(n, m))[0]
@@ -452,17 +453,13 @@ class KGraph:
 
     def count_paths(self, n):
         """|Λ^n|, the top of the stem chain of n."""
-        if not dg.is_degree(n, self.k):
-            raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
-        return sum(self._stem_chain(n)[-1][1])
+        return sum(self._stem_chain(dg.check_degree(n, self.k))[-1][1])
 
     def paths_of_degree(self, n, range=None):
         """All paths of degree n in canonical sorted order, or only those
         with range vertex `range`; only the degrees asked for are cached."""
         self.require_valid()
-        if not dg.is_degree(n, self.k):
-            raise InputFormatError(f"degree {n!r} is not in N^{self.k}")
-        by_range = self._path_cache.get(n)
+        by_range = self._path_cache.get(dg.check_degree(n, self.k))
         if by_range is None or self._checked[n] > self.cap:
             self._check_cap(n)      # if cached, raises
             by_range = self._path_cache[n] = self._enumerate(n)

@@ -48,8 +48,9 @@ from .errors import (EnumerationCapError, InputFormatError, NotPeriodicError,
                      Record)
 from .measure import CylinderMeasure
 from .periodicity import decide_periodic
-from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, add_up, check_tol,
-                      coerce_scalar, format_fraction, is_zero, parse_number)
+from .scalars import (KMS_TOL, TOEPLITZ_TOL, QQi, add_up, check_real,
+                      check_tol, coerce_scalar, format_fraction, is_zero,
+                      parse_number)
 
 FLOAT_PRUNE = 1e-14
 
@@ -232,11 +233,9 @@ class StateSpec(Record):
 
     @staticmethod
     def character(turns):
-        turns = tuple(turns)
-        for t in turns:
-            if not (isinstance(t, (int, float, Fraction))
-                    and abs(t) < math.inf):
-                raise InputFormatError(f"bad rotation {t!r}")
+        if not isinstance(turns, (list, tuple)):
+            raise InputFormatError(f"rotations {turns!r} are not a sequence")
+        turns = tuple(check_real(t, "rotation") for t in turns)
         return StateSpec(kind="character", components=((1, turns),))
 
     @staticmethod
@@ -246,8 +245,7 @@ class StateSpec(Record):
             raise InputFormatError("a mixture needs at least one component")
         if len({len(ts) for _, ts in pairs}) > 1:
             raise InputFormatError("mixture components differ in length")
-        total = add_up(w for w, _ in pairs)
-        # NaN and infinite weights fail both tests
+        total = add_up(check_real(w, "mixture weight") for w, _ in pairs)
         if not (is_zero(total - 1, 1e-9) and all(w > 0 for w, _ in pairs)):
             raise InputFormatError("mixture weights must be positive and "
                                    "sum to 1")
@@ -274,26 +272,29 @@ class StateSpec(Record):
                 for _, ts in self.components]
 
     def psi(self, gvec):
-        gvec = tuple(gvec)
-        if self.kind == "haar":
-            return QQi.of(1 if not any(gvec) else 0)
-        total = None
-        for i, (w, ts) in enumerate(self.components):
-            if len(ts) != len(gvec):
-                raise InputFormatError(f"state has {len(ts)} rotations but "
-                                       f"the graph has {len(gvec)} colors")
-            if self.is_exact:
-                value = QQi.quarter_turn(sum(
-                    q * gi for q, gi in zip(self._quarters[i], gvec)))
-            else:
-                angle = 2.0 * math.pi * add_up(float(t) * gi
-                                               for t, gi in zip(ts, gvec))
-                value = cmath.exp(1j * angle)
-            # a character's weight is 1, and (-0j) * 1 is 0j: leave it out
-            if self.kind == "mixture":
-                value = value * w
-            total = value if total is None else total + value
-        return total
+        try:    # no guard: psi runs once per profile in every fold
+            if self.kind == "haar":
+                return QQi.of(1 if not any(gvec) else 0)
+            total = None
+            for i, (w, ts) in enumerate(self.components):
+                if len(ts) != len(gvec):
+                    raise InputFormatError(f"state has {len(ts)} rotations "
+                                           f"but the graph has {len(gvec)} "
+                                           f"colors")
+                if self.is_exact:
+                    value = QQi.quarter_turn(sum(
+                        q * gi for q, gi in zip(self._quarters[i], gvec)))
+                else:
+                    angle = 2.0 * math.pi * add_up(float(t) * gi
+                                                   for t, gi in zip(ts, gvec))
+                    value = cmath.exp(1j * angle)
+                # a character's weight is 1, and (-0j) * 1 is 0j: leave it out
+                if self.kind == "mixture":
+                    value = value * w
+                total = value if total is None else total + value
+            return total
+        except TypeError:   # only a g outside Z^k makes the arithmetic raise
+            raise InputFormatError(f"bad difference {gvec!r}") from None
 
     def describe(self):
         if self.kind == "haar":
@@ -397,7 +398,6 @@ class KMSStates:
     # -- cached periodicity machinery -----------------------------------
 
     def periodic(self, gvec):
-        gvec = tuple(gvec)
         hit = self._periodic_cache.get(gvec)
         if hit is None:
             hit = decide_periodic(self.graph, self.group, gvec)
@@ -409,11 +409,12 @@ class KMSStates:
         path of s(p)Lambda^{(n-m)+} (see kgraphs.periodicity).  Raises
         NotPeriodicError for a non-periodic m - n, as the map does for a
         path whose degree is not m."""
-        g, m, n = self.graph, tuple(m), tuple(n)
+        g = self.graph
+        step = dg.sub(dg.join(dg.check_degree(m, g.k, "shift degree"),
+                              dg.check_degree(n, g.k, "shift degree")), m)
         if not self.periodic(dg.sub(m, n)):
             raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                    f"{dg.sub(m, n)} is not periodic")
-        step = dg.sub(dg.join(m, n), m)
 
         def law(p):
             lams = p.degree == m and g.paths_of_degree(step, range=p.source)
@@ -458,8 +459,7 @@ class KMSStates:
     def unitary(self, gvec):
         """U_g = sum over mu in Lambda^{g+} of s_mu s*_{theta(mu)}; the
         theta map refuses a g that is not periodic."""
-        gvec = tuple(gvec)
-        pos = dg.pos_part(gvec)
+        pos = dg.pos_part(dg.check_vector(gvec, self.graph.k))
         law = self.theta_map(pos, dg.neg_part(gvec))
         return AlgebraElement(self.graph, {
             (mu, law(mu)): 1 for mu in self.graph.paths_of_degree(pos)})
@@ -910,11 +910,13 @@ class KMSStates:
         every color, and it factors through the graph algebra exactly when
         equality holds throughout (within tol)."""
         check_tol(tol)
-        r = tuple(float(v) for v in r)
+        if not isinstance(r, (list, tuple)):
+            raise InputFormatError(f"r {r!r} is not a sequence")
         if len(r) != self.graph.k:
             raise InputFormatError(f"r has {len(r)} entries for a "
                                    f"{self.graph.k}-color graph")
-        beta = float(beta)
+        r = tuple(float(check_real(v, "r_i")) for v in r)
+        beta = float(check_real(beta, "beta"))
         if not all(math.isfinite(beta * ri) for ri in r):
             raise InputFormatError(f"beta * r_i is not a finite float for "
                                    f"beta = {beta}, r = {r}")
@@ -929,8 +931,7 @@ class KMSStates:
         """Extreme-point count for the equilibrium states of the Toeplitz
         extension under the preferred dynamics, as a function of the
         inverse temperature.  Applicable only when every rho_i > 1."""
-        if not abs(beta) < math.inf:
-            raise InputFormatError(f"beta must be finite, not {beta}")
+        check_real(beta, "beta")
         small = [i + 1 for i, rho_i in enumerate(self.measure.rho)
                  if not float(rho_i) > 1.0]
         if small:
@@ -1040,10 +1041,8 @@ def _add_turns(ta, tb):
 
 
 def _degree_box(max_degree, k):
-    D = (max_degree,) * k if type(max_degree) is int else max_degree
-    if not dg.is_degree(D, k):
-        raise InputFormatError(f"bad degree box {max_degree!r}")
-    return D
+    return dg.check_degree((max_degree,) * k if type(max_degree) is int
+                           else max_degree, k, "degree box")
 
 
 def _scaled(value, scale):

@@ -59,6 +59,7 @@ class CylinderMeasure:
         key = (degree, source)
         hit = self._masses.get(key)
         if hit is None:
+            dg.check_degree(degree, self.graph.k)
             hit = dg.rho_power(self.rho, dg.neg(degree)) * self.x[source]
             self._masses[key] = hit
         return hit
@@ -81,10 +82,9 @@ def consistency_check(cm, m, n, tol=CONSISTENCY_TOL):
     preserve mass, and Lambda^n must carry total mass 1.  Both masses depend
     on a cylinder Z(lam) only through s(lam): refined once per source."""
     check_tol(tol)
-    m, n = tuple(m), tuple(n)
-    if not (dg.is_nonneg(m) and dg.leq(m, n)):
-        raise InputFormatError(f"need 0 <= {m} <= {n}")
     g = cm.graph
+    if not dg.leq(dg.check_degree(m, g.k), dg.check_degree(n, g.k)):
+        raise InputFormatError(f"need 0 <= {m} <= {n}")
     step = dg.sub(n, m)
     max_err = cm.zero
     for v in dict.fromkeys(lam.source for lam in g.paths_of_degree(m)):
@@ -145,12 +145,10 @@ def periodicity_mass_profile(cm, m, n, max_level):
     """Outer-bound masses of {sigma^m = sigma^n} at levels 0..max_level.
 
     Decreasing in the level; identically 1 exactly when m - n is periodic."""
-    m, n = tuple(m), tuple(n)
-    if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
-        raise InputFormatError("shift degrees must be nonnegative")
-    check_count(max_level, "level")
     g = cm.graph
-    jn = dg.join(m, n)
+    jn = dg.join(dg.check_degree(m, g.k, "shift degree"),
+                 dg.check_degree(n, g.k, "shift degree"))
+    check_count(max_level, "level")
     return list(_level_masses(cm, jn, [
         (p.source, ((g.factorize(p, m)[1].edges,
                      g.factorize(p, n)[1].edges),) * g.k)
@@ -206,8 +204,7 @@ def find_decay_witness(cm, gvec, a_max=6):
     increasing |a|_1 then lexicographic order; tails likewise."""
     check_count(a_max, "a_max")
     g = cm.graph
-    gvec = tuple(gvec)
-    if not any(gvec):
+    if not any(dg.check_vector(gvec, g.k)):
         raise InputFormatError("witness search needs a nonzero difference")
     pos, neg = dg.pos_part(gvec), dg.neg_part(gvec)
     cands = [a for a in dg.degrees_below((a_max,) * g.k) if any(a)]

@@ -43,12 +43,10 @@ def check_pair(graph, m, n):
     enumerated, as theta_{m,n} would keep ranges and sources.
     """
     graph.require_strongly_connected()
-    m, n = tuple(m), tuple(n)
-    if not (dg.is_nonneg(m) and dg.is_nonneg(n)):
-        raise InputFormatError("shift degrees must be nonnegative")
+    jn = dg.join(dg.check_degree(m, graph.k, "shift degree"),
+                 dg.check_degree(n, graph.k, "shift degree"))
     if m == n:
         return True
-    jn = dg.join(m, n)
     units = [dg.unit(graph.k, color) for color in range(1, graph.k + 1)]
     # |Lambda^{(m v n) + e_i}| = sum_v (A_i x)_v, x_v = |vLambda^{m v n}|
     x = graph._stem_chain(jn)[-1][1]
@@ -96,7 +94,6 @@ def theta(graph, m, n):
     """Build theta_{m,n} as the tail after m of alpha.mu (see the module
     docstring); raises NotPeriodicError when m - n is not a confirmed
     periodicity, or when no vertex-preserving bijection is found."""
-    m, n = tuple(m), tuple(n)
     if not check_pair(graph, m, n):
         raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                f"{dg.sub(m, n)} is not periodic")
@@ -131,9 +128,7 @@ class PeriodicityGroup(Record):
     def contains(self, gvec):
         """Exact membership in the detected subgroup (valid for any vector
         of Z^k, not just ones inside the search box)."""
-        v = tuple(gvec)
-        if not dg.is_vector(v, self.k):
-            raise InputFormatError(f"difference {v!r} is not in Z^{self.k}")
+        v = dg.check_vector(gvec, self.k)
         for row in self.basis:
             c = next(i for i, a in enumerate(row) if a != 0)
             if v[c] % row[c] != 0:
@@ -225,10 +220,8 @@ def decide_periodic(graph, group, gvec):
     lattice, no elsewhere in the box of a group complete up to its bound (the
     search decided every vector there), else the pair decision procedure.
     Raises PeriodicityUndecidedError only when that passes the graph's cap."""
-    gvec = tuple(gvec)
-    if not dg.is_vector(gvec, graph.k):
-        raise InputFormatError(f"difference {gvec!r} is not in Z^{graph.k}")
-    if not any(gvec) or (group is not None and group.contains(gvec)):
+    if not any(dg.check_vector(gvec, graph.k)) or (
+            group is not None and group.contains(gvec)):
         return True
     if group is not None and group.complete_up_to_bound and \
             max(map(abs, gvec)) <= group.search_bound:

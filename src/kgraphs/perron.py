@@ -19,7 +19,7 @@ from operator import mul
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
                      NotIrreducibleError, Record)
-from .scalars import add_up, solve_exact
+from .scalars import add_up, check_real, solve_exact
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10 ** 6
@@ -64,8 +64,7 @@ class MatrixFamily(Record):
 
     def power(self, n):
         """A^n = prod A_i^{n_i} (n in N^k)."""
-        if len(n) != self.k or not dg.is_nonneg(n):
-            raise InputFormatError(f"bad exponent {n}")
+        dg.check_degree(n, self.k, "exponent")
         acc = identity(self.size)
         for i, reps in enumerate(n):
             for _ in range(reps):
@@ -219,10 +218,11 @@ def verify_subinvariance(fam, y, lam, pd):
     nonzero nonnegative subinvariant y must be strictly positive with every
     lam_i >= rho_i, and when lam = rho and |y|_1 = 1 it must equal the
     eigenvector."""
-    if len(y) != fam.size or len(lam) != fam.k:
+    if not (isinstance(y, (list, tuple)) and isinstance(lam, (list, tuple))
+            and len(y) == fam.size and len(lam) == fam.k):
         raise InputFormatError("vector/lambda shapes do not match the family")
-    if not all(abs(v) < math.inf for v in (*y, *lam)):
-        raise InputFormatError("y and lambda must be finite")
+    for v in (*y, *lam):
+        check_real(v, "an entry of y or lambda")
     if any(v < 0 for v in y) or not any(v > 0 for v in y):
         raise InputFormatError("y must be nonnegative and nonzero")
     exact_in = all(isinstance(v, (int, Fraction)) for v in list(y) + list(lam))
@@ -272,7 +272,7 @@ def spectral_radius_power_check(fam, n, oracle, pd):
     got_box = float(oracle(a_f))
     want_box = add_up(dg.rho_power(pd.rho, m) for m in pd.F)
     return SpectralCheckReport(
-        n=tuple(n),
+        n=n,
         oracle_power=got_power, predicted_power=want_power,
         power_error=abs(got_power - want_power),
         oracle_box=got_box, predicted_box=want_box,

@@ -146,10 +146,19 @@ TOEPLITZ_TOL = 1e-9
 CONSISTENCY_TOL = 1e-10
 
 
+def check_real(value, name):
+    """value, if it is a finite int, Fraction or float; bools refused."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, Fraction, float)) and abs(value) < math.inf):
+        raise InputFormatError(f"{name} {value!r} is not a finite number")
+    return value
+
+
 def check_tol(value, name="tol"):
-    """Refuse a tolerance, or another numeric option, that is negative, NaN
-    or infinite."""
-    if not 0 <= value < math.inf:
+    """Refuse a tolerance, or another numeric option, that check_real
+    refuses or that is negative; a NaN or infinite float is refused here."""
+    if isinstance(value, float) and not 0 <= value < math.inf or \
+            check_real(value, name) < 0:
         raise InputFormatError(
             f"{name} must be finite and nonnegative, not {value}")
 

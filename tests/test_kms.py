@@ -490,7 +490,8 @@ SPLIT = "operation requires a strongly connected graph"
      "matrix shape does not match 1 labels"),
     (lambda f: MatrixFamily(("v",), (((-1,),),)), InputFormatError,
      "matrix entries must be nonnegative"),
-    (lambda f: ONE.power((-1,)), InputFormatError, "bad exponent (-1,)"),
+    (lambda f: ONE.power((-1,)), InputFormatError,
+     "exponent (-1,) is not in N^1"),
     (lambda f: perron_data(MatrixFamily(("u", "w"), (((1, 1), (0, 1)),))),
      NotIrreducibleError, "no box sum of powers is entrywise positive within "
      "the bound, or a coordinate matrix is zero; family is not irreducible"),
@@ -540,7 +541,7 @@ SPLIT = "operation requires a strongly connected graph"
         StateSpec.character((F(1, 4),)), StateSpec.character((0, 0))),
      InputFormatError, "character dimension mismatch"),
     (lambda f: periodicity_mass_profile(f["measures"]["b2"], (-1,), (0,), 1),
-     InputFormatError, "shift degrees must be nonnegative"),
+     InputFormatError, "shift degree (-1,) is not in N^1"),
     (lambda f: agreement_mass(f["measures"]["fib"], *map(
         f["graphs"]["fib"].parse_path, ("euu", "euv")), 1),
      InputFormatError, "mu and nu must share a source vertex"),

@@ -42,7 +42,8 @@ def test_negative_shift_degrees_are_input_errors(graphs, m, n):
     g = graphs["pullback-b2"]
     for call in (check_pair, theta):
         with pytest.raises(InputFormatError,
-                           match="^shift degrees must be nonnegative$"):
+                           match=r"^shift degree \((-1, 0|0, -1)\) is not "
+                                 r"in N\^2$"):
             call(g, m, n)
 
 
