@@ -369,6 +369,8 @@ class KGraph:
 
     def parse_path(self, literal):
         """Parse a path literal: a vertex id, or edge ids joined by '.'."""
+        if type(literal) is not str:
+            raise InputFormatError(f"path literal {literal!r} is not a string")
         if literal in self._vset:
             return self.vertex_path(literal)
         parts = literal.split(PATH_SEP)
@@ -523,6 +525,7 @@ class KGraph:
         m = degree - d(path), in paths_of_degree order.  The key is the
         normal form of path.a, built without a Path for it."""
         self._own(path)
+        dg.check_degree(degree, self.k)
         start = len(path.edges)
         return {tuple(self._normalize(path.edges + a.edges, start)): a
                 for a in self.paths_of_degree(dg.sub(degree, path.degree),

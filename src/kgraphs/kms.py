@@ -316,6 +316,8 @@ def parse_state(text):
     """Parse a state literal: "haar", or "z=<turns>" with comma-separated
     rotations measured in full turns (fractions stay exact: z=1/4,0 is the
     character (i, 1))."""
+    if type(text) is not str:
+        raise InputFormatError(f"state literal {text!r} is not a string")
     text = text.strip()
     if text == "haar":
         return StateSpec.haar()
@@ -438,6 +440,8 @@ class KMSStates:
         theta_blind drops the bijection condition -- a deliberately wrong
         functional used as a negative control for kms_check.
         """
+        self.graph._own(mu)
+        self.graph._own(nu)
         if mu.source != nu.source:
             raise InputFormatError("phi is defined on span terms, which "
                                    "need a common source")

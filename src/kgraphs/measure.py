@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import product, starmap
 
 from . import degrees as dg
-from .errors import (EnumerationCapError, InputFormatError, Record,
-                     WitnessSearchError)
+from .errors import (CompositionError, EnumerationCapError, InputFormatError,
+                     Record, WitnessSearchError)
 from .scalars import (CONSISTENCY_TOL, add_up, check_count, check_tol,
                       is_zero)
 
@@ -55,11 +55,13 @@ class CylinderMeasure:
 
     def mass_at(self, degree, source):
         """The mass of every cylinder Z(p) with d(p) = degree and
-        s(p) = source, computed once per pair."""
+        s(p) = source, computed once per pair; each new pair is checked."""
         key = (degree, source)
         hit = self._masses.get(key)
         if hit is None:
             dg.check_degree(degree, self.graph.k)
+            if source not in self.x:
+                raise CompositionError(f"vertex {source!r} not in this graph")
             hit = dg.rho_power(self.rho, dg.neg(degree)) * self.x[source]
             self._masses[key] = hit
         return hit

@@ -19,7 +19,7 @@ from operator import mul
 from . import degrees as dg
 from .errors import (ConvergenceError, InputFormatError, NonConstantRatioError,
                      NotIrreducibleError, Record)
-from .scalars import add_up, check_real, solve_exact
+from .scalars import add_up, check_count, check_real, solve_exact
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10 ** 6
@@ -73,6 +73,7 @@ class MatrixFamily(Record):
 
     def box_sum(self, bound):
         """A_F for F = {0..bound}^k, together with F as a degree list."""
+        check_count(bound, "bound")
         F = dg.degrees_below((bound,) * self.k)
         # entrywise sums over the powers, each taken in F's order
         rows = zip(*(self.power(n) for n in F))

@@ -223,7 +223,9 @@ def test_foreign_paths_raise_composition_error(pb2g, prodg, measures,
                                                states):
     # product-b2-c2's edge ids are unknown to pullback-b2; Lambda^min and
     # extensions found no path from the foreign vertex v:w1, so
-    # agreement_mass reported mass 0, and phi raised a bare KeyError
+    # agreement_mass reported mass 0, and phi raised a bare KeyError; the
+    # mass of e1:w1 and blind phi raised one too, and phi on a grade that
+    # is not periodic answered 0
     p = prodg.parse_path("e1:w1.v:g1")
     mu, nu = prodg.factorize(p, (1, 0))
     for op in (lambda: pb2g.factorize(p, (1, 0)),
@@ -234,7 +236,12 @@ def test_foreign_paths_raise_composition_error(pb2g, prodg, measures,
                lambda: pb2g.extensions(mu, (1, 1)),
                lambda: agreement_mass(measures["pullback-b2"], mu, mu, 1),
                lambda: states["pullback-b2"].phi_eval(StateSpec.haar(), mu,
-                                                      mu)):
+                                                      mu),
+               lambda: measures["pullback-b2"].mass(mu),
+               lambda: states["pullback-b2"].phi_eval(
+                   StateSpec.haar(), mu, mu, theta_blind=True),
+               lambda: states["pullback-b2"].phi_eval(
+                   StateSpec.haar(), mu, prodg.vertex_path("v:w1"))):
         with pytest.raises(CompositionError):
             op()
 

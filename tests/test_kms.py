@@ -449,10 +449,14 @@ def test_bad_tol_is_refused(states, tol):
     lambda st: StateSpec.mixture([(1, (0, math.nan))]),
     lambda st: st.phase_diagram(math.nan),
     lambda st: st.phase_diagram(math.inf),
+    lambda st: st.phase_diagram(True),
+    lambda st: st.kms_check(StateSpec.haar(), (1, 1), tol=True),
 ], ids=["rotation-nan", "rotation-inf", "weight-nan", "weight-inf",
-        "mixture-rotation-nan", "beta-nan", "beta-inf"])
+        "mixture-rotation-nan", "beta-nan", "beta-inf", "beta-true",
+        "tol-true"])
 def test_non_finite_numbers_are_refused(states, make):
-    # NaN fails every comparison, so a check must ask for what is valid
+    # NaN fails every comparison, so a check must ask for what is valid;
+    # a bool is no number, though phase_diagram(True) and tol=True once ran
     with pytest.raises(InputFormatError):
         make(states["pullback-b2"])
 
@@ -468,6 +472,15 @@ def test_negative_degree_box_is_refused(states):
             st.kms_check(StateSpec.haar(), bad)
         with pytest.raises(InputFormatError):
             st.unitary_identities(bad)
+    # the same rule holds for every degree argument: these once answered,
+    # reading a rank-1 degree, a negative one or a float one
+    g, cm = st.graph, st.measure
+    for call in (lambda: g.factorize(g.parse_path("a1.b1"), (1,)),
+                 lambda: cm.mass_at((-1, 0), "v"),
+                 lambda: cm.mass_at((1.5, 0), "v"),
+                 lambda: cm.mass(builders.FIXTURES["b2"]().parse_path("e1"))):
+        with pytest.raises(InputFormatError):
+            call()
 
 
 # v <- x <- y: a valid graph, with a source y and a sink v, that is not
@@ -559,6 +572,10 @@ SPLIT = "operation requires a strongly connected graph"
      "family is not irreducible-with-eigenvector as claimed"),
     (lambda f: f["states"]["pullback-b2"].unitary((1, 1)), NotPeriodicError,
      "shifts by (1, 1) and (0, 0) disagree; (1, 1) is not periodic"),
+    (lambda f: f["graphs"]["b2"].parse_path(None), InputFormatError,
+     "path literal None is not a string"),
+    (lambda f: parse_state(None), InputFormatError,
+     "state literal None is not a string"),
 ], ids=["states", "check_pair", "periodicity_group", "is_zero", "no-matrix",
         "shape", "negative-entry", "power", "reducible", "decay-witness",
         "empty-mixture", "empty-rotation", "act-haar", "simplex", "phase",
@@ -566,7 +583,8 @@ SPLIT = "operation requires a strongly connected graph"
         "unit-color", "edge-id", "vertex-id", "empty-edges", "not-composable",
         "factorize-past-degree", "two-graphs", "character-length",
         "profile-negative-degree", "agreement-sources", "decay-sources",
-        "theta-table", "jsonable", "non-commuting", "unitary"])
+        "theta-table", "jsonable", "non-commuting", "unitary",
+        "parse-path-none", "parse-state-none"])
 def test_refusals(graphs, perron, measures, states, call, error, message):
     fixtures = {"graphs": graphs, "perron": perron, "measures": measures,
                 "states": states}
