@@ -155,8 +155,8 @@ def check_real(value, name):
 
 
 def check_tol(value, name="tol"):
-    """Refuse a tolerance, or another numeric option, that check_real
-    refuses or that is negative; a NaN or infinite float is refused here."""
+    """Refuse a tolerance, or another numeric option, that is negative or
+    that check_real refuses; a NaN or infinite float gets this message."""
     if isinstance(value, float) and not 0 <= value < math.inf or \
             check_real(value, name) < 0:
         raise InputFormatError(
