@@ -260,7 +260,7 @@ def report_kms_eval(ctx, args):
     value = states.phi_eval(state, mu, nu, theta_blind=args.theta_blind)
     return {"state": state.describe(), "mu": mu, "nu": nu,
             "grade": dg.sub(mu.degree, nu.degree), "value": value,
-            "exact": states.measure.exact and state.is_exact}, True
+            "exact": isinstance(value, QQi)}, True
 
 
 def report_kms_check(ctx, args):

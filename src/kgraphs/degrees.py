@@ -51,10 +51,6 @@ def leq(m, n):
     return all(a <= b for a, b in zip(m, n))
 
 
-def is_nonneg(m):
-    return all(a >= 0 for a in m)
-
-
 def check_vector(g, k, what="difference"):
     """g, if it is in Z^k: a k-tuple of ints, bools refused."""
     if type(g) is tuple and len(g) == k and all(type(c) is int for c in g):
@@ -110,7 +106,7 @@ def parse_degree(text, k):
         vec = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise InputFormatError(f"bad degree literal {text!r}") from exc
-    if not is_nonneg(vec):
+    if min(vec) < 0:
         raise InputFormatError(f"degree literal {text!r} must be nonnegative")
     return vec
 

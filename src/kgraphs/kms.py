@@ -81,10 +81,6 @@ class AlgebraElement:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, graph):
-        return cls(graph)
-
-    @classmethod
     def span(cls, graph, mu, nu, coeff=1):
         if mu.source != nu.source:
             raise InputFormatError(
@@ -427,7 +423,15 @@ class KMSStates:
         return law
 
     def _zero(self, state):
+        """phi's zero: a QQi when the measure and the state are exact."""
         return QQi.of(0) if (self.measure.exact and state.is_exact) else 0j
+
+    def _group(self, what):
+        """The periodicity group, which `what` needs; refused if not given."""
+        if self.group is None:
+            raise InputFormatError(
+                f"{what} needs a computed periodicity group")
+        return self.group
 
     # -- state evaluation -----------------------------------------------
 
@@ -838,13 +842,13 @@ class KMSStates:
         """
         D = _degree_box(max_degree, self.graph.k)
         check_tol(tol)
-        exact = self.measure.exact and state.is_exact
+        zero = self._zero(state)
+        exact = isinstance(zero, QQi)
         table = self._sweep_table(D, theta_blind)
         paths, matched_pairs = table["paths"], table["matched_pairs"]
         n = len(paths)
         unit = table["mass_unit"]
         rho = self.measure.rho
-        zero = self._zero(state)
         failures = []
         failure_count = 0
         max_dev = 0.0
@@ -892,10 +896,7 @@ class KMSStates:
         """Shape of the equilibrium-state simplex at the critical inverse
         temperature: its extreme points are the characters of the
         periodicity group."""
-        if self.group is None:
-            raise InputFormatError("simplex description needs a computed "
-                                   "periodicity group")
-        rank = self.group.rank
+        rank = self._group("simplex description").rank
         if rank == 0:
             param = "a single point"
         else:
@@ -947,10 +948,8 @@ class KMSStates:
         if beta > 1:
             count = len(self.graph.vertices)
         elif beta == 1:
-            if self.group is None:
-                raise InputFormatError("phase count at beta = 1 needs a "
-                                       "computed periodicity group")
-            count = "infinite" if self.group.rank > 0 else 1
+            count = ("infinite" if self._group("phase count at beta = 1").rank
+                     else 1)
         else:
             count = 0
         return PhaseReport(beta=beta, applicable=True, reason="",
@@ -981,10 +980,7 @@ class KMSStates:
         so it equals only itself, but on the trivial group (no basis) every
         specification gives the same state.
         """
-        if self.group is None:
-            raise InputFormatError("state comparison needs a computed "
-                                   "periodicity group")
-        basis = self.group.basis
+        basis = self._group("state comparison").basis
         if not basis:
             return True
         for state in (sa, sb):

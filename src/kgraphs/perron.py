@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 
 from . import degrees as dg
@@ -55,12 +54,6 @@ class MatrixFamily(Record):
     @property
     def size(self):
         return len(self.labels)
-
-    def check_commuting(self):
-        """True iff all pairs commute, compared exactly (the entries are
-        ints or Fractions)."""
-        return all(mat_mul(a, b) == mat_mul(b, a)
-                   for a, b in combinations(self.matrices, 2))
 
     def power(self, n):
         """A^n = prod A_i^{n_i} (n in N^k)."""

@@ -92,11 +92,8 @@ class QQi(Record):
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
     def __bool__(self):
-        return not self.is_zero()
+        return self.re != 0 or self.im != 0
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -42,7 +42,7 @@ def random_elements(g, seed, count, max_deg=None):
              for p in g.paths_of_degree(n)]
     out = []
     for _ in range(count):
-        elem = AlgebraElement.zero(g)
+        elem = AlgebraElement(g)
         for _ in range(rng.randint(1, 3)):
             mu = rng.choice(paths)
             partners = [p for p in paths if p.source == mu.source]
@@ -73,7 +73,7 @@ def test_vertex_resolution(graphs):
         for v in g.vertices:
             p = AlgebraElement.vertex_projection(g, v)
             for color in range(1, g.k + 1):
-                total = AlgebraElement.zero(g)
+                total = AlgebraElement(g)
                 for e in g.paths_of_degree(dg.unit(g.k, color), range=v):
                     total = total + AlgebraElement.span(g, e, e)
                 assert p.equals(total)
@@ -594,7 +594,7 @@ def test_refusals(graphs, perron, measures, states, call, error, message):
 
 def test_zero_element_repr(graphs):
     one = AlgebraElement.identity(graphs["b2"])
-    assert repr(AlgebraElement.zero(graphs["b2"])) == "<0>"
+    assert repr(AlgebraElement(graphs["b2"])) == "<0>"
     assert repr(one - one) == "<0>"
 
 
