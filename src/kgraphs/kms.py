@@ -73,7 +73,7 @@ class AlgebraElement:
         self.graph = graph
         pruned = {}
         for term, coeff in (terms or {}).items():
-            coeff = coerce_scalar(coeff)
+            coeff = _coefficient(coeff)
             if not is_zero(coeff, FLOAT_PRUNE):
                 pruned[term] = coeff
         self.terms = pruned
@@ -126,6 +126,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c):
+        c = _coefficient(c)
         return AlgebraElement(self.graph,
                               {t: coeff * c for t, coeff in self.terms.items()})
 
@@ -396,7 +397,10 @@ class KMSStates:
     # -- cached periodicity machinery -----------------------------------
 
     def periodic(self, gvec):
-        hit = self._periodic_cache.get(gvec)
+        try:
+            hit = self._periodic_cache.get(gvec)
+        except TypeError:   # unhashable, as a list: decide_periodic refuses it
+            hit = None
         if hit is None:
             hit = decide_periodic(self.graph, self.group, gvec)
             self._periodic_cache[gvec] = hit
@@ -1032,6 +1036,14 @@ class _BoxIndex:
         normal-form edges, range r and source s: by edges, or by vertex."""
         head, tail = self.graph._take(edges, m)
         return self._number[tuple(head) or r], self._number[tuple(tail) or s]
+
+
+def _coefficient(c):
+    """coerce_scalar(c), with InputFormatError for what is no number."""
+    try:
+        return coerce_scalar(c)
+    except TypeError:
+        raise InputFormatError(f"coefficient {c!r} is not a number") from None
 
 
 def _add_turns(ta, tb):

@@ -57,7 +57,10 @@ class CylinderMeasure:
         """The mass of every cylinder Z(p) with d(p) = degree and
         s(p) = source, computed once per pair; each new pair is checked."""
         key = (degree, source)
-        hit = self._masses.get(key)
+        try:
+            hit = self._masses.get(key)
+        except TypeError:   # unhashable, as a list: check_degree refuses it
+            hit = None
         if hit is None:
             dg.check_degree(degree, self.graph.k)
             if source not in self.x:

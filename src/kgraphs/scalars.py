@@ -4,9 +4,13 @@ The KMS-state formulas take values in Q[i] whenever the Perron data is rational
 and the character is a quarter turn; QQi keeps those computations exact.  The
 row-reduction solver backs the exact reconstruction of Perron eigenvectors.
 
-Exactness is decided by operand types here and nowhere else: QQi combined
-with an int or Fraction stays a QQi, and combined with a float or complex
-gives the complex result, so other modules use plain operators.
+Where exactness is chosen: PerronData.exact (rational Perron data) and
+StateSpec.is_exact (rational weights, quarter-turn rotations) pick the
+representation of masses and of psi values, and KMSStates._zero decides
+whether a measure and a state together are exact.  Everything else reads
+operand types: QQi combined with an int or Fraction stays a QQi, and
+combined with a float or complex gives the complex result, so other modules
+use plain operators and test isinstance(value, QQi).
 """
 
 from __future__ import annotations

@@ -3,18 +3,20 @@
 Each case below is one argument of a public function or method of graphs,
 measure, periodicity, perron or kms.  The call gets small valid values for
 its other arguments (box and witness degree (1, .., 1), level, bound and
-counts 1) on one of the four fixtures, and a hostile draw for that one:
+counts 1) on one of five graphs, the four fixtures and a single-vertex
+2-graph whose squares are not the flip (THREE_BY_TWO), and a hostile draw
+for that one:
 
-- a degree, difference, number, count or tolerance argument: a tuple of the
-  wrong length, a tuple of the right length with a negative or a float
-  entry, True or False, a negative number, NaN or an infinity, a string or
-  None;
-- a path argument: a path of another fixture;
+- a degree, difference, number, count, tolerance or coefficient argument: a
+  tuple of the wrong length, a tuple of the right length with a negative or
+  a float entry, a list of the right length (unhashable, so a cache lookup
+  must not meet it unchecked), True or False, a negative number, NaN or an
+  infinity, a string or None;
+- a path argument: a path of another of the five graphs;
 - a state argument: a state with the wrong number of rotations.
 
 The call must return or raise a KGraphError subclass, never another
-exception.  Every draw is hashable: CylinderMeasure.mass_at and
-KMSStates.periodic look their caches up before they check an argument.
+exception.
 
 Left out, with the reason:
 
@@ -22,9 +24,9 @@ Left out, with the reason:
   of path_from_edges, graph documents (from_json, from_json_dict), the
   matrices and families that perron's functions take (MatrixFamily,
   mat_vec, mat_mul, identity, power_iteration, find_positive_F,
-  perron_data), AlgebraElement's terms and its Gaussian-rational or complex
-  coefficients, decay witnesses, the oracle of spectral_radius_power_check
-  and flags such as theta_blind;
+  perron_data), the (mu, nu) keys of AlgebraElement's terms, decay
+  witnesses, the oracle of spectral_radius_power_check and flags such as
+  theta_blind;
 - KGraph.split_strip and periodicity.hnf_basis: inner-loop helpers whose
   arguments come from their callers' own factorizations and search, so
   they check nothing.
@@ -37,16 +39,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgraphs import degrees as dg
-from kgraphs.errors import KGraphError
+from kgraphs import builders, degrees as dg
+from kgraphs.errors import InputFormatError, KGraphError
 from kgraphs.kms import AlgebraElement, KMSStates, StateSpec, parse_state
 from kgraphs.measure import (CylinderMeasure, DecayWitness, agreement_mass,
                              consistency_check, decay_check,
                              find_decay_witness, periodicity_mass_profile)
 from kgraphs.periodicity import (check_pair, decide_periodic,
                                  periodicity_group, theta)
-from kgraphs.perron import (MatrixFamily, spectral_radius_power_check,
-                            verify_subinvariance)
+from kgraphs.perron import (MatrixFamily, perron_data,
+                            spectral_radius_power_check, verify_subinvariance)
+from test_kms_cells import THREE_BY_TWO
 
 NUMBER, PATH, STATE, LITERAL = "number", "path", "state", "literal"
 
@@ -59,6 +62,7 @@ def hostile_numbers(k):
         .map(tuple),
         st.lists(ints, min_size=k, max_size=k).filter(lambda v: min(v) < 0)
         .map(tuple),
+        st.lists(ints, min_size=k, max_size=k),
         st.lists(st.one_of(ints, st.floats()), min_size=k, max_size=k)
         .filter(lambda v: float in map(type, v)).map(tuple),
         st.sampled_from([True, False, -1, -0.5, math.nan, math.inf,
@@ -76,7 +80,13 @@ def wrong_states(k):
 
 @pytest.fixture(scope="module")
 def envs(graphs, perron, groups):
-    """Per fixture: its objects, valid defaults and foreign paths."""
+    """Per graph: its objects, valid defaults and foreign paths."""
+    three_by_two = builders.make_single_vertex(2, [3, 2], THREE_BY_TWO)
+    graphs = dict(graphs, **{"three-by-two": three_by_two})
+    perron = dict(perron, **{"three-by-two": perron_data(
+        MatrixFamily.from_graph(three_by_two))})
+    groups = dict(groups, **{"three-by-two": periodicity_group(
+        three_by_two, bound=2)})
     out = {}
     for name, g in graphs.items():
         k, pd = g.k, perron[name]
@@ -187,6 +197,10 @@ CASES = {
     "parse_state": (LITERAL, lambda e, x: parse_state(x)),
     "span-mu": (PATH, lambda e, x: AlgebraElement.span(e.g, x, x)
                 * AlgebraElement.span(e.g, e.mu, e.mu)),
+    "span-coeff": (NUMBER,
+                   lambda e, x: AlgebraElement.span(e.g, e.mu, e.mu, x)),
+    "scale": (NUMBER,
+              lambda e, x: AlgebraElement.span(e.g, e.mu, e.mu).scale(x)),
     # kms: the state family
     "periodic": (NUMBER, lambda e, x: e.states.periodic(x)),
     "theta_map-m": (NUMBER, lambda e, x: e.states.theta_map(x, e.zero)),
@@ -241,3 +255,13 @@ def test_returns_or_refuses_with_a_kgraph_error(envs, kind, call, data):
         call(env, value)
     except KGraphError:
         pass
+
+
+def test_unhashable_degrees_and_differences_are_refused(envs):
+    """A list meets its guard behind the cache lookup, on every graph."""
+    for e in envs.values():
+        for call in (lambda: e.cm.mass_at(list(e.ones), e.mu.source),
+                     lambda: e.states.periodic(list(e.ones))):
+            with pytest.raises(InputFormatError,
+                               match=r"^(degree|difference) \[1"):
+                call()
