@@ -4,14 +4,14 @@ Each case below is one argument of a public function or method of graphs,
 measure, periodicity, perron or kms.  The call gets small valid values for
 its other arguments (box and witness degree (1, .., 1), level, bound and
 counts 1) on one of five graphs, the four fixtures and a single-vertex
-2-graph whose squares are not the flip (THREE_BY_TWO), and a hostile draw
-for that one:
+2-graph whose squares are not the flip (THREE_BY_TWO of test_kms_cells),
+and a hostile draw for that one:
 
 - a degree, difference, number, count, tolerance or coefficient argument: a
   tuple of the wrong length, a tuple of the right length with a negative or
-  a float entry, a list of the right length (unhashable, so a cache lookup
-  must not meet it unchecked), True or False, a negative number, NaN or an
-  infinity, a string or None;
+  a float entry, a list of the right length (unhashable: a cache lookup
+  must pass it on to its guard), True or False, a negative number, NaN or
+  an infinity, a string or None;
 - a path argument: a path of another of the five graphs;
 - a state argument: a state with the wrong number of rotations.
 
@@ -81,12 +81,11 @@ def wrong_states(k):
 @pytest.fixture(scope="module")
 def envs(graphs, perron, groups):
     """Per graph: its objects, valid defaults and foreign paths."""
-    three_by_two = builders.make_single_vertex(2, [3, 2], THREE_BY_TWO)
-    graphs = dict(graphs, **{"three-by-two": three_by_two})
-    perron = dict(perron, **{"three-by-two": perron_data(
-        MatrixFamily.from_graph(three_by_two))})
-    groups = dict(groups, **{"three-by-two": periodicity_group(
-        three_by_two, bound=2)})
+    twisted = builders.make_single_vertex(2, [3, 2], THREE_BY_TWO)
+    graphs = {**graphs, "three-by-two": twisted}
+    perron = {**perron, "three-by-two": perron_data(
+        MatrixFamily.from_graph(twisted))}
+    groups = {**groups, "three-by-two": periodicity_group(twisted, bound=2)}
     out = {}
     for name, g in graphs.items():
         k, pd = g.k, perron[name]
