@@ -27,12 +27,16 @@ class Record:
         # dataclasses does when it builds the class: a process compiles
         # only what it builds, and Python's signature checks the arguments
         cls, fields = type(self), self._fields
-        defaults = {} if "__slots__" in vars(cls) else vars(cls)
+        slotted = "__slots__" in vars(cls)
+        defaults = {} if slotted else vars(cls)
         params = [f"{f}=_d[{f!r}]" if f in defaults else f for f in fields]
-        body = [f"_set(self, {f!r}, {f})" for f in fields]
+        space = {"_set": object.__setattr__, "_d": defaults}
+        if slotted:     # a slot's own descriptor sets it with no name lookup
+            space.update((f"_set_{f}", vars(cls)[f].__set__) for f in fields)
+        body = [f"_set_{f}(self, {f})" if slotted
+                else f"_set(self, {f!r}, {f})" for f in fields]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        space = {"_set": object.__setattr__, "_d": defaults}
         exec(f"def __init__(self, {', '.join(params)}):\n    "
              + "\n    ".join(body), space)
         cls.__init__ = space["__init__"]

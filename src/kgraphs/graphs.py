@@ -7,6 +7,10 @@ that e.f = f'.e' as morphisms.  Paths are kept in color-ordered normal form
 (all color-1 edges first, then color-2, ...).  Each path operation is one
 pass over a list of edge ids through two flat square dicts: composition is an
 insertion merge, factorization carries each head edge left past the tail.
+split_strip does both in place on one list.  The enumeration of Lambda^n
+pauses the cyclic collector, whose passes over the Paths and edge tuples it
+makes took a third of the (8,8) enumeration of pullback-b2: it makes no
+reference cycles, and the cap check before it bounds what a pause covers.
 
 Validation walks only what the graph holds: a squares pass fills the square
 tables, a pairs pass finds the composable pairs of distinct colors that no
@@ -17,6 +21,7 @@ factorization unique, which every other module relies on.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter, defaultdict
 from itertools import chain, groupby
@@ -420,10 +425,21 @@ class KGraph:
     def split_strip(self, rest, edges, e_i):
         """Given the rest xi(a, d(xi)) of a path xi and the edges of a path
         t, both in normal form: the id of (xi t)(a, a + e_i) and the rest
-        (xi t)(a + e_i, d(xi t)), since (xi t)(a, .) = xi(a, .) t."""
-        head, tail = self._take(self._normalize([*rest, *edges], len(rest)),
-                                e_i)
-        return head[0], tail
+        (xi t)(a + e_i, d(xi t)), since (xi t)(a, .) = xi(a, .) t.  In
+        place on one list: _normalize's merge, then _take's head carry."""
+        seq = [*rest, *edges]
+        color, inv, fwd = self._color, self._inv, self._fwd
+        for t in range(len(rest), len(seq)):
+            c, j = color[seq[t]], t
+            while j and color[seq[j - 1]] > c:
+                seq[j - 1], seq[j] = inv[seq[j - 1], seq[j]]
+                j -= 1
+        c, t = e_i.index(1) + 1, 0
+        while color[seq[t]] != c:
+            t += 1
+        for j in range(t, 0, -1):
+            seq[j - 1], seq[j] = fwd[seq[j - 1], seq[j]]
+        return seq[0], seq[1:]
 
     def factorize(self, path, m):
         """The unique factorization path = head . tail with d(head) = m."""
@@ -497,20 +513,27 @@ class KGraph:
         color's runs grow edge by edge from where the lower colors' paths
         end and are joined to them there; only the last join makes Paths."""
         edge, by_range = self._edge, self._by_range
-        level = [((), v, v) for v in self.vertices]
-        runs = {v: [((), v)] for v in self.vertices}   # not yet joined
-        for c, length in enumerate(n, 1):
-            if length:
-                level = [(pe + es, r, s) for pe, r, ps in level
-                         for es, s in runs[ps]]
-                runs = {s: [((), s)] for _, _, s in level}
-                for _ in range(length):
-                    runs = {v: [(es + (e,), edge[e].source) for es, s in rs
-                                for e in by_range.get((c, s), ())]
-                            for v, rs in runs.items()}
-        return {r: tuple([Path(n, pe + es, r, s) for pe, _, ps in joins
-                          for es, s in runs[ps]])
-                for r, joins in groupby(level, lambda join: join[1])}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            level = [((), v, v) for v in self.vertices]
+            runs = {v: [((), v)] for v in self.vertices}   # not yet joined
+            for c, length in enumerate(n, 1):
+                if length:
+                    level = [(pe + es, r, s) for pe, r, ps in level
+                             for es, s in runs[ps]]
+                    runs = {s: [((), s)] for _, _, s in level}
+                    for _ in range(length):
+                        runs = {v: [(es + (e,), edge[e].source)
+                                    for es, s in rs
+                                    for e in by_range.get((c, s), ())]
+                                for v, rs in runs.items()}
+            return {r: tuple([Path(n, pe + es, r, s) for pe, _, ps in joins
+                              for es, s in runs[ps]])
+                    for r, joins in groupby(level, lambda join: join[1])}
+        finally:
+            if was:
+                gc.enable()
 
     def _own(self, path):
         """Refuse a path whose range, source or edge ids this graph lacks:

@@ -63,7 +63,7 @@ class CylinderMeasure:
             hit = None
         if hit is None:
             dg.check_degree(degree, self.graph.k)
-            if source not in self.x:
+            if not isinstance(source, str) or source not in self.x:
                 raise CompositionError(f"vertex {source!r} not in this graph")
             hit = dg.rho_power(self.rho, dg.neg(degree)) * self.x[source]
             self._masses[key] = hit
@@ -109,6 +109,9 @@ def _level_masses(cm, jn, firsts, max_level):
     g = cm.graph
     units = [dg.unit(g.k, color) for color in range(1, g.k + 1)]
     ids, kids = {}, {}      # state -> id, in order; id -> its children's ids
+    tails = {}  # vertex -> (edges, source) of its (1,..,1) tails, if used
+    for t in g.paths_of_degree((1,) * g.k) if max_level and firsts else ():
+        tails.setdefault(t.range, []).append((t.edges, t.source))
     level = [ids.setdefault(state, len(ids)) for state in firsts]
     for l in range(max_level + 1):
         if l:
@@ -116,7 +119,7 @@ def _level_masses(cm, jn, firsts, max_level):
             for i in level:
                 if i not in kids:
                     kids[i] = [ids.setdefault(child, len(ids)) for child
-                               in _children(g, units, *states[i])]
+                               in _children(g, units, tails, *states[i])]
                 nxt += kids[i]
                 if len(nxt) > g.cap:
                     raise EnumerationCapError(
@@ -132,18 +135,18 @@ def _level_masses(cm, jn, firsts, max_level):
             yield add_up((cm.mass_at(top, v) for v in sources), cm.zero)
 
 
-def _children(g, units, source, rests):
+def _children(g, units, tails, source, rests):
     """The states of xi.t for the tails t of a survivor xi in this state."""
-    for t in g.paths_of_degree((1,) * g.k, range=source):
+    for edges, end in tails.get(source, ()):
         grown = []
         for e_i, (rest_m, rest_n) in zip(units, rests):
-            e_m, rest_m = g.split_strip(rest_m, t.edges, e_i)
-            e_n, rest_n = g.split_strip(rest_n, t.edges, e_i)
+            e_m, rest_m = g.split_strip(rest_m, edges, e_i)
+            e_n, rest_n = g.split_strip(rest_n, edges, e_i)
             if e_m != e_n:
                 break
             grown.append((tuple(rest_m), tuple(rest_n)))
         else:
-            yield t.source, tuple(grown)
+            yield end, tuple(grown)
 
 
 def periodicity_mass_profile(cm, m, n, max_level):

@@ -73,6 +73,16 @@ def test_single_vertex_validation():
     assert g.count_paths((1, 1)) == 4
 
 
+def test_readme_squares_example_is_not_the_flip():
+    """README's --squares example, x_s.y_t = y_u.x_v for rows [s,t,u,v]:
+    a valid 2-graph whose squares are not the default flip's."""
+    table = {(1, 1): (1, 2), (1, 2): (1, 1), (2, 1): (2, 2), (2, 2): (2, 1)}
+    g = builders.make_single_vertex(2, [2, 2], {(1, 2): table})
+    flip = builders.make_single_vertex(2, [2, 2])
+    assert g.validate().valid
+    assert g.squares != flip.squares
+
+
 def test_c2_cycle():
     g = builders.c2()
     assert g.count_paths((2,)) == 2

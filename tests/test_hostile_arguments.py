@@ -13,6 +13,8 @@ and a hostile draw for that one:
   must pass it on to its guard), True or False, a negative number, NaN or
   an infinity, a string or None;
 - a path argument: a path of another of the five graphs;
+- a source vertex argument: an unhashable list holding a vertex, or the
+  source of a path of another of the five graphs;
 - a state argument: a state with the wrong number of rotations.
 
 The call must return or raise a KGraphError subclass, never another
@@ -51,7 +53,8 @@ from kgraphs.perron import (MatrixFamily, perron_data,
                             spectral_radius_power_check, verify_subinvariance)
 from test_kms_cells import THREE_BY_TWO
 
-NUMBER, PATH, STATE, LITERAL = "number", "path", "state", "literal"
+NUMBER, PATH, SOURCE, STATE, LITERAL = ("number", "path", "source", "state",
+                                         "literal")
 
 
 def hostile_numbers(k):
@@ -134,7 +137,7 @@ CASES = {
     # measure
     "mass": (PATH, lambda e, x: e.cm.mass(x)),
     "mass_at-degree": (NUMBER, lambda e, x: e.cm.mass_at(x, e.mu.source)),
-    "mass_at-source": (PATH, lambda e, x: e.cm.mass_at(e.zero, x.source)),
+    "mass_at-source": (SOURCE, lambda e, x: e.cm.mass_at(e.zero, x)),
     "total_mass": (NUMBER, lambda e, x: e.cm.total_mass(x)),
     "consistency-m": (NUMBER,
                       lambda e, x: consistency_check(e.cm, x, e.ones)),
@@ -239,6 +242,8 @@ CASES = {
 DRAWS = {
     NUMBER: lambda e: hostile_numbers(e.k),
     PATH: lambda e: st.sampled_from(e.foreign),
+    SOURCE: lambda e: st.sampled_from([[e.mu.source]]
+                                      + [p.source for p in e.foreign]),
     STATE: lambda e: st.sampled_from(e.wrong),
     LITERAL: lambda e: st.one_of(hostile_numbers(e.k), st.text(max_size=6)),
 }

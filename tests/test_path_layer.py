@@ -19,8 +19,14 @@ built Lambda^n from its cached stem Lambda^{n - e_c} and checked the cap on
 every stem it built.  The run-joining enumeration must give the same paths
 in the same order, filtered or not, whichever degree is asked first, and
 raise EnumerationCapError with the same message on the same calls.
+
+`split_strip`'s one in-place pass must equal the two calls it replaced,
+`_take(_normalize(...), e_i)`, and the enumeration must leave the cyclic
+collector as it found it.  Records set their fields through slot
+descriptors or `object.__setattr__` and must still refuse changes.
 """
 
+import gc
 import itertools
 import tracemalloc
 
@@ -30,7 +36,8 @@ from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
 from kgraphs import degrees as dg
-from kgraphs.errors import EnumerationCapError
+from kgraphs import graphs as graphs_module
+from kgraphs.errors import EnumerationCapError, Record
 from kgraphs.graphs import KGraph, Path
 from kgraphs.perron import MatrixFamily, perron_data
 
@@ -429,3 +436,109 @@ def test_long_degree_needs_no_deep_recursion():
     growing runs does not recurse."""
     g = builders.make_single_vertex(1, [1])
     assert [p.edges for p in g.paths_of_degree((600,))] == [("e1",) * 600]
+
+
+def check_split_strip(g):
+    """split_strip against _take(_normalize(...)) on every rest xi(a, d(xi))
+    of every path xi of degree <= (2,..,2), extended by each single edge
+    into s(xi) and by each (1,..,1) tail from s(xi), for every color that
+    the extension holds."""
+    rests = {g.factorize(xi, a)[1] for xi in paths_up_to(g, (2,) * g.k)
+             for a in dg.degrees_below(xi.degree)}
+    units = [dg.unit(g.k, c) for c in range(1, g.k + 1)]
+    compared = 0
+    for rest in rests:
+        ends = [((e,), dg.unit(g.k, c)) for c in range(1, g.k + 1)
+                for e in g.edges_into(c, rest.source)]
+        ends += [(t.edges, t.degree)
+                 for t in g.paths_of_degree((1,) * g.k, range=rest.source)]
+        for edges, degree in ends:
+            for e_i in units:
+                if not any(map(min, e_i, dg.add(rest.degree, degree))):
+                    continue
+                seq = g._normalize([*rest.edges, *edges], len(rest.edges))
+                head, tail = g._take(seq, e_i)
+                assert g.split_strip(rest.edges, edges, e_i) == \
+                    (head[0], tail)
+                compared += 1
+    assert compared
+
+
+def test_split_strip_fixtures(graphs):
+    from test_kms_cells import THREE_BY_TWO    # it imports this module
+    for g in graphs.values():
+        check_split_strip(g)
+    check_split_strip(builders.make_single_vertex(3, [2, 2, 2]))
+    check_split_strip(builders.make_single_vertex(2, [3, 2], THREE_BY_TWO))
+
+
+@settings(max_examples=15)
+@given(st.one_of(single_vertex_2graphs(), pullbacks, products))
+def test_split_strip_generated(g):
+    check_split_strip(g)
+
+
+class Slotted(Record):
+    __slots__ = ("a", "b")
+    a: int
+    b: tuple
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError("a < 0")
+
+
+class Plain(Record):
+    a: int
+    b: tuple = ()
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError("a < 0")
+
+
+@pytest.mark.parametrize("cls", [Slotted, Plain])
+def test_record_fields_are_set_once(cls):
+    """A slotted record sets its fields through their slot descriptors, a
+    dict-backed one through object.__setattr__; either way the fields are
+    set before __post_init__ runs, and no field can change afterwards.  (A
+    slotted class cannot hold defaults: Python refuses a class attribute
+    named like a slot.)"""
+    r = cls(1, b=(2,))
+    assert (r.a, r.b) == (1, (2,)) and r == cls(a=1, b=(2,))
+    assert hash(r) == hash((1, (2,)))
+    assert repr(r) == f"{cls.__qualname__}(a=1, b=(2,))"
+    assert hasattr(r, "__dict__") is (cls is Plain)
+    if cls is Plain:
+        assert vars(r) == {"a": 1, "b": (2,)} and Plain(3).b == ()
+    with pytest.raises(ValueError):
+        cls(-1, ())
+    with pytest.raises(TypeError):
+        cls(1, (), 3)
+    for change in (lambda: setattr(r, "a", 5), lambda: delattr(r, "b"),
+                   lambda: setattr(r, "c", 5)):
+        with pytest.raises(AttributeError):
+            change()
+    assert (r.a, r.b) == (1, (2,))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_collector(enabled, monkeypatch):
+    """paths_of_degree leaves gc.isenabled() as it found it, when the
+    enumeration returns and when it raises."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        g = builders.pullback_b2()
+        assert len(g.paths_of_degree((3, 2))) == 32
+        assert gc.isenabled() is enabled
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(graphs_module, "Path", boom)
+        with pytest.raises(RuntimeError):
+            g.paths_of_degree((2, 3))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
