@@ -42,10 +42,6 @@ def join(m, n):
     return tuple(max(a, b) for a, b in zip(m, n))
 
 
-def meet(m, n):
-    return tuple(min(a, b) for a, b in zip(m, n))
-
-
 def leq(m, n):
     """Componentwise m <= n."""
     return all(a <= b for a, b in zip(m, n))

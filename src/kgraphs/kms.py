@@ -89,11 +89,6 @@ class AlgebraElement:
         return cls(graph, {(mu, nu): coeff})
 
     @classmethod
-    def vertex_projection(cls, graph, v):
-        p = graph.vertex_path(v)
-        return cls.span(graph, p, p)
-
-    @classmethod
     def edge_generator(cls, graph, edge_id):
         e = graph.edge(edge_id)
         mu = graph.path_from_edges([edge_id])
@@ -152,10 +147,6 @@ class AlgebraElement:
                                for (mu, nu), c in self.terms.items()})
 
     # -- canonical form and equality ------------------------------------
-
-    @property
-    def exact(self):
-        return all(isinstance(c, QQi) for c in self.terms.values())
 
     def is_zero(self):
         """Whether the element is zero in the graph algebra.

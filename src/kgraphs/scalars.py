@@ -23,17 +23,16 @@ from functools import reduce
 
 from .errors import InputFormatError, Record
 
+_ZERO = Fraction(0)     # QQi.of's im, shared: a Fraction is immutable
+
 
 class QQi(Record):
-    """A Gaussian rational re + im*i with Fraction components."""
+    """A Gaussian rational re + im*i with Fraction components, both given:
+    Record's constructor builds it, and QQi.of takes one exact value."""
 
     __slots__ = ("re", "im")
     re: Fraction
     im: Fraction
-
-    def __init__(self, re, im=Fraction(0)):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(value):
@@ -43,7 +42,7 @@ class QQi(Record):
         if isinstance(value, QQi):
             return value
         if isinstance(value, (int, Fraction)):
-            return QQi(Fraction(value))
+            return QQi(Fraction(value), _ZERO)
         raise TypeError(f"cannot coerce {type(value).__name__} to QQi")
 
     # i**t for t mod 4; the only roots of unity available exactly.
@@ -103,11 +102,11 @@ class QQi(Record):
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other):
+        if isinstance(other, QQi):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            other = QQi(Fraction(other))
-        if not isinstance(other, QQi):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))

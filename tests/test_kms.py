@@ -71,7 +71,7 @@ def test_vertex_resolution(graphs):
     # p_v = sum over color-i edges at v of s_e s*_e, for every color
     for g in graphs.values():
         for v in g.vertices:
-            p = AlgebraElement.vertex_projection(g, v)
+            p = AlgebraElement.span(g, g.vertex_path(v), g.vertex_path(v))
             for color in range(1, g.k + 1):
                 total = AlgebraElement(g)
                 for e in g.paths_of_degree(dg.unit(g.k, color), range=v):
@@ -118,8 +118,11 @@ def test_known_product_pullback(pb2g):
 
 def test_scale_and_exactness(b2g):
     a = span(b2g, "e1", "e2")
-    assert a.scale(QQi.of(F(1, 2))).exact
-    assert not a.scale(0.5 + 0j).exact
+
+    def exact(x):
+        return all(isinstance(c, QQi) for c in x.terms.values())
+    assert exact(a.scale(QQi.of(F(1, 2))))
+    assert not exact(a.scale(0.5 + 0j))
     assert (a.scale(2) - a - a).is_zero()
 
 
@@ -495,7 +498,7 @@ SPLIT = "operation requires a strongly connected graph"
     (lambda f: check_pair(CHAIN, (1,), (0,)), NotStronglyConnectedError,
      SPLIT),
     (lambda f: periodicity_group(CHAIN, 1), NotStronglyConnectedError, SPLIT),
-    (lambda f: AlgebraElement.vertex_projection(CHAIN, "v").is_zero(),
+    (lambda f: AlgebraElement.identity(CHAIN).is_zero(),
      NotStronglyConnectedError, SPLIT),
     (lambda f: MatrixFamily(("v",), ()), InputFormatError,
      "family needs at least one matrix"),

@@ -80,6 +80,16 @@ def test_abs2_is_norm(a):
     assert (a.abs2() == 0) == (not a)
 
 
+def test_qqi_is_built_by_the_record_constructor():
+    """QQi writes no __init__: the one in its namespace is the one Record
+    compiles, which takes both parts, and QQi.of takes one exact value."""
+    assert vars(QQi)["__init__"].__code__.co_filename == "<string>"
+    with pytest.raises(TypeError):
+        QQi(Fraction(1, 2))
+    assert QQi.of(3) == QQi(Fraction(3), Fraction(0)) == QQi(im=0, re=3)
+    assert QQi.of(Fraction(1, 2)).im == 0 and QQi.of(7).re == Fraction(7)
+
+
 def test_qqi_zero_is_falsy():
     assert not QQi.of(0) and not QQi(Fraction(0), Fraction(0))
     assert QQi(Fraction(0), Fraction(1)) and QQi.of(Fraction(-1, 3))
@@ -110,7 +120,7 @@ def test_inexact_operands_give_the_complex_result(a, z):
 
 
 def test_is_zero_is_exact_on_qqi_and_tolerant_on_complex():
-    tiny = QQi(Fraction(1, 10 ** 30))
+    tiny = QQi.of(Fraction(1, 10 ** 30))
     assert is_zero(QQi.of(0), 1e-12) and not is_zero(tiny, 1e-12)
     assert is_zero(complex(tiny), 1e-12) and is_zero(0j, 0.0)
     assert not is_zero(1e-11j, 1e-12) and not is_zero(complex(tiny), 0.0)

@@ -54,7 +54,7 @@ def check_law(g, top):
     for m, n in itertools.product(dg.degrees_below(top), repeat=2):
         if not check_pair(g, m, n):
             continue
-        gvec, j = dg.sub(m, n), dg.meet(m, n)
+        gvec, j = dg.sub(m, n), tuple(map(min, m, n))
         grade = theta(g, dg.pos_part(gvec), dg.neg_part(gvec))
         direct = theta(g, m, n)
         for p in g.paths_of_degree(m):
