@@ -178,7 +178,11 @@ class KGraph:
 
     def edges_into(self, color, v):
         """The ids of the color-`color` edges with range v, sorted."""
-        return self._by_range.get((color, v), ())
+        try:
+            return self._by_range.get((color, v), ())
+        except TypeError:   # unhashable, as a list
+            raise InputFormatError(f"color {color!r} or vertex {v!r} is not "
+                                   f"hashable") from None
 
     def vertex_path(self, v):
         if v not in self._vset:
@@ -536,10 +540,18 @@ class KGraph:
                 gc.enable()
 
     def _own(self, path):
-        """Refuse a path whose range, source or edge ids this graph lacks:
-        the path machinery would find no extension of it."""
-        if not (path.range in self._vset and path.source in self._vset
-                and all(map(self._color.__contains__, path.edges))):
+        """Refuse a path whose range, source or edge ids this graph lacks,
+        whose degree is not a k-tuple, or whose range and source are not
+        those of its first and last edges (of a vertex path: equal, at
+        degree zero).  The degree is not matched to the edges' colours:
+        lambda_min calls this on every product of span terms."""
+        edges, edge, deg = path.edges, self._edge, path.degree
+        if not (type(deg) is tuple and len(deg) == self.k and (
+                all(map(edge.__contains__, edges))
+                and edge[edges[0]].range == path.range
+                and edge[edges[-1]].source == path.source if edges
+                else path.range == path.source and path.range in self._vset
+                and not any(deg))):
             raise CompositionError(f"path {path.literal()} is not in this "
                                    f"graph")
 

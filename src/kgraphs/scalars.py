@@ -108,8 +108,9 @@ class QQi(Record):
             return self.im == 0 and self.re == other
         return NotImplemented
 
+    # equal values hash equal: a QQi with im == 0 as its real part
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         if self.im == 0:

@@ -10,7 +10,7 @@ from kgraphs.builders import FIXTURES, make_single_vertex
 from kgraphs.errors import (CompositionError, EnumerationCapError,
                             GraphValidationError, InputFormatError,
                             SegmentRangeError)
-from kgraphs.graphs import Edge, KGraph
+from kgraphs.graphs import Edge, KGraph, Path
 from kgraphs.kms import StateSpec
 from kgraphs.measure import agreement_mass
 
@@ -244,6 +244,44 @@ def test_foreign_paths_raise_composition_error(pb2g, prodg, measures,
                    StateSpec.haar(), mu, prodg.vertex_path("v:w1"))):
         with pytest.raises(CompositionError):
             op()
+
+
+def test_paths_whose_degree_or_ends_do_not_fit_are_refused(graphs, pb2g,
+                                                           prodg, states):
+    # b2's vertex path v has every id in pullback-b2, but its degree (0,)
+    # is not in N^2: extensions used to refuse the degree (1,) it made
+    # from it, a degree the caller never passed
+    v = graphs["b2"].vertex_path("v")
+    for op in (lambda: pb2g.extensions(v, (1, 0)),
+               lambda: pb2g.lambda_min(v, pb2g.vertex_path("v")),
+               lambda: pb2g.lambda_min(pb2g.vertex_path("v"), v)):
+        with pytest.raises(CompositionError,
+                           match=r"^path v is not in this graph$"):
+            op()
+    # product-b2-c2 paths built by hand from its own ids and vertices
+    good = prodg.parse_path("e1:w1.v:g1")
+    assert (good.range, good.source) == ("v:w1", "v:w2")
+    chi = StateSpec.character((0, 0))
+    for bad in (Path(good.degree, good.edges, "v:w2", good.source),
+                Path(good.degree, good.edges, good.range, "v:w1"),
+                Path((1, 1, 0), good.edges, good.range, good.source),
+                Path([1, 1], good.edges, good.range, good.source),
+                Path((0, 0), (), "v:w1", "v:w2"),
+                Path((1, 0), (), "v:w1", "v:w1")):
+        for op in (lambda: prodg.extensions(bad, (2, 2)),
+                   lambda: prodg.lambda_min(bad, good),
+                   lambda: prodg.lambda_min(good, bad),
+                   lambda: states["product-b2-c2"].phi_eval(chi, bad, bad)):
+            with pytest.raises(CompositionError,
+                               match=r" is not in this graph$"):
+                op()
+    assert prodg.lambda_min(good, good) == [(prodg.vertex_path("v:w2"),) * 2]
+
+
+def test_unhashable_edges_into_arguments_are_refused(pb2g):
+    for color, v in (([1], "v"), (1, ["v"])):
+        with pytest.raises(InputFormatError, match=r" is not hashable$"):
+            pb2g.edges_into(color, v)
 
 
 def test_paths_sorted_and_filtered(prodg):

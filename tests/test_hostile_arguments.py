@@ -3,18 +3,17 @@
 Each case below is one argument of a public function or method of graphs,
 measure, periodicity, perron or kms.  The call gets small valid values for
 its other arguments (box and witness degree (1, .., 1), level, bound and
-counts 1) on one of five graphs, the four fixtures and a single-vertex
-2-graph whose squares are not the flip (THREE_BY_TWO of test_kms_cells),
-and a hostile draw for that one:
+counts 1) on one of eight graphs, the four fixtures and the four of
+BUILT, and a hostile draw for that one:
 
 - a degree, difference, number, count, tolerance or coefficient argument: a
   tuple of the wrong length, a tuple of the right length with a negative or
   a float entry, a list of the right length (unhashable: a cache lookup
   must pass it on to its guard), True or False, a negative number, NaN or
   an infinity, a string or None;
-- a path argument: a path of another of the five graphs;
+- a path argument: a path of another of the eight graphs;
 - a source vertex argument: an unhashable list holding a vertex, or the
-  source of a path of another of the five graphs;
+  source of a path of another of the eight graphs;
 - a state argument: a state with the wrong number of rotations.
 
 The call must return or raise a KGraphError subclass, never another
@@ -74,6 +73,22 @@ def hostile_numbers(k):
         st.text(max_size=3))
 
 
+# built the same on every run, so the derandomized draws are too
+BUILT = {
+    # one vertex, squares that are not the flip (test_kms_cells)
+    "three-by-two": lambda: builders.make_single_vertex(2, [3, 2],
+                                                        THREE_BY_TWO),
+    # one vertex with loops of two colours, flip squares
+    "loops-2-3": lambda: builders.make_single_vertex(2, [2, 3]),
+    # the pullback of the two-vertex cycle: rho = (1, 1), and its
+    # periodicity group has rank 2
+    "pullback-c2": lambda: builders.make_pullback(builders.c2()),
+    # a product with four vertices and irrational Perron data
+    "product-fib-c2": lambda: builders.make_product(builders.fib(),
+                                                    builders.c2()),
+}
+
+
 def wrong_states(k):
     """Characters and mixtures with k + 1 rotations, and with k - 1."""
     return [make(turns) for n in (k + 1, k - 1) for turns in [(F(1, 4),) * n]
@@ -84,11 +99,12 @@ def wrong_states(k):
 @pytest.fixture(scope="module")
 def envs(graphs, perron, groups):
     """Per graph: its objects, valid defaults and foreign paths."""
-    twisted = builders.make_single_vertex(2, [3, 2], THREE_BY_TWO)
-    graphs = {**graphs, "three-by-two": twisted}
-    perron = {**perron, "three-by-two": perron_data(
-        MatrixFamily.from_graph(twisted))}
-    groups = {**groups, "three-by-two": periodicity_group(twisted, bound=2)}
+    built = {name: build() for name, build in BUILT.items()}
+    graphs = {**graphs, **built}
+    perron = {**perron, **{name: perron_data(MatrixFamily.from_graph(g))
+                           for name, g in built.items()}}
+    groups = {**groups, **{name: periodicity_group(g, bound=2)
+                           for name, g in built.items()}}
     out = {}
     for name, g in graphs.items():
         k, pd = g.k, perron[name]

@@ -90,6 +90,15 @@ def test_qqi_is_built_by_the_record_constructor():
     assert QQi.of(Fraction(1, 2)).im == 0 and QQi.of(7).re == Fraction(7)
 
 
+@given(exact_reals)
+def test_a_real_qqi_hashes_as_the_rational_it_equals(r):
+    q = QQi.of(r)
+    assert q == r and r == q and hash(q) == hash(r) == hash(Fraction(r))
+    assert r in {q} and q in {r} and {q: 1}[r] == {r: 1}[q] == 1
+    assert len({q, r, Fraction(r)}) == 1
+    assert QQi(Fraction(r), Fraction(1)) not in {r}
+
+
 def test_qqi_zero_is_falsy():
     assert not QQi.of(0) and not QQi(Fraction(0), Fraction(0))
     assert QQi(Fraction(0), Fraction(1)) and QQi.of(Fraction(-1, 3))
