@@ -28,8 +28,8 @@ from itertools import chain, groupby
 
 from . import degrees as dg
 from .errors import (CompositionError, EnumerationCapError, GraphValidationError,
-                     InputFormatError, NotStronglyConnectedError, Record,
-                     SegmentRangeError)
+                     InputFormatError, NotIrreducibleError,
+                     NotStronglyConnectedError, Record, SegmentRangeError)
 from .perron import mat_vec
 
 ENUM_CAP = 10 ** 6  # default KGraph.cap, and the largest rank k
@@ -332,10 +332,19 @@ class KGraph:
         return rep
 
     def require_strongly_connected(self):
+        """The precondition of every analysis: a valid, strongly connected
+        graph with an edge of every color.  By unique factorization such a
+        graph has an edge of each color into and out of every vertex, so it
+        has no sources and no sinks, and these are exactly the graphs whose
+        Perron data exists (perron_data refuses the others)."""
         rep = self.require_valid()
         if not rep.strongly_connected:
             raise NotStronglyConnectedError(
                 "operation requires a strongly connected graph")
+        if 0 in rep.edge_counts:
+            raise NotIrreducibleError(
+                f"operation requires an edge of every color; color "
+                f"{rep.edge_counts.index(0) + 1} has none")
         return rep
 
     # ------------------------------------------------------------------

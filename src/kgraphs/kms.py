@@ -157,8 +157,9 @@ class AlgebraElement:
         s_{mu.lam} s*_{nu.lam}.  After that rewriting the surviving terms
         are linearly independent, so the element vanishes exactly when every
         refined coefficient does.  Needs a graph with no sources, which
-        strong connectivity guarantees.  Float coefficients count as zero
-        below FLOAT_PRUNE.
+        require_strongly_connected guarantees: strongly connected, with an
+        edge of every color.  Float coefficients count as zero below
+        FLOAT_PRUNE.
         """
         if not self.terms:
             return True
@@ -655,10 +656,7 @@ class KMSStates:
         theta(mu), whatever lam is.  theta maps the class (v, m) onto the
         class (v, n), so the class pair holds one pair (mu, theta(mu)) per
         mu, each with bound the mass of every mu.lam, and, blind, the other
-        pairs with bound 0, where honest phi vanishes.  A color with an edge
-        has one into every vertex, so vLambda^{(1,..,1)} is empty only when
-        some color is; then every bound is 0, and the blind counts still
-        cover the whole class pair."""
+        pairs with bound 0, where honest phi vanishes."""
         ones, zero = (1,) * self.graph.k, self.measure.zero
         profiles = {}
         for v, here in box.classes.items():

@@ -39,8 +39,8 @@ def check_pair(graph, m, n):
     Returns False at the first strip edge that differs.  Past the cap it
     raises as the per-color enumeration of Lambda^{(m v n) + e_i} did: at
     the first color over the cap, unless a lower color disagrees.  Under the
-    cap, with no color empty, A^m != A^n answers False before any path is
-    enumerated, as theta_{m,n} would keep ranges and sources.
+    cap, A^m != A^n answers False before any path is enumerated, as
+    theta_{m,n} would keep ranges and sources.
     """
     graph.require_strongly_connected()
     jn = dg.join(dg.check_degree(m, graph.k, "shift degree"),
@@ -50,17 +50,17 @@ def check_pair(graph, m, n):
     units = [dg.unit(graph.k, color) for color in range(1, graph.k + 1)]
     # |Lambda^{(m v n) + e_i}| = sum_v (A_i x)_v, x_v = |vLambda^{m v n}|
     x = graph._stem_chain(jn)[-1][1]
-    sizes = [sum(mat_vec(a, x)) for a in graph.coordinate_matrices()]
-    over = next((i for i, s in enumerate(sizes) if s > graph.cap), graph.k)
-    # the colors with edges below it: each has an edge into every vertex,
-    # so if Lambda^{m v n} is over the cap, none is, and it is not enumerated
-    reached = [(c, units[c - 1]) for c in range(1, over + 1) if sizes[c - 1]]
+    over = next((i for i, a in enumerate(graph.coordinate_matrices())
+                 if sum(mat_vec(a, x)) > graph.cap), graph.k)
+    # the strips run over the colors below it; each color has an edge out of
+    # every vertex, so if Lambda^{m v n} is over the cap, so is color 1, and
+    # Lambda^{m v n} is not enumerated
     family = MatrixFamily.from_graph(graph)
-    if len(reached) == graph.k and family.power(m) != family.power(n):
+    if over == graph.k and family.power(m) != family.power(n):
         return False
-    for mu in graph.paths_of_degree(jn) if reached else ():
+    for mu in graph.paths_of_degree(jn) if over else ():
         rest_m, rest_n = (graph.factorize(mu, d)[1].edges for d in (m, n))
-        for color, e_i in reached:
+        for color, e_i in zip(range(1, over + 1), units):
             for e in graph.edges_into(color, mu.source):
                 if graph.split_strip(rest_m, (e,), e_i)[0] != \
                         graph.split_strip(rest_n, (e,), e_i)[0]:
@@ -97,17 +97,15 @@ def theta(graph, m, n):
     if not check_pair(graph, m, n):
         raise NotPeriodicError(f"shifts by {m} and {n} disagree; "
                                f"{dg.sub(m, n)} is not periodic")
-    mus = graph.paths_of_degree(m)
     # any degree-n path into r(mu) works: take the canonically first with
     # each source, in one pass over Lambda^n (reversed: the first is kept)
     alphas = {a.source: a for a in reversed(graph.paths_of_degree(n))}
     table = {mu: graph.factorize(graph.compose(alphas[mu.range], mu), m)[1]
-             for mu in mus if mu.range in alphas}
+             for mu in graph.paths_of_degree(m)}
     images = set(table.values())
     preserved = all(v.range == k.range and v.source == k.source
                     for k, v in table.items())
-    if len(images) != len(mus) or not preserved:
-        # an empty color: vacuously periodic, with no alpha into some r(mu)
+    if len(images) != len(table) or not preserved:
         raise NotPeriodicError(
             f"theta for ({m}, {n}) is not a vertex-preserving bijection of "
             f"the paths of degree {m} onto those of degree {n}")

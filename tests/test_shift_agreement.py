@@ -278,16 +278,13 @@ def test_box_rule_generated(g):
 def cap_graph(name):
     if name == "c2 x b2":
         return builders.make_product(builders.c2(), builders.b2())
-    if name == "color 1 empty":
-        return builders.make_single_vertex(2, [0, 2])
     return builders.FIXTURES[name]()
 
 
 @pytest.mark.parametrize("name, m, n", [
-    ("pullback-b2", (1, 0), (0, 1)), ("c2 x b2", (1, 0), (0, 0)),
-    ("color 1 empty", (0, 1), (0, 0))])
+    ("pullback-b2", (1, 0), (0, 1)), ("c2 x b2", (1, 0), (0, 0))])
 def test_cap_below_join(name, m, n):
-    # |Lambda^{m v n}| > cap: the first color with edges raises, as before
+    # |Lambda^{m v n}| > cap: color 1 raises, as before
     g = cap_graph(name)
     g.cap = g.count_paths(dg.join(m, n)) - 1
     with pytest.raises(EnumerationCapError) as new:

@@ -23,10 +23,11 @@ That is checked on the same graphs but the two-loop ones; on product-b2-c2
 the grades (0, 2) and (0, -2) map paths to vertices and vertices to paths.
 
 Per(Lambda) lies in {g : A^{g+} = A^{g-}}, so check_pair answers False from
-the matrices once it has sized the strips, when none is over the cap and no
-color is empty, before it enumerates a path.  A graph with an empty color
-has no infinite path, and there the pairs keep their vacuous answer; theta,
-with no path to shift, refuses them.
+the matrices once it has sized the strips, when none is over the cap, before
+it enumerates a path.  A graph with an empty color has no infinite path, so
+every shift pair would agree vacuously and the answers would not form a
+group; check_pair, periodicity_group, decide_periodic, theta and is_zero
+refuse it, as perron_data does.
 """
 
 import itertools
@@ -36,10 +37,11 @@ from hypothesis import given, settings
 
 from kgraphs import builders
 from kgraphs import degrees as dg
-from kgraphs.errors import NotPeriodicError
+from kgraphs.errors import NotIrreducibleError
 from kgraphs.graphs import KGraph
-from kgraphs.kms import KMSStates
-from kgraphs.periodicity import check_pair, theta
+from kgraphs.kms import AlgebraElement, KMSStates
+from kgraphs.periodicity import (check_pair, decide_periodic,
+                                 periodicity_group, theta)
 from kgraphs.perron import MatrixFamily, perron_data
 from test_kms_generated import two_loop_2graphs
 from test_shift_agreement import GRAPHS, rank_three_twisted
@@ -162,20 +164,23 @@ def test_check_pair_answers_from_the_matrices(monkeypatch):
     assert calls == []
 
 
-def test_an_empty_color_keeps_the_vacuous_answer():
-    # no color-1 edges, so no infinite path: every shift pair whose join
-    # has a color-1 step agrees, though A_1 = 0 makes A^(1,0) != A^0
-    g = builders.make_single_vertex(2, [0, 2])
-    assert check_pair(g, (1, 0), (0, 0)) is True
-    assert check_pair(g, (1, 0), (0, 1)) is True
-    assert check_pair(g, (0, 1), (0, 0)) is False
-
-
-def test_theta_refuses_a_vacuously_periodic_pair():
-    # the empty color makes (0, 0) - (1, 0) vacuously periodic, but no
-    # degree-(1, 0) path reaches v to shift
-    g = builders.make_single_vertex(2, [0, 2])
-    assert check_pair(g, (0, 0), (1, 0)) is True
-    with pytest.raises(NotPeriodicError,
-                       match="is not a vertex-preserving bijection"):
-        theta(g, (0, 0), (1, 0))
+@pytest.mark.parametrize("g", [builders.make_single_vertex(2, [0, 2]),
+                               builders.make_single_vertex(1, [0])],
+                         ids=["loops 0,2", "no edges"])
+def test_an_empty_color_is_refused(g):
+    # on loops (0, 2), (1, 0) and (1, 1) agreed with (0, 0) vacuously, but
+    # their difference (0, 1) did not
+    one, zero = dg.unit(g.k, 1), dg.zero(g.k)
+    v = g.vertex_path(g.vertices[0])
+    for call in (lambda: check_pair(g, one, zero),
+                 lambda: periodicity_group(g, 1),
+                 lambda: decide_periodic(g, None, one),
+                 lambda: theta(g, zero, one),
+                 lambda: AlgebraElement.span(g, v, v).is_zero(),
+                 lambda: perron_data(MatrixFamily.from_graph(g))):
+        with pytest.raises(NotIrreducibleError):
+            call()
+    with pytest.raises(NotIrreducibleError,
+                       match="requires an edge of every color; color 1 has "
+                             "none"):
+        g.require_strongly_connected()

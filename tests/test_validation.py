@@ -9,7 +9,9 @@ dropped, duplicated, re-pointed, with fields swapped or with their
 right-hand sides exchanged; edges recolored or re-sourced) KGraph.validate
 must give the same report, and its square tables `_fwd` and `_inv` the
 same entries.  Strong connectivity, now two searches from one vertex, must
-agree with the search from every vertex on small drawn directed graphs.
+agree with the search from every vertex on small drawn directed graphs.  On
+those and on single-vertex 2-graphs, require_strongly_connected refuses a
+graph exactly when perron_data does.
 """
 
 import itertools
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import builders
-from kgraphs.errors import EnumerationCapError, GraphValidationError
+from kgraphs.errors import (EnumerationCapError, GraphValidationError,
+                            NotIrreducibleError, NotStronglyConnectedError)
 from kgraphs.graphs import KGraph, ValidationReport
+from kgraphs.perron import MatrixFamily, perron_data
 
 
 def document(k, vertices, edges, squares):
@@ -448,3 +452,22 @@ def directed_graphs(draw):
 @given(directed_graphs())
 def test_strong_connectivity_matches_search_from_every_vertex(g):
     assert g._strongly_connected() == old_strongly_connected(g)
+
+
+def refuses(call, *errors):
+    try:
+        call()
+    except errors:
+        return True
+    return False
+
+
+@settings(max_examples=150)
+@given(directed_graphs() | st.tuples(st.integers(0, 3), st.integers(0, 3))
+       .map(lambda loops: builders.make_single_vertex(2, list(loops))))
+def test_the_precondition_is_that_of_perron_data(g):
+    # strongly connected with an edge of every color: the graphs with
+    # Perron data, so the analyses take exactly the graphs that info takes
+    assert refuses(g.require_strongly_connected, NotStronglyConnectedError,
+                   NotIrreducibleError) == refuses(
+        lambda: perron_data(MatrixFamily.from_graph(g)), NotIrreducibleError)
