@@ -38,9 +38,10 @@ class CylinderMeasure:
     """Masses of cylinder sets, exact when the Perron data is."""
 
     def __init__(self, graph, pd):
-        if tuple(pd.labels) != tuple(graph.vertices):
+        if tuple(pd.labels) != tuple(graph.vertices) or \
+                len(pd.rho) != graph.k:
             raise InputFormatError("Perron data does not index this graph's "
-                                   "vertices")
+                                   "vertices and colors")
         self.graph = graph
         self.exact = pd.exact
         self.rho = pd.rho_values()

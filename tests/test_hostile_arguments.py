@@ -17,7 +17,9 @@ BUILT, and a hostile draw for that one:
 - a state argument: a state with the wrong number of rotations.
 
 The call must return or raise a KGraphError subclass, never another
-exception.
+exception.  Hypothesis draws the graph and the value; a deterministic pass
+then runs every case on every graph with every entry of a fixed pool (see
+fixed_pool), so no (case, graph, entry) is left to the draw.
 
 Left out, with the reason:
 
@@ -255,13 +257,24 @@ CASES = {
     "states_equal-b": (STATE, lambda e, x: e.states.states_equal(e.chi, x)),
 }
 
+
+def fixed_pool(e, kind):
+    """One malformed value of each shape for a number or literal; every
+    foreign path, source or wrong state for the other kinds."""
+    if kind in (NUMBER, LITERAL):
+        return [(1,) * (e.k + 1), (1,) * (e.k - 1), (-1, *e.ones[1:]),
+                (0.5, *e.ones[1:]), [1] * e.k, True, False, -1, -0.5,
+                math.nan, math.inf, None, "x", ""]
+    return {PATH: e.foreign,
+            SOURCE: [[e.mu.source]] + [p.source for p in e.foreign],
+            STATE: e.wrong}[kind]
+
+
 DRAWS = {
     NUMBER: lambda e: hostile_numbers(e.k),
-    PATH: lambda e: st.sampled_from(e.foreign),
-    SOURCE: lambda e: st.sampled_from([[e.mu.source]]
-                                      + [p.source for p in e.foreign]),
-    STATE: lambda e: st.sampled_from(e.wrong),
     LITERAL: lambda e: st.one_of(hostile_numbers(e.k), st.text(max_size=6)),
+    **{kind: lambda e, kind=kind: st.sampled_from(fixed_pool(e, kind))
+       for kind in (PATH, SOURCE, STATE)},
 }
 
 
@@ -275,6 +288,19 @@ def test_returns_or_refuses_with_a_kgraph_error(envs, kind, call, data):
         call(env, value)
     except KGraphError:
         pass
+
+
+def test_every_pool_entry_on_every_graph(envs):
+    for name, e in sorted(envs.items()):
+        for case, (kind, call) in CASES.items():
+            for value in fixed_pool(e, kind):
+                try:
+                    call(e, value)
+                except KGraphError:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(
+                        f"{case} on {name} with {value!r}") from exc
 
 
 def test_unhashable_degrees_and_differences_are_refused(envs):

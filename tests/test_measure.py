@@ -403,6 +403,9 @@ def test_decay_witness_absent_for_periodic_difference(measures):
 
 
 def test_measure_rejects_wrong_graph(graphs, perron):
-    from kgraphs.measure import CylinderMeasure
-    with pytest.raises(InputFormatError):
-        CylinderMeasure(graphs["b2"], perron["fib"])
+    # other vertices, and the one vertex of b2 with b2's single rho, which
+    # read mass_at((1, 1), "v") on pullback-b2 as 1/2 instead of 1/4
+    for name, data in [("b2", "fib"), ("pullback-b2", "b2")]:
+        with pytest.raises(InputFormatError,
+                           match="does not index this graph's vertices"):
+            CylinderMeasure(graphs[name], perron[data])
