@@ -166,7 +166,7 @@ def test_check_pair_answers_from_the_matrices(monkeypatch):
 
 @pytest.mark.parametrize("g", [builders.make_single_vertex(2, [0, 2]),
                                builders.make_single_vertex(1, [0])],
-                         ids=["loops 0,2", "no edges"])
+                         ids=["loops-0-2", "no-edges"])
 def test_an_empty_color_is_refused(g):
     # on loops (0, 2), (1, 0) and (1, 1) agreed with (0, 0) vacuously, but
     # their difference (0, 1) did not
@@ -184,3 +184,14 @@ def test_an_empty_color_is_refused(g):
                        match="requires an edge of every color; color 1 has "
                              "none"):
         g.require_strongly_connected()
+
+
+def test_theta_refuses_a_vacuously_periodic_pair():
+    # the empty color made (0, 0) - (1, 0) vacuously periodic; neither
+    # check_pair nor theta calls it periodic now
+    g = builders.make_single_vertex(2, [0, 2])
+    for call in (lambda: check_pair(g, (0, 0), (1, 0)),
+                 lambda: theta(g, (0, 0), (1, 0))):
+        with pytest.raises(NotIrreducibleError,
+                           match="requires an edge of every color"):
+            call()
